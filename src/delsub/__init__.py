@@ -10,7 +10,6 @@ of it as a command line tool.
 """
 
 from .sequence import (
-    Alphabet,
     RunDecomposition,
     Sequence,
     alternating,
@@ -72,7 +71,6 @@ from .reconstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "BallSpec",
     "BudgetExceededError",
     "CheckResult",

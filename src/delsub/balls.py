@@ -6,9 +6,11 @@ deduplicating.  The structural fast path in :mod:`delsub.intersect` is
 always tested against these sets, so this module must stay independent
 of the mismatch machinery in :mod:`delsub.diffs`.
 
-Materialization refuses to run past a configurable element budget; the
-enumeration here is meant for desk-scale verification, not production
-workloads.
+Materialization refuses to run past a configurable budget, checked
+before anything is allocated: generated elements for the generic
+enumeration, bytes of the packed array for the vectorized (1,1) path.
+The enumeration here is meant for desk-scale verification, not
+production workloads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ Word = Tuple[int, ...]
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a requested enumeration would exceed the element budget."""
+    """Raised when a requested enumeration would exceed its budget."""
 
 
 @dataclass(frozen=True)
@@ -174,14 +176,20 @@ def ball_intersection(
     """Members common to the two materialized balls.
 
     This is the oracle every structural computation is checked against;
-    it never takes shortcuts.
+    it never takes shortcuts.  For spec (1, 1) the budget bounds the
+    n(n-1)q(n-1) bytes that :func:`ds11_packed` allocates per ball.
     """
     _require_same_shape(x, y)
     n = len(x)
     if spec.t + spec.s >= n:
         raise ValueError(f"need t + s < n, got t={spec.t}, s={spec.s}, n={n}")
     if spec == BallSpec(1, 1) and x.q <= 255:
-        _check_budget(n, x.q, spec, budget)
+        packed = n * (n - 1) * x.q * (n - 1)
+        if packed > budget:
+            raise BudgetExceededError(
+                f"the packed (1,1)-ball at n={n}, q={x.q} takes {packed} bytes, "
+                f"above the budget of {budget}"
+            )
         common = ds11_packed(x.symbols, x.q) & ds11_packed(y.symbols, y.q)
         return SequenceSet((tuple(w) for w in common), x.q, n - 1)
     return ds_ball(x, spec, budget) & ds_ball(y, spec, budget)

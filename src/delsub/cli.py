@@ -16,12 +16,16 @@ import io
 import json
 import random
 import sys
+from contextlib import nullcontext
+from functools import partial
 from itertools import product
 from multiprocessing import Pool
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .balls import BallSpec, BudgetExceededError, DEFAULT_BUDGET, ball_intersection, ds_ball
 from .intersect import (
+    IntersectionReport,
+    bound_applicable,
     constant_regime_bound,
     coverage_bound,
     intersection_size_fast,
@@ -29,7 +33,7 @@ from .intersect import (
     verify_claims,
 )
 from .reconstruct import Codebook, ReadSet, channel_transmit, reconstruct
-from .sequence import Sequence, lcs_length
+from .sequence import Sequence, hamming, lcs_length
 
 Word = Tuple[int, ...]
 
@@ -64,7 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("fast", "oracle", "both"), default="fast",
         help="structural path, materialized oracle, or cross-checked both",
     )
-    p_int.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_int.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="bytes a materialized ball may take in --mode oracle|both",
+    )
     _add_format(p_int)
     p_int.set_defaults(func=cmd_intersect)
 
@@ -165,37 +172,22 @@ def cmd_ball(args) -> int:
 def cmd_intersect(args) -> int:
     x = Sequence.parse(args.x, args.q)
     y = Sequence.parse(args.y, args.q)
+    if args.mode == "oracle":
+        size = len(ball_intersection(x, y, BallSpec(1, 1), budget=args.budget))
+        n, d = len(x), hamming(x, y)
+        report = IntersectionReport(
+            n=n, q=args.q, d=d, size=size, method="oracle",
+            bound=coverage_bound(n, args.q), bound_applicable=bound_applicable(n, args.q, d),
+        )
+    else:
+        report = intersection_size_fast(x, y)
     oracle_size: Optional[int] = None
     match: Optional[bool] = None
-    if args.mode in ("fast", "both"):
-        report = intersection_size_fast(x, y, oracle_budget=args.budget)
-        payload = report.to_dict()
-    else:
-        size = len(ball_intersection(x, y, BallSpec(1, 1), budget=args.budget))
-        from .diffs import diff_profile
-        from .intersect import bound_applicable
-
-        d = diff_profile(x, y).d
-        payload = {
-            "n": len(x),
-            "q": args.q,
-            "d": d,
-            "size": size,
-            "method": "oracle",
-            "bound": coverage_bound(len(x), args.q),
-            "bound_applicable": bound_applicable(len(x), args.q, d),
-            "group_sizes": {},
-            "omega0_size": None,
-            "omega1_size": None,
-            "omega2_size": None,
-            "omega1_minus_omega0": None,
-            "omega2_minus_omega0": None,
-        }
     if args.mode == "both":
         oracle_size = len(ball_intersection(x, y, BallSpec(1, 1), budget=args.budget))
-        match = payload["size"] == oracle_size
+        match = report.size == oracle_size
     payload = {"command": "intersect", "mode": args.mode, "x": str(x), "y": str(y),
-               **payload, "oracle_size": oracle_size, "match": match}
+               **report.to_dict(), "oracle_size": oracle_size, "match": match}
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
     elif args.fmt == "csv":
@@ -220,18 +212,8 @@ def cmd_intersect(args) -> int:
 # verify
 
 
-_WORKER_CTX: Dict[str, object] = {}
-
-
-def _init_worker(q: int, scope: str) -> None:
-    _WORKER_CTX["q"] = q
-    _WORKER_CTX["scope"] = scope
-
-
-def _check_pair(pair: Tuple[Word, Word]):
-    """Worker: returns (violation_detail | None, size | None)."""
-    q = _WORKER_CTX["q"]
-    scope = _WORKER_CTX["scope"]
+def _check_pair(q: int, scope: str, pair: Tuple[Word, Word]):
+    """Returns (violation_detail | None, size | None)."""
     xs, ys = pair
     x = Sequence._wrap(xs, q)
     y = Sequence._wrap(ys, q)
@@ -319,20 +301,10 @@ def cmd_verify(args) -> int:
     max_size: Optional[int] = None
     checked = 0
     step = max(1, len(pairs) // 20)
-    if args.jobs > 1:
-        with Pool(args.jobs, initializer=_init_worker, initargs=(q, scope)) as pool:
-            for detail, size in pool.imap(_check_pair, pairs, chunksize=256):
-                checked += 1
-                if detail is not None:
-                    violations.append(detail)
-                if size is not None and (max_size is None or size > max_size):
-                    max_size = size
-                if args.progress and checked % step == 0:
-                    print(f"checked {checked}/{len(pairs)}", file=sys.stderr)
-    else:
-        _init_worker(q, scope)
-        for pair in pairs:
-            detail, size = _check_pair(pair)
+    check = partial(_check_pair, q, scope)
+    with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        results = map(check, pairs) if pool is None else pool.imap(check, pairs, chunksize=256)
+        for detail, size in results:
             checked += 1
             if detail is not None:
                 violations.append(detail)

@@ -277,15 +277,6 @@ class LambdaDecomposition:
         """Deduplicated pair values of one group (empty set if absent)."""
         return self.groups.get((side, ell, case_index), frozenset())
 
-    def group_pairs(
-        self, side: str, ell: int, case_index: Optional[int] = None
-    ) -> FrozenSet[Tuple[Sequence, Sequence]]:
-        q = self.x.q
-        return frozenset(
-            (Sequence._wrap(z, q), Sequence._wrap(zp, q))
-            for z, zp in self.group(side, ell, case_index)
-        )
-
     def side_level(self, side: str, ell: int) -> FrozenSet[PairValue]:
         """Union of the pair views of one side at one distance."""
         out: set = set()
@@ -358,6 +349,16 @@ def pair_value(
     return _bad_side(side)
 
 
+def pair_groups(
+    xs: Word, ys: Word, raw: List[RawEntry]
+) -> Dict[GroupKey, FrozenSet[PairValue]]:
+    """Deduplicated deleted-pair values of raw entries, per group."""
+    groups: Dict[GroupKey, set] = {}
+    for side, ell, case, j, jprime in raw:
+        groups.setdefault((side, ell, case), set()).add(pair_value(xs, ys, side, j, jprime))
+    return {key: frozenset(vals) for key, vals in groups.items()}
+
+
 def lambda_enumerate(x: Sequence, y: Sequence) -> LambdaDecomposition:
     """Collect and classify every deleted-pair candidate of (x, y) by the
     exhaustive scan.
@@ -375,11 +376,8 @@ def assemble_decomposition(
 ) -> LambdaDecomposition:
     """Build the public decomposition object from raw scan entries."""
     xs, ys, q = x.symbols, y.symbols, x.q
-    entries: List[LambdaEntry] = []
-    groups: Dict[GroupKey, set] = {}
-    for side, ell, case, j, jprime in raw:
-        value = pair_value(xs, ys, side, j, jprime)
-        entries.append(LambdaEntry(side, ell, case, j, jprime, value, q))
-        groups.setdefault((side, ell, case), set()).add(value)
-    frozen = {key: frozenset(vals) for key, vals in groups.items()}
-    return LambdaDecomposition(x, y, tuple(entries), frozen)
+    entries = tuple(
+        LambdaEntry(side, ell, case, j, jprime, pair_value(xs, ys, side, j, jprime), q)
+        for side, ell, case, j, jprime in raw
+    )
+    return LambdaDecomposition(x, y, entries, pair_groups(xs, ys, raw))

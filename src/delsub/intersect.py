@@ -20,7 +20,11 @@ Two constructions of the deleted-pair family coexist:
 
 They must agree groupwise; :func:`verify_claims` checks that, together
 with the per-group cardinality and absorption facts that the coverage
-bound 2qn - 3q - 2 - [q == 2] rests on.
+bound 2qn - 3q - 2 - [q == 2] rests on, from one profile and one scan.
+
+Every pair, at any Hamming distance, goes through the same structural
+path; the materialized oracle of :mod:`delsub.balls` is for tests and
+the CLI's ``--mode oracle`` only.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .balls import BallSpec, DEFAULT_BUDGET, SequenceSet, ball_intersection
+from .balls import SequenceSet
 from .diffs import (
     CASE_BY_TRIPLE,
     DiffProfile,
@@ -40,12 +44,14 @@ from .diffs import (
     RawEntry,
     Word,
     assemble_decomposition,
-    lambda_enumerate,
     landmarks,
+    pair_groups,
     pair_value,
     scan_candidates,
 )
-from .sequence import Sequence, _delete_t, _phi_t, _require_same_shape, alternating
+from .sequence import (
+    Sequence, _delete_t, _phi_t, _require_same_shape, alternating, run_last_positions,
+)
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -209,38 +215,40 @@ def claims_lambda(x: Sequence, y: Sequence) -> LambdaDecomposition:
     candidates and validated against their defining count triple; a
     failing candidate is dropped.  Requires Hamming distance >= 2.
     """
-    profile = DiffProfile(x, y)
-    if profile.d < 2:
-        raise ValueError("direct construction needs Hamming distance >= 2")
-    raw: List[RawEntry] = [
-        ("L", ell, case, j, jprime)
-        for ell, case, j, jprime in _claims_one_side(profile, x.symbols)
-    ]
-    back = DiffProfile(y, x)
-    raw.extend(
-        ("R", ell, case, j, jprime)
-        for ell, case, j, jprime in _claims_one_side(back, y.symbols)
-    )
+    raw = _claims_raw(DiffProfile(x, y), x.symbols, y.symbols)
     return assemble_decomposition(x, y, raw)
 
 
-def _claims_one_side(p: DiffProfile, xs: Word) -> List[Tuple[int, Optional[int], int, int]]:
-    """Left-side groups for the orientation of ``p``; the caller maps the
-    reversed orientation onto the right side."""
+def _claims_raw(p: DiffProfile, xs: Word, ys: Word) -> List[RawEntry]:
+    """Both sides' groups from one profile.  The reversed pair (y, x) has
+    TL equal to this pair's TR, so side R is side L of that pair read
+    off TR and the m-landmarks."""
+    if p.d < 2:
+        raise ValueError("direct construction needs Hamming distance >= 2")
+    m = landmarks(p)
+    left = _claims_one_side(p, "L", xs, (m.k1, m.k1p, m.k2, m.k2p))
+    return left + _claims_one_side(p, "R", ys, (m.m1, m.m1p, m.m2, m.m2p))
+
+
+def _claims_one_side(
+    p: DiffProfile, side: str, xs: Word, marks: Tuple[Optional[int], ...]
+) -> List[RawEntry]:
+    """One side's groups: ``xs`` is the word that loses position j (x on
+    side L, y on side R) and ``marks`` the (k1, k1', k2, k2') landmarks
+    of that side's shifted set."""
     s = p.s
     d = p.d
     n = p.n
-    tl = p.tl
+    t = p.tl if side == "L" else p.tr
     i1, i2, id1, idd = s[0], s[1], s[-2], s[-1]
-    marks = landmarks(p)
-    k1, k1p, k2, k2p = marks.k1, marks.k1p, marks.k2, marks.k2p
-    out: List[Tuple[int, Optional[int], int, int]] = []
+    k1, k1p, k2, k2p = marks
+    out: List[RawEntry] = []
 
     def cnt(lo: int, hi: int) -> int:
-        return p.t_count("L", lo, hi)
+        return p.t_count(side, lo, hi)
 
     def emit(ell: int, case: Optional[int], j: int, jprime: int) -> None:
-        out.append((ell, case, j, jprime))
+        out.append((side, ell, case, j, jprime))
 
     def emit_validated(ell: int, case: int, j: int, jprime: int) -> None:
         if not 1 <= j <= jprime <= n:
@@ -276,7 +284,7 @@ def _claims_one_side(p: DiffProfile, xs: Word) -> List[Tuple[int, Optional[int],
 
     # distance 2, case (2,0,0)
     if d == 2:
-        for j in _run_lasts(xs, i2 + 1, n):
+        for j in run_last_positions(xs, i2 + 1, n):
             emit(2, 1, j, j)
     else:
         if cnt(s[2] + 1, idd) == 0:
@@ -298,7 +306,7 @@ def _claims_one_side(p: DiffProfile, xs: Word) -> List[Tuple[int, Optional[int],
             emit_validated(2, 2, i1, k2p)
     # distance 2, case (0,0,2)
     if d == 2:
-        for j in _run_lasts(xs, 1, i1 - 1):
+        for j in run_last_positions(xs, 1, i1 - 1):
             emit(2, 3, j, j)
     else:
         if cnt(i1 + 1, s[-3]) == 0:
@@ -310,12 +318,12 @@ def _claims_one_side(p: DiffProfile, xs: Word) -> List[Tuple[int, Optional[int],
     elif mid_front == 0:
         if k1 is not None:
             emit_validated(2, 4, k1 - 1, id1)
-        jp1 = _interval_min(tl, id1 + 1, idd - 1)
+        jp1 = _interval_min(t, id1 + 1, idd - 1)
         if jp1 is not None:
             emit_validated(2, 4, i1, jp1)
     # distance 2, case (1,0,1)
     if d == 2:
-        for j in _run_lasts(xs, i1 + 1, i2 - 1):
+        for j in run_last_positions(xs, i1 + 1, i2 - 1):
             emit(2, 5, j, j)
     else:
         if cnt(i2 + 1, id1) == 0:
@@ -327,21 +335,9 @@ def _claims_one_side(p: DiffProfile, xs: Word) -> List[Tuple[int, Optional[int],
     elif mid_back == 0:
         if k1p is not None:
             emit_validated(2, 6, i2, k1p)
-        j1 = _interval_max(tl, i1 + 2, i2)
+        j1 = _interval_max(t, i1 + 2, i2)
         if j1 is not None:
             emit_validated(2, 6, j1 - 1, idd)
-    return out
-
-
-def _run_lasts(xs: Word, lo: int, hi: int) -> List[int]:
-    """1-based last position of every run of xs within [lo, hi]."""
-    if hi < lo:
-        return []
-    out = []
-    for i in range(lo, hi):
-        if xs[i - 1] != xs[i]:
-            out.append(i)
-    out.append(hi)
     return out
 
 
@@ -368,11 +364,12 @@ class IntersectionReport:
     """Size and structure of a (1,1)-ball intersection.
 
     ``method`` is "structural" when the size came from the deleted-pair
-    expansion, "oracle" when the pair was below Hamming distance 2 and
-    the materialized-ball fallback was used.  ``group_sizes`` holds each
-    group's member count before cross-group deduplication; the overlap
-    fields describe how the distance-1 and distance-2 members sit inside
-    the distance-0 core.
+    expansion, which :func:`intersection_size_fast` uses at every Hamming
+    distance; "oracle" marks a report built from the materialized balls,
+    which only the CLI's ``--mode oracle`` produces.  ``group_sizes`` holds
+    each group's member count before cross-group deduplication; the
+    overlap fields describe how the distance-1 and distance-2 members sit
+    inside the distance-0 core.
     """
 
     n: int
@@ -415,32 +412,17 @@ def group_label(key: GroupKey) -> str:
     return f"{side}:{ell}" if case is None else f"{side}:{ell}.{case}"
 
 
-def intersection_size_fast(
-    x: Sequence, y: Sequence, oracle_budget: int = DEFAULT_BUDGET
-) -> IntersectionReport:
+def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     """Exact size of the (1,1)-ball intersection of two equal-length
-    words, computed structurally for Hamming distance >= 2 and by the
-    materialized oracle below that (the structural machinery presumes at
-    least two mismatches).
-    """
+    words, computed structurally at every Hamming distance (x == y
+    included)."""
     _require_same_shape(x, y)
     n = len(x)
     if n < 3:
         raise ValueError("(1,1)-ball intersections need length at least 3")
     profile = DiffProfile(x, y)
-    d = profile.d
-    q = x.q
-    bound = coverage_bound(n, q)
-    applicable = bound_applicable(n, q, d)
-    if d < 2:
-        size = len(ball_intersection(x, y, BallSpec(1, 1), oracle_budget))
-        return IntersectionReport(
-            n=n, q=q, d=d, size=size, method="oracle",
-            bound=bound, bound_applicable=applicable,
-        )
-    xs, ys = x.symbols, y.symbols
-    raw = scan_candidates(profile)
-    sets = structural_group_sets(profile, xs, ys, raw)
+    q, d = x.q, profile.d
+    sets = structural_group_sets(profile, x.symbols, y.symbols, scan_candidates(profile))
     union: Set[Word] = set()
     levels: Dict[int, Set[Word]] = {0: set(), 1: set(), 2: set()}
     group_sizes: Dict[str, int] = {}
@@ -455,8 +437,8 @@ def intersection_size_fast(
         d=d,
         size=len(union),
         method="structural",
-        bound=bound,
-        bound_applicable=applicable,
+        bound=coverage_bound(n, q),
+        bound_applicable=bound_applicable(n, q, d),
         group_sizes=group_sizes,
         omega0_size=len(omega0),
         omega1_size=len(omega1),
@@ -517,16 +499,21 @@ def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:
     """Compare the direct per-group construction against the exhaustive
     scan, and evaluate every applicable cardinality/absorption fact used
     by the coverage bound.  Requires Hamming distance >= 2.
+
+    One profile serves the scan, both sides of the direct construction
+    and the member expansion behind the fact checks.
     """
     profile = DiffProfile(x, y)
     if profile.d < 2:
         raise ValueError("verification needs Hamming distance >= 2")
-    enum = lambda_enumerate(x, y)
-    direct = claims_lambda(x, y)
+    xs, ys = x.symbols, y.symbols
+    raw = scan_candidates(profile)
+    scanned = pair_groups(xs, ys, raw)
+    direct = pair_groups(xs, ys, _claims_raw(profile, xs, ys))
     group_checks = []
     for key in ALL_GROUP_KEYS:
-        expected = enum.groups.get(key, frozenset())
-        got = direct.groups.get(key, frozenset())
+        expected = scanned.get(key, frozenset())
+        got = direct.get(key, frozenset())
         group_checks.append(
             CheckResult(
                 name=group_label(key),
@@ -536,29 +523,29 @@ def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:
                 f"direct has {len(got)} pairs, scan has {len(expected)}",
             )
         )
-    fact_checks = _fact_checks(profile, x, y, enum)
+    sets = structural_group_sets(profile, xs, ys, raw)
+    fact_checks = _fact_checks(profile, scanned, sets)
     return VerificationReport(x, y, tuple(group_checks), tuple(fact_checks))
 
 
 def _fact_checks(
-    profile: DiffProfile, x: Sequence, y: Sequence, enum: LambdaDecomposition
+    profile: DiffProfile,
+    groups: Dict[GroupKey, FrozenSet[PairValue]],
+    sets: Dict[GroupKey, Set[Word]],
 ) -> List[CheckResult]:
     n, q, d = profile.n, profile.q, profile.d
     i1, idd = profile.s[0], profile.s[-1]
-    raw = [(e.side, e.ell, e.case_index, e.j, e.jprime) for e in enum.entries]
-    sets = structural_group_sets(profile, x.symbols, y.symbols, raw)
-    omega: Dict[Tuple[str, int], Set[Word]] = {}
+    omega: Dict[Tuple[str, int], Set[Word]] = {
+        (side, ell): set() for side in ("L", "R") for ell in (0, 1, 2)
+    }
     for (side, ell, _), members in sets.items():
-        omega.setdefault((side, ell), set()).update(members)
-    for side in ("L", "R"):
-        for ell in (0, 1, 2):
-            omega.setdefault((side, ell), set())
+        omega[(side, ell)] |= members
     omega_all = {ell: omega[("L", ell)] | omega[("R", ell)] for ell in (0, 1, 2)}
 
     def family(side: str, ell: int, cases) -> FrozenSet[PairValue]:
         out: set = set()
         for c in cases:
-            out |= enum.groups.get((side, ell, c), frozenset())
+            out |= groups.get((side, ell, c), frozenset())
         return frozenset(out)
 
     def even_members(side: str) -> Set[Word]:
@@ -645,7 +632,7 @@ def _fact_checks(
                 )
                 checks.append(CheckResult(f"dist2-family-d3[{side}]", False, True))
             else:
-                count = len(enum.side_level(side, 2))
+                count = len(family(side, 2, range(1, 7)))
                 checks.append(CheckResult(f"dist2-new-d3[{side}]", False, True))
                 checks.append(
                     CheckResult(

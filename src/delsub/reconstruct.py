@@ -59,6 +59,11 @@ class Codebook:
                 raise ValueError(f"duplicate codeword {s}")
             seen.add(s.symbols)
             words.append(s.symbols)
+        if min_distance is not None and min_distance > 1:
+            close = _closer_pair(words, q, min_distance)
+            if close is not None:
+                a, b = (str(Sequence._wrap(w, q)) for w in close)
+                raise ValueError(f"codewords {a} and {b} are closer than {min_distance}")
         return cls("explicit", n, q, tuple(words), min_distance)
 
     @classmethod
@@ -118,6 +123,26 @@ class Codebook:
 
     def __repr__(self) -> str:
         return f"Codebook(kind={self.kind}, n={self.n}, q={self.q}, size={self.size()})"
+
+
+def _closer_pair(
+    words: List[Word], q: int, min_distance: int
+) -> Optional[Tuple[Word, Word]]:
+    """Two codewords at Hamming distance below ``min_distance``, or None.
+    A claim of 2 costs O(|C| n q) distance-1 neighbour lookups; larger
+    claims compare all pairs."""
+    if min_distance == 2:
+        book = set(words)
+        for w in words:
+            for p, sym in enumerate(w):
+                for a in range(q):
+                    if a != sym and w[:p] + (a,) + w[p + 1 :] in book:
+                        return w, w[:p] + (a,) + w[p + 1 :]
+        return None
+    for a, b in combinations(words, 2):
+        if sum(u != v for u, v in zip(a, b)) < min_distance:
+            return a, b
+    return None
 
 
 class ReadSet:
@@ -302,41 +327,29 @@ def read_coverage(
     if codebook.size() < 2:
         raise ValueError("read coverage needs at least two codewords")
     total_pairs = codebook.size() * (codebook.size() - 1) // 2
-    if total_pairs <= pair_budget and codebook.size() <= EXPLICIT_ENUM_LIMIT:
-        words = list(codebook.iter_words())
-        best = 0
-        checked = 0
-        q = codebook.q
-        for a, b in combinations(words, 2):
-            size = intersection_size_fast(
-                Sequence._wrap(a, q), Sequence._wrap(b, q)
-            ).size
-            checked += 1
-            if size > best:
-                best = size
-        return CoverageReport(best, checked, True)
-    if seed is None:
+    q = codebook.q
+    exhaustive = total_pairs <= pair_budget and codebook.size() <= EXPLICIT_ENUM_LIMIT
+    if exhaustive:
+        pairs: Iterable[Tuple[Sequence, Sequence]] = (
+            (Sequence._wrap(a, q), Sequence._wrap(b, q))
+            for a, b in combinations(codebook.iter_words(), 2)
+        )
+    elif seed is None:
         raise ValueError(
             f"{total_pairs} codeword pairs exceed the budget of {pair_budget}; "
             "supply a seed to sample"
         )
-    rng = random.Random(seed)
-    best = 0
-    q = codebook.q
-    for _ in range(sample_pairs):
-        a = codebook.sample_word(rng)
-        b = codebook.sample_word(rng)
-        if a == b:
-            continue
-        size = intersection_size_fast(a, b).size
-        if size > best:
-            best = size
-    return CoverageReport(
-        best,
-        sample_pairs,
-        False,
-        note="sampled lower bound; exhaustive pair sweep exceeded budget",
-    )
+    else:
+        rng = random.Random(seed)
+        draws = ((codebook.sample_word(rng), codebook.sample_word(rng))
+                 for _ in range(sample_pairs))
+        pairs = ((a, b) for a, b in draws if a != b)
+    best = checked = 0
+    for a, b in pairs:
+        best = max(best, intersection_size_fast(a, b).size)
+        checked += 1
+    note = "" if exhaustive else "sampled lower bound; exhaustive pair sweep exceeded budget"
+    return CoverageReport(best, checked, exhaustive, note)
 
 
 def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:

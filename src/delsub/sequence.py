@@ -13,20 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence as PySequence, Tuple
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """The symbol set {0, 1, ..., q-1}."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-
-    def __contains__(self, symbol: int) -> bool:
-        return 0 <= symbol < self.q
-
-
 class Sequence:
     """An immutable q-ary word.
 
@@ -70,10 +56,6 @@ class Sequence:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Sequence is immutable")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.q)
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -142,6 +142,15 @@ class TestBallIntersection:
         with pytest.raises(ValueError):
             ball_intersection(seq("0101"), seq("010"), BallSpec(1, 1))
 
+    def test_budget_counts_packed_bytes(self):
+        # each packed ball takes 60*59*4*59 = 835,440 bytes, while the
+        # element estimate is only 60*(1+3*59) = 10,680
+        x = Sequence((0, 1, 2, 3) * 15, 4)
+        y = Sequence((1, 0, 2, 3) + (0, 1, 2, 3) * 14, 4)
+        with pytest.raises(BudgetExceededError):
+            ball_intersection(x, y, BallSpec(1, 1), budget=100_000)
+        assert len(ball_intersection(x, y, BallSpec(1, 1), budget=835_440)) > 0
+
     @given(sequences(q=2, min_n=4, max_n=7))
     @settings(max_examples=30)
     def test_union_over_deleted_pairs(self, x):

@@ -81,16 +81,19 @@ class TestIntersectCommand:
         assert payload["size"] == 107
         assert payload["match"] is True
 
-    def test_fast_mode_flags_oracle_fallback_at_distance_one(self, capsys):
+    def test_fast_mode_is_structural_at_distance_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "intersect", "--q", "2", "--x", "01010", "--y", "01011",
-            "--mode", "fast", "--format", "json",
+            "--mode", "both", "--format", "json",
         )
         assert code == 0
         payload = json.loads(out)
         jsonschema.validate(payload, load_schema("intersect"))
         assert payload["d"] == 1
-        assert payload["method"] == "oracle"
+        assert payload["method"] == "structural"
+        assert payload["group_sizes"]
+        assert payload["size"] == payload["oracle_size"]
+        assert payload["match"] is True
 
     def test_oracle_mode(self, capsys):
         code, out, _ = run_cli(
@@ -101,13 +104,26 @@ class TestIntersectCommand:
         payload = json.loads(out)
         jsonschema.validate(payload, load_schema("intersect"))
         assert payload["method"] == "oracle"
+        assert payload["oracle_size"] is None
+
+    def test_oracle_budget_counts_packed_bytes(self, capsys):
+        # 60*59*4*59 = 835,440 packed bytes per ball, above the budget even
+        # though the ball has only 60*(1+3*59) = 10,680 elements
+        x = "0123" * 15
+        y = "1023" + "0123" * 14
+        code, out, _ = run_cli(
+            capsys, "intersect", "--q", "4", "--x", x, "--y", y,
+            "--mode", "oracle", "--budget", "100000", "--format", "json",
+        )
+        assert code == 2
+        assert "bytes" in json.loads(out)["error"]
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         import delsub.cli as cli_module
 
         real = cli_module.intersection_size_fast
 
-        def skewed(x, y, oracle_budget=None):
+        def skewed(x, y):
             report = real(x, y)
             object.__setattr__(report, "size", report.size + 1)
             return report

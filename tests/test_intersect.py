@@ -195,17 +195,31 @@ class TestIntersectionSizeFast:
         x, y = extremal_pair(2, 29)
         assert intersection_size_fast(x, y).size == 4 * 29 - 9 == 107
 
-    def test_distance_one_falls_back_to_oracle(self):
+    def test_distance_one_is_structural(self):
         x, y = seq("01010"), seq("01011")
         report = intersection_size_fast(x, y)
-        assert report.method == "oracle"
+        assert report.d == 1
+        assert report.method == "structural"
+        assert report.group_sizes
         assert report.size == len(ball_intersection(x, y, BallSpec(1, 1)))
-        assert report.group_sizes == {}
+
+    def test_below_distance_two_matches_oracle_exhaustively(self):
+        for q, n in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)):
+            words = all_words(q, n)
+            for x in words:
+                for y in words:
+                    if hamming(x, y) > 1:
+                        continue
+                    report = intersection_size_fast(x, y)
+                    assert report.method == "structural"
+                    oracle = len(ball_intersection(x, y, BallSpec(1, 1)))
+                    assert report.size == oracle, (x, y)
 
     def test_self_intersection(self):
         x = seq("010011")
         report = intersection_size_fast(x, x)
         assert report.d == 0
+        assert report.method == "structural"
         assert report.size == len(ds_ball(x, BallSpec(1, 1)))
 
     def test_size_at_most_group_total(self):

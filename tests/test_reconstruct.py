@@ -55,6 +55,15 @@ class TestCodebook:
         with pytest.raises(ValueError):
             Codebook.explicit([seq("0101"), seq("010")])
 
+    def test_explicit_rejects_false_min_distance(self):
+        words = [seq("000000"), seq("000001"), seq("111111")]
+        with pytest.raises(ValueError):
+            Codebook.explicit(words, min_distance=2)
+        with pytest.raises(ValueError):
+            Codebook.explicit([seq("0000"), seq("0011")], min_distance=3)
+        assert Codebook.explicit(words[:1] + words[2:], min_distance=2).size() == 2
+        assert Codebook.explicit(words, min_distance=1).min_distance == 1
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "book.txt"
         path.write_text("# comment\n0101\n1010\n\n0011\n")
@@ -190,6 +199,13 @@ class TestReadCoverage:
         assert not a.exhaustive
         assert a.note
         assert a.value == b.value
+
+    def test_sampled_mode_counts_only_distinct_pairs(self):
+        # 400 draws from the 4-word book; the x == y draws are skipped
+        book = Codebook.parity(3, 2)
+        report = read_coverage(book, pair_budget=1, sample_pairs=400, seed=5)
+        assert not report.exhaustive
+        assert report.pairs_checked == 307
 
     def test_sampled_parity_coverage_within_bound(self):
         # minimum distance 2 keeps every sampled pair within the coverage
