@@ -22,7 +22,10 @@ from itertools import product
 from multiprocessing import Pool
 from typing import List, Optional, Tuple
 
-from .balls import BallSpec, BudgetExceededError, DEFAULT_BUDGET, ball_intersection, ds_ball
+from .balls import (
+    BallSpec, BudgetExceededError, DEFAULT_BUDGET, ball_intersection, ds_ball,
+    enumeration_estimate,
+)
 from .intersect import (
     IntersectionReport,
     bound_applicable,
@@ -357,14 +360,22 @@ def cmd_simulate(args) -> int:
             raise ValueError("--parity requires --n")
         codebook = Codebook.parity(args.n, args.q)
     else:
-        codebook = Codebook.load(args.codebook, args.q)
+        codebook = Codebook.load(args.codebook, args.q, min_distance=2)
     read_counts = [int(part) for part in args.reads.split(",")]
     if any(r < 1 for r in read_counts):
         raise ValueError("read counts must be positive")
+    if args.trials < 1 or args.max_draws < 1:
+        raise ValueError("--trials and --max-draws must be positive")
+    ball_cap = enumeration_estimate(codebook.n, codebook.q, BallSpec(1, 1))
+    if max(read_counts) > ball_cap:
+        raise ValueError(
+            f"{max(read_counts)} distinct reads requested, but a (1,1)-ball at "
+            f"n={codebook.n}, q={codebook.q} holds at most {ball_cap}"
+        )
     rng = random.Random(args.seed)
     rows = []
     for requested in read_counts:
-        successes = 0
+        successes = shortfall = 0
         for _ in range(args.trials):
             codeword = codebook.sample_word(rng)
             distinct = set()
@@ -373,6 +384,7 @@ def cmd_simulate(args) -> int:
                 out = channel_transmit(codeword, args.sub_prob, rng=rng)
                 distinct.add(out.symbols)
                 draws += 1
+            shortfall += len(distinct) < requested
             reads = ReadSet(distinct, codebook.q, codebook.n - 1, raw_count=draws)
             result = reconstruct(reads, codebook)
             if result.outcome == "unique" and result.codeword == codeword:
@@ -383,8 +395,15 @@ def cmd_simulate(args) -> int:
                 "trials": args.trials,
                 "successes": successes,
                 "rate": successes / args.trials,
+                "shortfall_trials": shortfall,
             }
         )
+        if shortfall:
+            print(
+                f"warning: {shortfall}/{args.trials} trials at reads={requested} hit "
+                f"--max-draws {args.max_draws} with fewer distinct reads",
+                file=sys.stderr,
+            )
     payload = {
         "command": "simulate",
         "q": codebook.q,

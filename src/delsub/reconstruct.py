@@ -158,6 +158,8 @@ class ReadSet:
         for r in self.reads:
             if len(r) != length:
                 raise ValueError("all reads must share one length")
+        if not set().union(*self.reads) <= set(range(q)):
+            raise ValueError(f"reads hold symbols outside the alphabet 0..{q - 1}")
 
     @classmethod
     def from_sequences(cls, seqs: Iterable[Sequence]) -> "ReadSet":
@@ -292,23 +294,35 @@ def _membership_t(y: Word, x: Word) -> bool:
     return pre <= 1
 
 
-def inverse_ball_words(y: Word, q: int) -> Set[Word]:
+def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> Set[Word]:
     """All words of length n = len(y)+1 whose (1,1)-ball contains ``y``:
     exactly the single-symbol insertions into the words within Hamming
-    distance 1 of ``y``."""
+    distance 1 of ``y``.
+
+    With ``residue``, only the words whose symbol sum is congruent to
+    ``residue`` mod q (residue 0: the parity codewords).  Each variant v
+    then takes the one symbol (residue - sum(v)) mod q, so the pool is
+    at most n(1 + (q-1)(n-1)) insertions instead of q times that: at
+    q = 4, n = 40 that is 4720 against 18880, or about 3.5k distinct
+    words against 13.7k.  In both modes an insertion right after an
+    equal symbol is skipped, as it repeats the insertion one slot
+    earlier.
+    """
     m = len(y)
-    out: Set[Word] = set()
-    variants: Set[Word] = {y}
-    for p in range(m):
-        base = y[p]
+    total = sum(y)
+    variants: List[Tuple[Word, int]] = [(y, total)]
+    for p, base in enumerate(y):
+        head, tail = y[:p], y[p + 1 :]
         for a in range(q):
             if a != base:
-                variants.add(y[:p] + (a,) + y[p + 1 :])
-    for v in variants:
-        for pos in range(m + 1):
-            head, tail = v[:pos], v[pos:]
-            for a in range(q):
-                out.add(head + (a,) + tail)
+                variants.append((head + (a,) + tail, total - base + a))
+    out: Set[Word] = set()
+    for v, s in variants:
+        symbols = range(q) if residue is None else ((residue - s) % q,)
+        for a in symbols:
+            ins = (a,)
+            out.add(ins + v)
+            out.update(v[:pos] + ins + v[pos:] for pos in range(1, m + 1) if v[pos - 1] != a)
     return out
 
 
@@ -375,9 +389,9 @@ def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
             if all(_membership_t(r, w) for r in ordered)
         ]
     else:
-        pool = inverse_ball_words(ordered[0], codebook.q)
+        pool = inverse_ball_words(ordered[0], codebook.q, residue=0)
         if len(ordered) > 1:
-            pool &= inverse_ball_words(ordered[1], codebook.q)
+            pool &= inverse_ball_words(ordered[1], codebook.q, residue=0)
         candidates = [
             w for w in pool
             if codebook.contains_word(w)

@@ -243,6 +243,7 @@ class TestSimulateCommand:
         assert [row["reads_requested"] for row in payload["rows"]] == [1, 25]
         # 25 distinct reads exceed any pairwise intersection at n=10
         assert payload["rows"][1]["rate"] == 1.0
+        assert [row["shortfall_trials"] for row in payload["rows"]] == [0, 0]
 
     def test_explicit_codebook_from_file(self, capsys, tmp_path):
         path = tmp_path / "book.txt"
@@ -255,6 +256,48 @@ class TestSimulateCommand:
         lines = out.splitlines()
         assert lines[0] == "reads_requested,trials,successes,rate"
         assert lines[1].startswith("8,5,")
+
+    def test_codebook_below_distance_two_rejected(self, capsys, tmp_path):
+        path = tmp_path / "book.txt"
+        path.write_text("000000\n000001\n111111\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--q", "2", "--codebook", str(path),
+            "--reads", "8", "--trials", "50", "--seed", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "closer than 2" in err
+
+    def test_reads_beyond_ball_size_rejected(self, capsys):
+        # a (1,1)-ball at q=2, n=6 holds at most 6 * 6 = 36 reads
+        code, out, err = run_cli(
+            capsys, "simulate", "--q", "2", "--parity", "--n", "6",
+            "--reads", "200", "--trials", "5", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "at most 36" in err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--max-draws"])
+    def test_non_positive_trials_or_draws_rejected(self, capsys, flag):
+        argv = ["simulate", "--q", "2", "--parity", "--n", "6", "--reads", "1",
+                "--trials", "2", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, flag, "0")
+        assert code == 2
+        assert out == ""
+        assert "must be positive" in err
+
+    def test_max_draws_shortfall_counted(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--q", "2", "--parity", "--n", "10",
+            "--reads", "1,8", "--trials", "6", "--seed", "4",
+            "--max-draws", "5", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, load_schema("simulate"))
+        assert [row["shortfall_trials"] for row in payload["rows"]] == [0, 6]
+        assert "6/6 trials at reads=8" in err
 
     def test_parity_requires_n(self, capsys):
         code, _, _ = run_cli(

@@ -95,6 +95,13 @@ class TestReadSet:
         with pytest.raises(ValueError):
             ReadSet.from_sequences([seq("010"), seq("0101")])
 
+    def test_symbols_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="alphabet"):
+            ReadSet([(0, 1, 5, 0)], 2, 4)
+        with pytest.raises(ValueError, match="alphabet"):
+            ReadSet([(0, 1, 1, 0), (0, -1, 1, 0)], 2, 4)
+        assert len(ReadSet([(0, 1, 1, 0)], 2, 4)) == 1
+
 
 class TestChannel:
     def test_no_substitution_is_pure_deletion(self):
@@ -162,6 +169,28 @@ class TestBallMembership:
         )
         member = ball_membership(y, x)
         assert member == (x.symbols in inverse_ball_words(y.symbols, x.q))
+
+    @given(st.integers(2, 5).flatmap(
+        lambda q: st.tuples(
+            st.just(q), st.lists(st.integers(0, q - 1), min_size=2, max_size=12)
+        )
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_residue_restricts_inverse_ball(self, case):
+        q, symbols = case
+        y = tuple(symbols)
+        full = inverse_ball_words(y, q)
+        for r in range(q):
+            expected = {w for w in full if sum(w) % q == r}
+            assert inverse_ball_words(y, q, residue=r) == expected
+
+    def test_inverse_ball_matches_brute_force(self):
+        for q, m in ((2, 5), (3, 3)):
+            words = [w.symbols for w in all_words(q, m + 1)]
+            for y in all_words(q, m):
+                expected = {w for w in words if y.symbols in
+                            {s.symbols for s in ds_ball(Sequence(w, q), BallSpec(1, 1))}}
+                assert inverse_ball_words(y.symbols, q) == expected
 
 
 class TestReadCoverage:
@@ -238,17 +267,23 @@ class TestReconstruct:
 
     def test_implicit_matches_explicit_filtering(self):
         rng = random.Random(17)
-        parity = Codebook.parity(7, 2)
-        explicit = Codebook.explicit([Sequence(w, 2) for w in parity.iter_words()])
-        for _ in range(40):
-            x = parity.sample_word(rng)
-            ball = ds_ball(x, BallSpec(1, 1)).sorted()
-            k = rng.randint(1, min(6, len(ball)))
-            reads = ReadSet.from_sequences(rng.sample(ball, k))
-            a = reconstruct(reads, parity)
-            b = reconstruct(reads, explicit)
-            assert a.outcome == b.outcome
-            assert a.candidates == b.candidates
+        for q, n in ((2, 7), (3, 5), (4, 4)):
+            parity = Codebook.parity(n, q)
+            explicit = Codebook.explicit([Sequence(w, q) for w in parity.iter_words()])
+            outcomes = set()
+            for trial in range(40):
+                x = parity.sample_word(rng)
+                ball = ds_ball(x, BallSpec(1, 1)).sorted()
+                # the first trials pin the 1-read and 2-read cases
+                k = trial + 1 if trial < 2 else rng.randint(1, min(6, len(ball)))
+                reads = ReadSet.from_sequences(rng.sample(ball, k))
+                a = reconstruct(reads, parity)
+                b = reconstruct(reads, explicit)
+                assert a.outcome == b.outcome
+                assert a.candidates == b.candidates
+                assert x in a.candidates
+                outcomes.add((k, a.outcome))
+            assert (1, "ambiguous") in outcomes
 
     def test_soundness_candidates_contain_all_reads(self):
         rng = random.Random(23)
