@@ -33,18 +33,13 @@ from .balls import (
 )
 from .diffs import (
     DiffProfile,
-    LambdaDecomposition,
-    LambdaEntry,
     Landmarks,
-    deleted_hamming,
-    diff_profile,
     lambda_enumerate,
     landmarks,
 )
 from .intersect import (
     CheckResult,
     IntersectionReport,
-    OmegaGroup,
     VerificationReport,
     bound_applicable,
     claims_lambda,
@@ -53,7 +48,6 @@ from .intersect import (
     extremal_pair,
     intersection_size_fast,
     min_valid_length,
-    omega_groups,
     verify_claims,
 )
 from .reconstruct import (
@@ -79,10 +73,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DiffProfile",
     "IntersectionReport",
-    "LambdaDecomposition",
-    "LambdaEntry",
     "Landmarks",
-    "OmegaGroup",
     "ReadSet",
     "ReconResult",
     "RunDecomposition",
@@ -98,9 +89,7 @@ __all__ = [
     "constant_regime_bound",
     "coverage_bound",
     "delete",
-    "deleted_hamming",
     "deletion_ball",
-    "diff_profile",
     "ds_ball",
     "extremal_pair",
     "hamming",
@@ -109,7 +98,6 @@ __all__ = [
     "landmarks",
     "levenshtein",
     "min_valid_length",
-    "omega_groups",
     "phi",
     "read_coverage",
     "reconstruct",

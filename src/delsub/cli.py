@@ -282,6 +282,10 @@ def _sampled_pairs(
 def cmd_verify(args) -> int:
     if args.samples is not None and args.seed is None:
         raise ValueError("--samples requires --seed")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be positive")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be positive")
     q, n, scope = args.q, args.n, args.scope
     if q < 2:
         raise ValueError("alphabet size must be at least 2")
@@ -290,6 +294,10 @@ def cmd_verify(args) -> int:
             f"scope {scope} needs n >= {min_valid_length(q)} for q = {q}"
         )
     min_d = 3 if scope == "remark5" else 2
+    if n < min_d:
+        # the only way the pair set can be empty; checked before sampling,
+        # which could never meet the distance
+        raise ValueError(f"no pair of length-{n} words lies at Hamming distance >= {min_d}")
     if args.exhaustive:
         pairs = _exhaustive_pairs(q, n, min_d)
         if scope == "remark5":

@@ -14,7 +14,9 @@ deleted from x instead).  Everything in this module is bookkeeping on
 top of that identity: prefix tables for the counts, the extremal
 "landmark" elements of TL/TR around the first and last mismatch, and
 the exhaustive scan that collects every deleted pair at Hamming
-distance at most 2, classified by which of the three terms carry it.
+distance at most 2, classified by which of the three terms carry it,
+and :func:`group_pairs`, which reduces scan entries to each group's
+distinct pairs.
 
 All positions are 1-based.
 """
@@ -30,8 +32,6 @@ from .sequence import Sequence, _delete_t, _require_same_shape
 Word = Tuple[int, ...]
 PairValue = Tuple[Word, Word]
 GroupKey = Tuple[str, int, Optional[int]]
-
-SIDES = ("L", "R")
 
 # Case index per (prefix, middle, suffix) mismatch-count triple.
 CASE_BY_TRIPLE: Dict[Tuple[int, int, int], int] = {
@@ -137,38 +137,20 @@ def _prefix_table(positions: Tuple[int, ...], n: int) -> Tuple[int, ...]:
     return tuple(table)
 
 
-def diff_profile(x: Sequence, y: Sequence) -> DiffProfile:
-    """Compute the mismatch profile of the ordered pair (x, y)."""
-    return DiffProfile(x, y)
-
-
-def deleted_hamming(profile: DiffProfile, j: int, jprime: int, side: str) -> int:
-    """Module-level alias of :meth:`DiffProfile.deleted_hamming`."""
-    return profile.deleted_hamming(j, jprime, side)
-
-
 @dataclass(frozen=True)
 class Landmarks:
     """Extremal TL/TR elements around the first and last mismatch.
 
     The k-family reads TL, the m-family TR.  ``k1``/``k1p`` are the
-    nearest TL elements below i_1 and above i_d (maximum and minimum
-    respectively), ``k2``/``k2p`` the second nearest; these are None when
-    TL has too few elements there.  ``ka``..``kcp`` are the interval
-    endpoints derived from them, with defaults 1 on the left and n on
-    the right, and are always present.
+    nearest elements below i_1 and above i_d (maximum and minimum
+    respectively), ``k2``/``k2p`` the second nearest; each is None when
+    the set has too few elements there.
     """
 
     k1: Optional[int]
     k1p: Optional[int]
     k2: Optional[int]
     k2p: Optional[int]
-    ka: int
-    kap: int
-    kb: int
-    kbp: int
-    kc: int
-    kcp: int
     m1: Optional[int]
     m1p: Optional[int]
     m2: Optional[int]
@@ -180,123 +162,29 @@ def landmarks(profile: DiffProfile) -> Landmarks:
     if profile.d == 0:
         raise ValueError("landmarks are undefined for identical words")
     i1, idd = profile.s[0], profile.s[-1]
-    n = profile.n
-    k1, k2, k3 = _below(profile.tl, i1)
-    k1p, k2p, k3p = _above(profile.tl, idd)
-    m1, m2, _ = _below(profile.tr, i1)
-    m1p, m2p, _ = _above(profile.tr, idd)
-    return Landmarks(
-        k1=k1,
-        k1p=k1p,
-        k2=k2,
-        k2p=k2p,
-        ka=k1 if k1 is not None else 1,
-        kap=k1p - 1 if k1p is not None else n,
-        kb=k2 if k2 is not None else 1,
-        kbp=k2p - 1 if k2p is not None else n,
-        kc=k3 if k3 is not None else 1,
-        kcp=k3p - 1 if k3p is not None else n,
-        m1=m1,
-        m1p=m1p,
-        m2=m2,
-        m2p=m2p,
-    )
+    k1, k2 = _below(profile.tl, i1)
+    k1p, k2p = _above(profile.tl, idd)
+    m1, m2 = _below(profile.tr, i1)
+    m1p, m2p = _above(profile.tr, idd)
+    return Landmarks(k1=k1, k1p=k1p, k2=k2, k2p=k2p, m1=m1, m1p=m1p, m2=m2, m2p=m2p)
 
 
 def _below(positions: Tuple[int, ...], bound: int):
-    """Largest, second and third largest elements <= bound (None-padded)."""
+    """Largest and second largest elements <= bound (None-padded)."""
     idx = bisect_right(positions, bound)
-    sub = positions[max(0, idx - 3) : idx]
-    padded = (None, None, None) + sub
-    return padded[-1], padded[-2], padded[-3]
+    padded = (None, None) + positions[max(0, idx - 2) : idx]
+    return padded[-1], padded[-2]
 
 
 def _above(positions: Tuple[int, ...], bound: int):
-    """Smallest, second and third smallest elements > bound (None-padded)."""
+    """Smallest and second smallest elements > bound (None-padded)."""
     idx = bisect_right(positions, bound)
-    sub = positions[idx : idx + 3]
-    padded = sub + (None, None, None)
-    return padded[0], padded[1], padded[2]
-
-
-class LambdaEntry:
-    """One deleted-pair candidate: deletion positions j <= j', the side
-    selecting which word loses the later position, the residual Hamming
-    distance ``ell`` and its case index in the classification table, and
-    the resulting pair of shortened words."""
-
-    __slots__ = ("side", "ell", "case_index", "j", "jprime", "_pair_raw", "_q")
-
-    def __init__(
-        self,
-        side: str,
-        ell: int,
-        case_index: Optional[int],
-        j: int,
-        jprime: int,
-        pair_raw: PairValue,
-        q: int,
-    ):
-        self.side = side
-        self.ell = ell
-        self.case_index = case_index
-        self.j = j
-        self.jprime = jprime
-        self._pair_raw = pair_raw
-        self._q = q
-
-    @property
-    def pair(self) -> Tuple[Sequence, Sequence]:
-        z, zp = self._pair_raw
-        return Sequence._wrap(z, self._q), Sequence._wrap(zp, self._q)
-
-    def __repr__(self) -> str:
-        return (
-            f"LambdaEntry(side={self.side}, ell={self.ell}, case={self.case_index}, "
-            f"j={self.j}, j'={self.jprime})"
-        )
-
-
-class LambdaDecomposition:
-    """All deleted-pair candidates of a pair (x, y), grouped by
-    (side, ell, case index) with per-group deduplicated pair views."""
-
-    def __init__(
-        self,
-        x: Sequence,
-        y: Sequence,
-        entries: Tuple[LambdaEntry, ...],
-        groups: Dict[GroupKey, FrozenSet[PairValue]],
-    ):
-        self.x = x
-        self.y = y
-        self.entries = entries
-        self.groups = groups
-
-    def group(self, side: str, ell: int, case_index: Optional[int] = None) -> FrozenSet[PairValue]:
-        """Deduplicated pair values of one group (empty set if absent)."""
-        return self.groups.get((side, ell, case_index), frozenset())
-
-    def side_level(self, side: str, ell: int) -> FrozenSet[PairValue]:
-        """Union of the pair views of one side at one distance."""
-        out: set = set()
-        for (s, l, _), pairs in self.groups.items():
-            if s == side and l == ell:
-                out |= pairs
-        return frozenset(out)
-
-    def level(self, ell: int) -> FrozenSet[PairValue]:
-        """Union of both sides' pair views at one distance."""
-        return self.side_level("L", ell) | self.side_level("R", ell)
-
-    def pairs(self) -> FrozenSet[PairValue]:
-        out: set = set()
-        for pairs in self.groups.values():
-            out |= pairs
-        return frozenset(out)
+    padded = positions[idx : idx + 2] + (None, None)
+    return padded[0], padded[1]
 
 
 RawEntry = Tuple[str, int, Optional[int], int, int]
+PairGroups = Dict[GroupKey, Dict[PairValue, Tuple[int, int]]]
 
 
 def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
@@ -349,35 +237,22 @@ def pair_value(
     return _bad_side(side)
 
 
-def pair_groups(
-    xs: Word, ys: Word, raw: List[RawEntry]
-) -> Dict[GroupKey, FrozenSet[PairValue]]:
-    """Deduplicated deleted-pair values of raw entries, per group."""
-    groups: Dict[GroupKey, set] = {}
+def group_pairs(xs: Word, ys: Word, raw: List[RawEntry]) -> PairGroups:
+    """Per group, each distinct deleted pair of the raw entries mapped to
+    the first (j, j') that produced it."""
+    groups: PairGroups = {}
     for side, ell, case, j, jprime in raw:
-        groups.setdefault((side, ell, case), set()).add(pair_value(xs, ys, side, j, jprime))
-    return {key: frozenset(vals) for key, vals in groups.items()}
+        value = pair_value(xs, ys, side, j, jprime)
+        groups.setdefault((side, ell, case), {}).setdefault(value, (j, jprime))
+    return groups
 
 
-def lambda_enumerate(x: Sequence, y: Sequence) -> LambdaDecomposition:
-    """Collect and classify every deleted-pair candidate of (x, y) by the
-    exhaustive scan.
+def lambda_enumerate(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[PairValue]]:
+    """The distinct deleted pairs of every group of (x, y), collected by
+    the exhaustive scan.
 
     This is the reference decomposition; the direct construction in
     :mod:`delsub.intersect` is checked against it groupwise.
     """
-    profile = diff_profile(x, y)
-    raw = scan_candidates(profile)
-    return assemble_decomposition(x, y, raw)
-
-
-def assemble_decomposition(
-    x: Sequence, y: Sequence, raw: List[RawEntry]
-) -> LambdaDecomposition:
-    """Build the public decomposition object from raw scan entries."""
-    xs, ys, q = x.symbols, y.symbols, x.q
-    entries = tuple(
-        LambdaEntry(side, ell, case, j, jprime, pair_value(xs, ys, side, j, jprime), q)
-        for side, ell, case, j, jprime in raw
-    )
-    return LambdaDecomposition(x, y, entries, pair_groups(xs, ys, raw))
+    groups = group_pairs(x.symbols, y.symbols, scan_candidates(DiffProfile(x, y)))
+    return {key: frozenset(pairs) for key, pairs in groups.items()}

@@ -34,19 +34,16 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .balls import SequenceSet
 from .diffs import (
     CASE_BY_TRIPLE,
     DiffProfile,
     GroupKey,
-    LambdaDecomposition,
+    PairGroups,
     PairValue,
     RawEntry,
     Word,
-    assemble_decomposition,
+    group_pairs,
     landmarks,
-    pair_groups,
-    pair_value,
     scan_candidates,
 )
 from .sequence import (
@@ -153,70 +150,38 @@ def expand_members(
 
 
 def structural_group_sets(
-    profile: DiffProfile, xs: Word, ys: Word, raw: List[RawEntry]
+    profile: DiffProfile, xs: Word, ys: Word, groups: PairGroups
 ) -> Dict[GroupKey, Set[Word]]:
-    """Expand raw scan entries into per-group member sets, deduplicating
-    entries that collapse to the same deleted pair before expanding."""
+    """Expand each group's distinct deleted pairs (from
+    :func:`delsub.diffs.group_pairs`) into the group's member set."""
     q = profile.q
-    reps: Dict[GroupKey, Dict[PairValue, Tuple[int, int]]] = {}
-    for side, ell, case, j, jprime in raw:
-        value = pair_value(xs, ys, side, j, jprime)
-        reps.setdefault((side, ell, case), {}).setdefault(value, (j, jprime))
     out: Dict[GroupKey, Set[Word]] = {}
-    for key, values in reps.items():
+    for key, pairs in groups.items():
         side, ell, _ = key
         members: Set[Word] = set()
-        for _, (j, jprime) in values.items():
+        for j, jprime in pairs.values():
             mism = profile.mismatch_positions(j, jprime, side)
             members.update(expand_members(xs, ys, q, side, ell, j, jprime, mism))
         out[key] = members
     return out
 
 
-@dataclass(frozen=True)
-class OmegaGroup:
-    """The expanded members contributed by one classified group."""
-
-    side: str
-    ell: int
-    case_index: Optional[int]
-    members: SequenceSet
-
-
-def omega_groups(dec: LambdaDecomposition, x: Sequence, y: Sequence) -> List[OmegaGroup]:
-    """Expand every group of a decomposition into its member set.
-
-    The decomposition must have been produced from the same (x, y);
-    anything else is inconsistent provenance.
-    """
-    if dec.x != x or dec.y != y:
-        raise ValueError("decomposition was built from a different pair")
-    profile = DiffProfile(x, y)
-    raw = [(e.side, e.ell, e.case_index, e.j, e.jprime) for e in dec.entries]
-    sets = structural_group_sets(profile, x.symbols, y.symbols, raw)
-    length = len(x) - 1
-    return [
-        OmegaGroup(side, ell, case, SequenceSet(members, x.q, length))
-        for (side, ell, case), members in sorted(
-            sets.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] or 0)
-        )
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Direct (claims-based) construction of the decomposition
 
 
-def claims_lambda(x: Sequence, y: Sequence) -> LambdaDecomposition:
-    """Build the deleted-pair decomposition directly from interval counts
-    and landmarks, without scanning position pairs.
+def claims_lambda(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[PairValue]]:
+    """The distinct deleted pairs of every group, built directly from
+    interval counts and landmarks without scanning position pairs; the
+    same form as :func:`delsub.diffs.lambda_enumerate`.
 
     Groups whose characterization is only a containment are generated as
     candidates and validated against their defining count triple; a
     failing candidate is dropped.  Requires Hamming distance >= 2.
     """
-    raw = _claims_raw(DiffProfile(x, y), x.symbols, y.symbols)
-    return assemble_decomposition(x, y, raw)
+    xs, ys = x.symbols, y.symbols
+    groups = group_pairs(xs, ys, _claims_raw(DiffProfile(x, y), xs, ys))
+    return {key: frozenset(pairs) for key, pairs in groups.items()}
 
 
 def _claims_raw(p: DiffProfile, xs: Word, ys: Word) -> List[RawEntry]:
@@ -422,7 +387,8 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
         raise ValueError("(1,1)-ball intersections need length at least 3")
     profile = DiffProfile(x, y)
     q, d = x.q, profile.d
-    sets = structural_group_sets(profile, x.symbols, y.symbols, scan_candidates(profile))
+    xs, ys = x.symbols, y.symbols
+    sets = structural_group_sets(profile, xs, ys, group_pairs(xs, ys, scan_candidates(profile)))
     union: Set[Word] = set()
     levels: Dict[int, Set[Word]] = {0: set(), 1: set(), 2: set()}
     group_sizes: Dict[str, int] = {}
@@ -501,19 +467,19 @@ def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:
     by the coverage bound.  Requires Hamming distance >= 2.
 
     One profile serves the scan, both sides of the direct construction
-    and the member expansion behind the fact checks.
+    and the member expansion behind the fact checks, and the scan is
+    grouped once for the group checks, the expansion and the facts.
     """
     profile = DiffProfile(x, y)
     if profile.d < 2:
         raise ValueError("verification needs Hamming distance >= 2")
     xs, ys = x.symbols, y.symbols
-    raw = scan_candidates(profile)
-    scanned = pair_groups(xs, ys, raw)
-    direct = pair_groups(xs, ys, _claims_raw(profile, xs, ys))
+    scanned = group_pairs(xs, ys, scan_candidates(profile))
+    direct = group_pairs(xs, ys, _claims_raw(profile, xs, ys))
     group_checks = []
     for key in ALL_GROUP_KEYS:
-        expected = scanned.get(key, frozenset())
-        got = direct.get(key, frozenset())
+        expected = scanned.get(key, {}).keys()
+        got = direct.get(key, {}).keys()
         group_checks.append(
             CheckResult(
                 name=group_label(key),
@@ -523,15 +489,13 @@ def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:
                 f"direct has {len(got)} pairs, scan has {len(expected)}",
             )
         )
-    sets = structural_group_sets(profile, xs, ys, raw)
+    sets = structural_group_sets(profile, xs, ys, scanned)
     fact_checks = _fact_checks(profile, scanned, sets)
     return VerificationReport(x, y, tuple(group_checks), tuple(fact_checks))
 
 
 def _fact_checks(
-    profile: DiffProfile,
-    groups: Dict[GroupKey, FrozenSet[PairValue]],
-    sets: Dict[GroupKey, Set[Word]],
+    profile: DiffProfile, groups: PairGroups, sets: Dict[GroupKey, Set[Word]]
 ) -> List[CheckResult]:
     n, q, d = profile.n, profile.q, profile.d
     i1, idd = profile.s[0], profile.s[-1]
@@ -542,11 +506,11 @@ def _fact_checks(
         omega[(side, ell)] |= members
     omega_all = {ell: omega[("L", ell)] | omega[("R", ell)] for ell in (0, 1, 2)}
 
-    def family(side: str, ell: int, cases) -> FrozenSet[PairValue]:
-        out: set = set()
+    def family(side: str, ell: int, cases) -> Set[PairValue]:
+        out: Set[PairValue] = set()
         for c in cases:
-            out |= groups.get((side, ell, c), frozenset())
-        return frozenset(out)
+            out.update(groups.get((side, ell, c), ()))
+        return out
 
     def even_members(side: str) -> Set[Word]:
         out: Set[Word] = set()

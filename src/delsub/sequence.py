@@ -100,15 +100,6 @@ class Sequence:
             raise IndexError(f"position {position} outside [1, {len(self.symbols)}]")
         return self.symbols[position - 1]
 
-    def substring(self, lo: int, hi: int) -> "Sequence":
-        """The substring on the closed 1-based interval [lo, hi].
-
-        ``hi == lo - 1`` denotes the empty interval and yields the empty
-        word.
-        """
-        _check_interval(lo, hi, len(self.symbols))
-        return Sequence._wrap(self.symbols[lo - 1 : hi], self.q)
-
 
 @dataclass(frozen=True)
 class RunDecomposition:

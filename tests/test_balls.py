@@ -158,7 +158,7 @@ class TestBallIntersection:
         # deleted pairs at Hamming distance <= 2
         y = Sequence(tuple(reversed(x.symbols)), x.q)
         expected = set()
-        for pair in lambda_enumerate(x, y).pairs():
+        for pair in set().union(*lambda_enumerate(x, y).values()):
             z = Sequence(pair[0], x.q)
             zp = Sequence(pair[1], x.q)
             common = substitution_ball(z, 1) & substitution_ball(zp, 1)

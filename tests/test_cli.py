@@ -216,6 +216,28 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "0", "--seed", "1"],
+        ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "-3", "--seed", "1",
+         "--jobs", "0"],
+        ["--scope", "claims", "--q", "2", "--n", "4", "--exhaustive", "--jobs", "0"],
+        ["--scope", "lemmas", "--q", "2", "--n", "1", "--exhaustive"],
+        ["--scope", "claims", "--q", "2", "--n", "1", "--samples", "5", "--seed", "1"],
+    ])
+    def test_empty_sweep_rejected_before_any_pair(self, capsys, monkeypatch, argv):
+        # a sweep that would check no pair must not report "verified"
+        import delsub.cli as cli_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pairs built or workers started")
+
+        for name in ("_exhaustive_pairs", "_sampled_pairs", "Pool"):
+            monkeypatch.setattr(cli_module, name, forbidden)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--scope", "claims", "--q", "2", "--n", "4",

@@ -3,14 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsub import (
+    DiffProfile,
     Sequence,
     delete,
-    diff_profile,
     hamming,
     lambda_enumerate,
     landmarks,
 )
-from delsub.diffs import deleted_hamming
+from delsub.diffs import group_pairs, pair_value, scan_candidates
 
 from helpers import all_words, naive_lambda_groups, sequence_pairs
 
@@ -26,12 +26,12 @@ WORKED_Y = seq("01101011")
 class TestDiffProfile:
     def test_identical_pair(self):
         x = seq("0101")
-        p = diff_profile(x, x)
+        p = DiffProfile(x, x)
         assert p.s == ()
         assert p.d == 0
 
     def test_worked_pair_sets(self):
-        p = diff_profile(WORKED_X, WORKED_Y)
+        p = DiffProfile(WORKED_X, WORKED_Y)
         assert p.s == (3, 4, 5, 6)
         assert p.tl == (2, 3, 7)
         assert p.tr == (2,)
@@ -39,21 +39,21 @@ class TestDiffProfile:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            diff_profile(seq("01"), seq("011"))
+            DiffProfile(seq("01"), seq("011"))
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            diff_profile(seq("0"), seq("1"))
+            DiffProfile(seq("0"), seq("1"))
 
     @given(sequence_pairs(q=3, min_n=2, max_n=9))
     def test_tr_is_tl_of_swapped_pair(self, pair):
         x, y = pair
-        assert diff_profile(x, y).tr == diff_profile(y, x).tl
+        assert DiffProfile(x, y).tr == DiffProfile(y, x).tl
 
     @given(sequence_pairs(q=3, min_n=2, max_n=9))
     def test_interval_counts(self, pair):
         x, y = pair
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         n = len(x)
         for lo in range(1, n + 1):
             for hi in range(lo - 1, n + 1):
@@ -65,20 +65,20 @@ class TestDiffProfile:
 class TestDeletedHamming:
     def test_identical_words(self):
         x = seq("01100")
-        p = diff_profile(x, x)
+        p = DiffProfile(x, x)
         for j in range(1, 6):
-            assert deleted_hamming(p, j, j, "L") == 0
-            assert deleted_hamming(p, j, j, "R") == 0
+            assert p.deleted_hamming(j, j, "L") == 0
+            assert p.deleted_hamming(j, j, "R") == 0
 
     def test_worked_pair_all_positions_both_sides(self):
-        p = diff_profile(WORKED_X, WORKED_Y)
+        p = DiffProfile(WORKED_X, WORKED_Y)
         n = len(WORKED_X)
         for j in range(1, n + 1):
             for jp in range(j, n + 1):
-                assert deleted_hamming(p, j, jp, "L") == hamming(
+                assert p.deleted_hamming(j, jp, "L") == hamming(
                     delete(WORKED_X, j), delete(WORKED_Y, jp)
                 )
-                assert deleted_hamming(p, j, jp, "R") == hamming(
+                assert p.deleted_hamming(j, jp, "R") == hamming(
                     delete(WORKED_X, jp), delete(WORKED_Y, j)
                 )
 
@@ -86,35 +86,35 @@ class TestDeletedHamming:
         # with no shifted mismatch between the first and last mismatch,
         # deleting (i1, id) aligns the words exactly
         x, y = seq("00110"), seq("01100")
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         assert p.t_count("L", p.s[0] + 1, p.s[-1]) == 0
-        assert deleted_hamming(p, p.s[0], p.s[-1], "L") == 0
+        assert p.deleted_hamming(p.s[0], p.s[-1], "L") == 0
         assert delete(x, p.s[0]) == delete(y, p.s[-1])
 
     def test_order_requirement(self):
-        p = diff_profile(WORKED_X, WORKED_Y)
+        p = DiffProfile(WORKED_X, WORKED_Y)
         with pytest.raises(ValueError):
-            deleted_hamming(p, 5, 4, "L")
+            p.deleted_hamming(5, 4, "L")
 
     @given(sequence_pairs(q=5, min_n=2, max_n=10))
     @settings(max_examples=60)
     def test_matches_direct_computation(self, pair):
         x, y = pair
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         n = len(x)
         for j in range(1, n + 1):
             for jp in range(j, n + 1):
-                assert deleted_hamming(p, j, jp, "L") == hamming(
+                assert p.deleted_hamming(j, jp, "L") == hamming(
                     delete(x, j), delete(y, jp)
                 )
-                assert deleted_hamming(p, j, jp, "R") == hamming(
+                assert p.deleted_hamming(j, jp, "R") == hamming(
                     delete(x, jp), delete(y, j)
                 )
 
 
 def reference_landmarks(p):
     """Recompute every landmark straight from its defining set."""
-    i1, idd, n = p.s[0], p.s[-1], p.n
+    i1, idd = p.s[0], p.s[-1]
     below = [v for v in p.tl if v <= i1]
     above = [v for v in p.tl if v > idd]
     below_r = [v for v in p.tr if v <= i1]
@@ -124,12 +124,6 @@ def reference_landmarks(p):
         "k1p": min(above) if above else None,
         "k2": max(below[:-1]) if len(below) >= 2 else None,
         "k2p": min(above[1:]) if len(above) >= 2 else None,
-        "ka": max(below) if below else 1,
-        "kap": min(above) - 1 if above else n,
-        "kb": max(below[:-1]) if len(below) >= 2 else 1,
-        "kbp": above[1] - 1 if len(above) >= 2 else n,
-        "kc": max(below[:-2]) if len(below) >= 3 else 1,
-        "kcp": above[2] - 1 if len(above) >= 3 else n,
         "m1": max(below_r) if below_r else None,
         "m1p": min(above_r) if above_r else None,
         "m2": max(below_r[:-1]) if len(below_r) >= 2 else None,
@@ -141,30 +135,16 @@ class TestLandmarks:
     def test_requires_a_mismatch(self):
         x = seq("0101")
         with pytest.raises(ValueError):
-            landmarks(diff_profile(x, x))
+            landmarks(DiffProfile(x, x))
 
     def test_absent_when_defining_set_empty(self):
-        # TL below i1 empty: k1 absent, ka falls back to 1
+        # TL below i1 empty: k1 and k2 absent
         x, y = seq("0011"), seq("0101")
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         assert [v for v in p.tl if v <= p.s[0]] == []
         marks = landmarks(p)
         assert marks.k1 is None
-        assert marks.ka == 1
-
-    def test_single_upper_element_gives_fallback(self):
-        # exactly one TL element above id: kbp falls back to n
-        found = False
-        for x in all_words(2, 6):
-            for y in all_words(2, 6):
-                if hamming(x, y) == 0:
-                    continue
-                p = diff_profile(x, y)
-                above = [v for v in p.tl if v > p.s[-1]]
-                if len(above) == 1:
-                    assert landmarks(p).kbp == len(x)
-                    found = True
-        assert found
+        assert marks.k2 is None
 
     @given(sequence_pairs(q=3, min_n=2, max_n=10))
     @settings(max_examples=150)
@@ -172,7 +152,7 @@ class TestLandmarks:
         x, y = pair
         if hamming(x, y) == 0:
             return
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         marks = landmarks(p)
         expected = reference_landmarks(p)
         for name, value in expected.items():
@@ -184,17 +164,17 @@ class TestLandmarks:
         x, y = pair
         if hamming(x, y) == 0:
             return
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         m = landmarks(p)
         i1, idd = p.s[0], p.s[-1]
         if m.k1 is not None:
-            assert m.kb < m.k1 <= i1
+            assert 2 <= m.k1 <= i1
             if m.k2 is not None:
-                assert m.kc < m.k2 < m.k1
+                assert 2 <= m.k2 < m.k1
         if m.k1p is not None:
-            assert idd < m.k1p <= m.kbp + 1
+            assert idd < m.k1p <= p.n
             if m.k2p is not None:
-                assert m.k1p < m.k2p <= m.kcp + 1
+                assert m.k1p < m.k2p <= p.n
         if m.m1 is not None:
             assert 2 <= m.m1 <= i1
         if m.m1p is not None and m.m2p is not None:
@@ -203,31 +183,33 @@ class TestLandmarks:
 
 class TestLambdaEnumerate:
     def test_worked_pair_against_naive_classification(self):
-        dec = lambda_enumerate(WORKED_X, WORKED_Y)
-        assert dec.groups == naive_lambda_groups(WORKED_X, WORKED_Y)
+        groups = lambda_enumerate(WORKED_X, WORKED_Y)
+        assert groups == naive_lambda_groups(WORKED_X, WORKED_Y)
 
     def test_exhaustive_small_domain(self):
         for x in all_words(2, 5):
             for y in all_words(2, 5):
-                assert lambda_enumerate(x, y).groups == naive_lambda_groups(x, y)
+                assert lambda_enumerate(x, y) == naive_lambda_groups(x, y)
 
     def test_identical_pair_collapses_to_runs(self):
         x = seq("00110")
-        dec = lambda_enumerate(x, x)
-        level0 = dec.level(0)
+        level0 = set()
+        for (_, ell, _), pairs in lambda_enumerate(x, x).items():
+            if ell == 0:
+                level0 |= pairs
         assert {z for z, _ in level0} == {delete(x, j).symbols for j in range(1, 6)}
 
     def test_entry_invariants(self):
-        dec = lambda_enumerate(WORKED_X, WORKED_Y)
-        for entry in dec.entries:
-            z, zp = entry.pair
-            if entry.side == "L":
-                assert z == delete(WORKED_X, entry.j)
-                assert zp == delete(WORKED_Y, entry.jprime)
+        xs, ys = WORKED_X.symbols, WORKED_Y.symbols
+        for side, ell, _, j, jp in scan_candidates(DiffProfile(WORKED_X, WORKED_Y)):
+            z, zp = pair_value(xs, ys, side, j, jp)
+            if side == "L":
+                assert z == delete(WORKED_X, j).symbols
+                assert zp == delete(WORKED_Y, jp).symbols
             else:
-                assert z == delete(WORKED_X, entry.jprime)
-                assert zp == delete(WORKED_Y, entry.j)
-            assert hamming(z, zp) == entry.ell
+                assert z == delete(WORKED_X, jp).symbols
+                assert zp == delete(WORKED_Y, j).symbols
+            assert hamming(Sequence(z, 2), Sequence(zp, 2)) == ell
 
     def test_adjacent_swap_diagonal_family_counts_runs(self):
         # ...ab.../...ba... pair: the (2,0,0) family of pairs deleting the
@@ -237,25 +219,24 @@ class TestLambdaEnumerate:
 
         x = seq("0110100")
         y = seq("1010100")
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         assert p.d == 2
         i2 = p.s[1]
-        dec = lambda_enumerate(x, y)
-        family = dec.group("L", 2, 1)
+        family = lambda_enumerate(x, y)[("L", 2, 1)]
         assert len(family) == runs(x, (i2 + 1, len(x))).count
 
     @given(sequence_pairs(q=3, min_n=2, max_n=7))
     @settings(max_examples=60)
     def test_against_naive_classification(self, pair):
         x, y = pair
-        assert lambda_enumerate(x, y).groups == naive_lambda_groups(x, y)
+        assert lambda_enumerate(x, y) == naive_lambda_groups(x, y)
 
     @given(sequence_pairs(q=2, min_n=2, max_n=9))
     @settings(max_examples=60)
     def test_group_rows_are_disjoint_per_index(self, pair):
         # every (j, j', side) lands in exactly one classification row
         x, y = pair
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         n = len(x)
         from delsub.diffs import CASE_BY_TRIPLE, scan_candidates
 
@@ -281,7 +262,7 @@ class TestRunContainment:
         # both windows at [j1+1, j2]
         x, y = pair
         n = len(x)
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         j1 = data.draw(st.integers(1, n))
         j2 = data.draw(st.integers(j1, n))
         if p.s_count(j1, j2 - 1) == 0 and p.t_count("L", j1 + 1, j2) == 0:
@@ -290,10 +271,18 @@ class TestRunContainment:
             assert len(set(y.symbols[j1 - 1 : j2])) == 1
 
     def test_pair_view_dedup_collapses_rectangles(self):
-        # entries agreeing in value are merged in the group views
+        # entries agreeing in value are merged in the group views, each
+        # kept under the first (j, j') that produced it
         x, y = seq("000110"), seq("010100")
-        dec = lambda_enumerate(x, y)
-        for key, values in dec.groups.items():
-            entries = [e for e in dec.entries if (e.side, e.ell, e.case_index) == key]
-            assert len(values) <= len(entries)
-            assert {tuple(s.symbols for s in e.pair) for e in entries} == values
+        xs, ys = x.symbols, y.symbols
+        raw = scan_candidates(DiffProfile(x, y))
+        groups = group_pairs(xs, ys, raw)
+        assert any(
+            len(pairs) < sum(1 for e in raw if e[:3] == key) for key, pairs in groups.items()
+        )
+        for key, pairs in groups.items():
+            entries = [(j, jp) for side, ell, case, j, jp in raw if (side, ell, case) == key]
+            values = [pair_value(xs, ys, key[0], j, jp) for j, jp in entries]
+            assert set(values) == pairs.keys()
+            for value, first in pairs.items():
+                assert first == entries[values.index(value)]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from delsub import (
     BallSpec,
+    DiffProfile,
     Sequence,
     ball_intersection,
     bound_applicable,
@@ -12,7 +13,6 @@ from delsub import (
     constant_regime_bound,
     coverage_bound,
     delete,
-    diff_profile,
     ds_ball,
     extremal_pair,
     hamming,
@@ -20,10 +20,10 @@ from delsub import (
     lambda_enumerate,
     levenshtein,
     min_valid_length,
-    omega_groups,
     verify_claims,
 )
-from delsub.intersect import ALL_GROUP_KEYS, group_label
+from delsub.diffs import group_pairs, scan_candidates
+from delsub.intersect import ALL_GROUP_KEYS, group_label, structural_group_sets
 
 from helpers import all_words, sequence_pairs
 
@@ -84,18 +84,17 @@ class TestClaimsLambda:
         # no shifted mismatch inside the window: the distance-0 group is
         # the single collapsed pair, and the two deletions really agree
         x, y = seq("00110"), seq("01100")
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         assert p.t_count("L", p.s[0] + 1, p.s[-1]) == 0
-        dec = claims_lambda(x, y)
-        (pair,) = dec.group("L", 0)
+        (pair,) = claims_lambda(x, y)[("L", 0, None)]
         assert pair == (delete(x, p.s[0]).symbols, delete(y, p.s[-1]).symbols)
         assert pair[0] == pair[1]
 
     def test_empty_group_when_shifted(self):
         x, y = seq("0110"), seq("1001")
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         assert p.t_count("L", p.s[0] + 1, p.s[-1]) >= 1
-        assert claims_lambda(x, y).group("L", 0) == frozenset()
+        assert ("L", 0, None) not in claims_lambda(x, y)
 
     def test_matches_enumeration_exhaustive(self):
         for q, n in [(2, 6), (3, 4)]:
@@ -103,7 +102,7 @@ class TestClaimsLambda:
                 for y in all_words(q, n):
                     if hamming(x, y) < 2:
                         continue
-                    assert claims_lambda(x, y).groups == lambda_enumerate(x, y).groups
+                    assert claims_lambda(x, y) == lambda_enumerate(x, y)
 
     @given(sequence_pairs(q=4, min_n=5, max_n=12))
     @settings(max_examples=150)
@@ -111,38 +110,76 @@ class TestClaimsLambda:
         x, y = pair
         if hamming(x, y) < 2:
             return
-        assert claims_lambda(x, y).groups == lambda_enumerate(x, y).groups
+        assert claims_lambda(x, y) == lambda_enumerate(x, y)
+
+    def test_matches_enumeration_seeded_long_words(self):
+        # q 2..5, n 6..100: y from x by 2-6 substitutions, an adjacent
+        # swap, or a window of up to 8 symbols shifted one step
+        import random
+
+        rng = random.Random(5)
+        checked = 0
+        for q in (2, 3, 4, 5):
+            for n in range(6, 101):
+                xs = [rng.randrange(q) for _ in range(n)]
+                for kind in ("substitutions", "swap", "shift"):
+                    ys = list(xs)
+                    if kind == "substitutions":
+                        for pos in rng.sample(range(n), rng.randint(2, 6)):
+                            ys[pos] = (xs[pos] + 1 + rng.randrange(q - 1)) % q
+                    elif kind == "swap":
+                        i = rng.randrange(n - 1)
+                        ys[i], ys[i + 1] = ys[i + 1], ys[i]
+                    else:
+                        i = rng.randrange(n - 1)
+                        k = rng.randint(i + 1, min(n - 1, i + 8))
+                        window = ys[i : k + 1]
+                        if rng.random() < 0.5:
+                            ys[i : k + 1] = window[1:] + [rng.randrange(q)]
+                        else:
+                            ys[i : k + 1] = [rng.randrange(q)] + window[:-1]
+                    x, y = Sequence(tuple(xs), q), Sequence(tuple(ys), q)
+                    if hamming(x, y) < 2:
+                        continue
+                    report = verify_claims(x, y)
+                    assert report.all_passed, (x, y, report.failures())
+                    assert claims_lambda(x, y) == lambda_enumerate(x, y), (x, y)
+                    checked += 1
+        assert checked > 900
 
 
-class TestOmegaGroups:
+def scanned_groups(x, y):
+    """The scan's grouped pairs of (x, y) and their expanded member sets."""
+    p = DiffProfile(x, y)
+    groups = group_pairs(x.symbols, y.symbols, scan_candidates(p))
+    return groups, structural_group_sets(p, x.symbols, y.symbols, groups)
+
+
+class TestGroupMembers:
     def test_worked_distance2_members(self):
-        dec = lambda_enumerate(WORKED_X, WORKED_Y)
-        groups = omega_groups(dec, WORKED_X, WORKED_Y)
+        groups, sets = scanned_groups(WORKED_X, WORKED_Y)
         target = (delete(WORKED_X, 4).symbols, delete(WORKED_Y, 7).symbols)
-        hit = [
-            g for g in groups
-            if g.ell == 2 and g.side == "L" and target in dec.group("L", 2, g.case_index)
-        ]
+        hit = [key for key in groups if key[:2] == ("L", 2) and target in groups[key]]
         assert hit
         members = set()
-        for g in hit:
-            members |= {m.symbols for m in g.members}
+        for key in hit:
+            members |= sets[key]
         assert seq("0100101").symbols in members
         assert seq("0110111").symbols in members
 
     def test_distance1_groups_have_q_members_per_pair(self):
         x, y = seq("00110"), seq("01100")
-        dec = lambda_enumerate(x, y)
-        for g in omega_groups(dec, x, y):
-            if g.ell == 1:
-                assert len(g.members) == 2 * len(dec.group(g.side, 1, g.case_index))
+        groups, sets = scanned_groups(x, y)
+        for key, members in sets.items():
+            if key[1] == 1:
+                assert len(members) == 2 * len(groups[key])
 
     def test_distance0_group_is_full_ball(self):
         x, y = seq("00110"), seq("01100")
-        dec = lambda_enumerate(x, y)
-        for g in omega_groups(dec, x, y):
-            if g.ell == 0:
-                assert len(g.members) == 1 + (x.q - 1) * (len(x) - 1)
+        _, sets = scanned_groups(x, y)
+        for key, members in sets.items():
+            if key[1] == 0:
+                assert len(members) == 1 + (x.q - 1) * (len(x) - 1)
 
     def test_absorption_into_collapsed_ball(self):
         # when the left window carries no shifted mismatch, any pair whose
@@ -151,18 +188,17 @@ class TestOmegaGroups:
         from delsub import substitution_ball
 
         x, y = seq("0011010"), seq("0110010")
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         assert p.t_count("L", p.s[0] + 1, p.s[-1]) == 0
-        dec = lambda_enumerate(x, y)
-        groups = {(g.side, g.ell, g.case_index): g for g in omega_groups(dec, x, y)}
-        omega0 = {m.symbols for m in groups[("L", 0, None)].members}
+        groups, sets = scanned_groups(x, y)
+        omega0 = sets[("L", 0, None)]
         collapsed_x = delete(x, p.s[0])
         collapsed_y = delete(y, p.s[-1])
         checked = 0
-        for key in dec.groups:
+        for key, pairs in groups.items():
             if key[1] == 0:
                 continue
-            for z, zp in dec.group(*key):
+            for z, zp in pairs:
                 if z == collapsed_x.symbols or zp == collapsed_y.symbols:
                     zs = Sequence(z, x.q)
                     zps = Sequence(zp, x.q)
@@ -170,11 +206,6 @@ class TestOmegaGroups:
                     assert {m.symbols for m in common} <= omega0
                     checked += 1
         assert checked > 0
-
-    def test_provenance_checked(self):
-        dec = lambda_enumerate(WORKED_X, WORKED_Y)
-        with pytest.raises(ValueError):
-            omega_groups(dec, WORKED_Y, WORKED_X)
 
 
 class TestIntersectionSizeFast:
@@ -294,7 +325,7 @@ class TestVerifyClaims:
         q, n = 3, 9
         x = Sequence((2, 0, 1, 2, 2, 0, 1, 2, 0), q)
         y = Sequence((2, 0, 1, 2, 0, 2, 1, 2, 0), q)  # swap at positions 5,6
-        p = diff_profile(x, y)
+        p = DiffProfile(x, y)
         assert p.d == 2 and p.s[1] == p.s[0] + 1
         assert p.t_count("L", p.s[0] + 1, p.s[1]) == 0
         assert p.t_count("R", p.s[0] + 1, p.s[1]) == 0
