@@ -263,7 +263,6 @@ def ds11_packed(word: Word, q: int) -> FrozenSet[bytes]:
     symbols = np.arange(q, dtype=np.uint8)
     for p in range(n - 1):
         out[:, p, :, p] = symbols[None, :]
-    flat = out.reshape(-1, n - 1)
-    raw = flat.tobytes()
-    w = n - 1
-    return frozenset(raw[k * w : (k + 1) * w] for k in range(flat.shape[0]))
+    # each row viewed as one (n-1)-byte void scalar; tolist() gives bytes
+    # with trailing zero symbols kept
+    return frozenset(out.reshape(-1, n - 1).view(f"V{n - 1}").ravel().tolist())

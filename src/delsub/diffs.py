@@ -16,7 +16,9 @@ top of that identity: prefix tables for the counts, the extremal
 the exhaustive scan that collects every deleted pair at Hamming
 distance at most 2, classified by which of the three terms carry it,
 and :func:`group_pairs`, which reduces scan entries to each group's
-distinct pairs.
+distinct pairs without building them: deleting two positions of one
+word gives the same word exactly when both lie in one run, so a deleted
+pair is named by the run ends of its two deleted positions.
 
 All positions are 1-based.
 """
@@ -108,11 +110,11 @@ class DiffProfile:
         of the deleted pair selected by (j, j', side)."""
         t = self.tl if side == "L" else self.tr if side == "R" else _bad_side(side)
         s = self.s
-        out: List[int] = []
-        out.extend(s[: bisect_left(s, j)])
-        out.extend(t[bisect_right(t, j) : bisect_right(t, jprime)])
-        out.extend(s[bisect_right(s, jprime) :])
-        return tuple(out)
+        return (
+            s[: bisect_left(s, j)]
+            + t[bisect_right(t, j) : bisect_right(t, jprime)]
+            + s[bisect_right(s, jprime) :]
+        )
 
     def _table(self, side: str) -> Tuple[int, ...]:
         if side == "L":
@@ -184,7 +186,8 @@ def _above(positions: Tuple[int, ...], bound: int):
 
 
 RawEntry = Tuple[str, int, Optional[int], int, int]
-PairGroups = Dict[GroupKey, Dict[PairValue, Tuple[int, int]]]
+PairKey = Tuple[int, int]
+PairGroups = Dict[GroupKey, Dict[PairKey, Tuple[int, int]]]
 
 
 def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
@@ -192,8 +195,9 @@ def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
     Hamming distance at most 2.
 
     The scan walks the (j, j') grid but skips ranges where the prefix or
-    suffix mismatch count alone already exceeds 2, so pairs at large
-    Hamming distance cost little.
+    suffix mismatch count alone already exceeds 2, and leaves a row once
+    both shifted middle counts (nondecreasing in j') exceed what the
+    prefix leaves, so pairs at large Hamming distance cost little.
     """
     n = profile.n
     ps, ptl, ptr = profile._ps, profile._ptl, profile._ptr
@@ -203,7 +207,7 @@ def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
         prefix = ps[j - 1]
         if prefix > 2:
             break
-        # smallest j' with suffix count <= 2 - prefix
+        # smallest j' with suffix count <= 2 - prefix, so rest >= 0 below
         target = total - 2 + prefix
         start = j if target <= 0 else max(j, bisect_left(ps, target))
         budget = 2 - prefix
@@ -212,16 +216,16 @@ def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
         for jprime in range(start, n + 1):
             suffix = total - ps[jprime]
             rest = budget - suffix
-            if rest < 0:
-                continue
-            mid = ptl[jprime] - tlj
-            if mid <= rest:
-                case = CASE_BY_TRIPLE.get((prefix, mid, suffix))
-                out.append(("L", prefix + mid + suffix, case, j, jprime))
-            mid = ptr[jprime] - trj
-            if mid <= rest:
-                case = CASE_BY_TRIPLE.get((prefix, mid, suffix))
-                out.append(("R", prefix + mid + suffix, case, j, jprime))
+            mid_l = ptl[jprime] - tlj
+            mid_r = ptr[jprime] - trj
+            if mid_l > budget and mid_r > budget:
+                break
+            if mid_l <= rest:
+                case = CASE_BY_TRIPLE.get((prefix, mid_l, suffix))
+                out.append(("L", prefix + mid_l + suffix, case, j, jprime))
+            if mid_r <= rest:
+                case = CASE_BY_TRIPLE.get((prefix, mid_r, suffix))
+                out.append(("R", prefix + mid_r + suffix, case, j, jprime))
     return out
 
 
@@ -237,22 +241,55 @@ def pair_value(
     return _bad_side(side)
 
 
+def _run_last_table(xs: Word) -> List[int]:
+    """``table[i]`` is the last position of the run of ``xs`` holding
+    position i (1-based; ``table[0]`` is unused)."""
+    n = len(xs)
+    table = list(range(n + 1))
+    for i in range(n - 1, 0, -1):
+        if xs[i - 1] == xs[i]:
+            table[i] = table[i + 1]
+    return table
+
+
 def group_pairs(xs: Word, ys: Word, raw: List[RawEntry]) -> PairGroups:
     """Per group, each distinct deleted pair of the raw entries mapped to
-    the first (j, j') that produced it."""
+    the first (j, j') that produced it.
+
+    A pair is keyed by the run-last positions of the index deleted from x
+    and of the index deleted from y, which names it exactly (two
+    deletions from one word agree exactly when they fall in one run) at
+    O(1) cost; :func:`pair_value` turns a key's (j, j') into the words.
+    """
     groups: PairGroups = {}
+    if not raw:
+        return groups
+    last_x, last_y = _run_last_table(xs), _run_last_table(ys)
     for side, ell, case, j, jprime in raw:
-        value = pair_value(xs, ys, side, j, jprime)
-        groups.setdefault((side, ell, case), {}).setdefault(value, (j, jprime))
+        if side == "L":
+            key = (last_x[j], last_y[jprime])
+        else:
+            key = (last_x[jprime], last_y[j])
+        groups.setdefault((side, ell, case), {}).setdefault(key, (j, jprime))
     return groups
 
 
+def pair_sets(
+    xs: Word, ys: Word, groups: PairGroups
+) -> Dict[GroupKey, FrozenSet[PairValue]]:
+    """Each group's distinct deleted pairs (z, z') as words."""
+    return {
+        key: frozenset(pair_value(xs, ys, key[0], j, jp) for j, jp in pairs.values())
+        for key, pairs in groups.items()
+    }
+
+
 def lambda_enumerate(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[PairValue]]:
-    """The distinct deleted pairs of every group of (x, y), collected by
-    the exhaustive scan.
+    """The distinct deleted pairs (z, z') of every group of (x, y),
+    collected by the exhaustive scan.
 
     This is the reference decomposition; the direct construction in
     :mod:`delsub.intersect` is checked against it groupwise.
     """
-    groups = group_pairs(x.symbols, y.symbols, scan_candidates(DiffProfile(x, y)))
-    return {key: frozenset(pairs) for key, pairs in groups.items()}
+    xs, ys = x.symbols, y.symbols
+    return pair_sets(xs, ys, group_pairs(xs, ys, scan_candidates(DiffProfile(x, y))))

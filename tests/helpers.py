@@ -8,7 +8,7 @@ independent.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from hypothesis import strategies as st
 
@@ -74,6 +74,22 @@ def naive_lambda_groups(x: Sequence, y: Sequence) -> Dict[tuple, FrozenSet[tuple
                 case = case_by_triple.get((prefix, mid, suffix))
                 groups.setdefault((side, ell, case), set()).add((z, zp))
     return {k: frozenset(v) for k, v in groups.items()}
+
+
+def expand_members(pairs: Iterable[Tuple[Word, Word]], q: int) -> Set[Word]:
+    """The words of B(z) & B(z') over a group's deleted pairs (z, z'),
+    from the direct forms: all of B(z) when z == z', every symbol at the
+    one mismatch at Hamming distance 1, and either mismatch repaired with
+    the other word's symbol at distance 2."""
+    out: Set[Word] = set()
+    for z, zp in pairs:
+        diff = [i for i in range(len(z)) if z[i] != zp[i]]
+        if len(diff) == 2:
+            out.update(z[:i] + (zp[i],) + z[i + 1 :] for i in diff)
+        else:
+            rewritten = diff or range(len(z))
+            out.update(z[:i] + (a,) + z[i + 1 :] for i in rewritten for a in range(q))
+    return out
 
 
 def word_tuples(q: int, min_n: int = 1, max_n: int = 8) -> st.SearchStrategy:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -126,6 +128,16 @@ class TestPackedKernel:
     def test_matches_generic_materialization(self, x):
         packed = {tuple(b) for b in ds11_packed(x.symbols, x.q)}
         assert packed == {m.symbols for m in ds_ball(x, BallSpec(1, 1))}
+
+    def test_trailing_zero_symbols_kept(self):
+        # a packed member ending in symbol 0 must keep its zero bytes
+        rng = random.Random(3)
+        for _ in range(60):
+            q, n = rng.randint(2, 5), rng.randint(3, 12)
+            zeros = rng.randint(1, n - 1)
+            word = tuple(rng.randrange(q) for _ in range(n - zeros)) + (0,) * zeros
+            expected = {bytes(m.symbols) for m in ds_ball(Sequence(word, q), BallSpec(1, 1))}
+            assert ds11_packed(word, q) == expected
 
 
 class TestBallIntersection:

@@ -277,12 +277,21 @@ class TestRunContainment:
         xs, ys = x.symbols, y.symbols
         raw = scan_candidates(DiffProfile(x, y))
         groups = group_pairs(xs, ys, raw)
+        enumerated = lambda_enumerate(x, y)
         assert any(
             len(pairs) < sum(1 for e in raw if e[:3] == key) for key, pairs in groups.items()
         )
         for key, pairs in groups.items():
             entries = [(j, jp) for side, ell, case, j, jp in raw if (side, ell, case) == key]
             values = [pair_value(xs, ys, key[0], j, jp) for j, jp in entries]
-            assert set(values) == pairs.keys()
-            for value, first in pairs.items():
+            firsts = [pair_value(xs, ys, key[0], j, jp) for j, jp in pairs.values()]
+            assert set(values) == set(firsts) == enumerated[key]
+            assert len(firsts) == len(set(firsts))
+            for value, first in zip(firsts, pairs.values()):
                 assert first == entries[values.index(value)]
+            # each key is the run-last positions of x's and y's deleted index
+            n = len(xs)
+            for (kx, ky), value in zip(pairs, firsts):
+                assert pair_value(xs, ys, "L", kx, ky) == value
+                assert kx == n or xs[kx - 1] != xs[kx]
+                assert ky == n or ys[ky - 1] != ys[ky]

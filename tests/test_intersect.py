@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,10 @@ from delsub import (
     verify_claims,
 )
 from delsub.diffs import group_pairs, scan_candidates
+from delsub import intersect as intersect_module
 from delsub.intersect import ALL_GROUP_KEYS, group_label, structural_group_sets
 
-from helpers import all_words, sequence_pairs
+from helpers import all_words, expand_members, sequence_pairs
 
 
 def seq(text, q=2):
@@ -157,13 +160,13 @@ def scanned_groups(x, y):
 
 class TestGroupMembers:
     def test_worked_distance2_members(self):
-        groups, sets = scanned_groups(WORKED_X, WORKED_Y)
+        groups = lambda_enumerate(WORKED_X, WORKED_Y)
         target = (delete(WORKED_X, 4).symbols, delete(WORKED_Y, 7).symbols)
         hit = [key for key in groups if key[:2] == ("L", 2) and target in groups[key]]
         assert hit
         members = set()
         for key in hit:
-            members |= sets[key]
+            members |= expand_members(groups[key], WORKED_X.q)
         assert seq("0100101").symbols in members
         assert seq("0110111").symbols in members
 
@@ -190,8 +193,8 @@ class TestGroupMembers:
         x, y = seq("0011010"), seq("0110010")
         p = DiffProfile(x, y)
         assert p.t_count("L", p.s[0] + 1, p.s[-1]) == 0
-        groups, sets = scanned_groups(x, y)
-        omega0 = sets[("L", 0, None)]
+        groups = lambda_enumerate(x, y)
+        omega0 = expand_members(groups[("L", 0, None)], x.q)
         collapsed_x = delete(x, p.s[0])
         collapsed_y = delete(y, p.s[-1])
         checked = 0
@@ -281,6 +284,103 @@ class TestIntersectionSizeFast:
         assert intersection_size_fast(x, y).size == len(
             ball_intersection(x, y, BallSpec(1, 1))
         )
+
+
+def tuple_report(x, y):
+    """``intersection_size_fast(x, y).to_dict()`` rebuilt from the scan's
+    deleted pairs and the tests' word-tuple expansion."""
+    n, q, d = len(x), x.q, hamming(x, y)
+    sets = {key: expand_members(pairs, q) for key, pairs in lambda_enumerate(x, y).items()}
+    levels = {ell: set() for ell in (0, 1, 2)}
+    for key, members in sets.items():
+        levels[key[1]] |= members
+    return {
+        "n": n,
+        "q": q,
+        "d": d,
+        "size": len(set().union(*sets.values())),
+        "method": "structural",
+        "bound": coverage_bound(n, q),
+        "bound_applicable": bound_applicable(n, q, d),
+        "group_sizes": {group_label(k): len(v) for k, v in sets.items()},
+        "omega0_size": len(levels[0]),
+        "omega1_size": len(levels[1]),
+        "omega2_size": len(levels[2]),
+        "omega1_minus_omega0": len(levels[1] - levels[0]),
+        "omega2_minus_omega0": len(levels[2] - levels[0]),
+    }
+
+
+class TestMemberIds:
+    @pytest.mark.parametrize("base", [intersect_module._KR_BASE, 1, 0])
+    def test_ids_equal_exactly_when_words_equal(self, base, monkeypatch):
+        # every edit (j, p, c) of every binary word up to n = 8 and ternary
+        # word up to n = 5; base 1 makes the key the symbol sum, so most
+        # buckets hold several distinct words, and base 0 puts every word
+        # in one bucket, so only the exact comparison tells them apart
+        monkeypatch.setattr(intersect_module, "_KR_BASE", base)
+        for q, top in ((2, 8), (3, 5)):
+            for n in range(2, top + 1):
+                for x in all_words(q, n):
+                    xs = x.symbols
+                    ids = intersect_module._MemberIds(xs, q)
+                    id_of_word = {}
+                    for j in range(n):
+                        z = xs[:j] + xs[j + 1 :]
+                        for p in range(n - 1):
+                            for c in range(q):
+                                word = z[:p] + (c,) + z[p + 1 :]
+                                k = ids.edit(j, p, c)
+                                assert id_of_word.setdefault(word, k) == k, (xs, j, p, c)
+                        ball = set()
+                        ids.add_ball(ball, j)
+                        assert ball == {
+                            id_of_word[z[:p] + (c,) + z[p + 1 :]]
+                            for p in range(n - 1) for c in range(q)
+                        }
+                    assert len(set(id_of_word.values())) == len(id_of_word), xs
+
+    def test_sizes_exact_when_every_key_collides(self, monkeypatch):
+        monkeypatch.setattr(intersect_module, "_KR_BASE", 1)
+        for n in range(3, 7):
+            words = all_words(2, n)
+            for x in words:
+                for y in words:
+                    oracle = len(ball_intersection(x, y, BallSpec(1, 1)))
+                    assert intersection_size_fast(x, y).size == oracle, (x, y)
+
+    def test_reports_match_tuple_expansion_on_long_words(self):
+        rng = random.Random(23)
+        checked = 0
+        for q in (2, 3, 4):
+            for n in (100, 400):
+                pairs = [extremal_pair(q, n)]
+                for d in (1, 2, 3, 4):
+                    xs = tuple(rng.randrange(q) for _ in range(n))
+                    ys = list(xs)
+                    for pos in rng.sample(range(n), d):
+                        ys[pos] = (xs[pos] + 1 + rng.randrange(q - 1)) % q
+                    pairs.append((Sequence(xs, q), Sequence(tuple(ys), q)))
+                xs = list(pairs[-1][0].symbols)
+                i = rng.randrange(n - 1)
+                xs[i], xs[i + 1] = 0, 1
+                ys = list(xs)
+                ys[i], ys[i + 1] = ys[i + 1], ys[i]
+                pairs.append((Sequence(tuple(xs), q), Sequence(tuple(ys), q)))
+                for x, y in pairs:
+                    assert intersection_size_fast(x, y).to_dict() == tuple_report(x, y), (x, y)
+                    checked += 1
+        assert checked == 36
+
+    def test_two_substitutions_of_constant_word_is_fast(self):
+        n = 2000
+        x = Sequence((0,) * n, 2)
+        ys = [0] * n
+        ys[600] = ys[1400] = 1
+        start = time.perf_counter()
+        report = intersection_size_fast(x, Sequence(tuple(ys), 2))
+        assert time.perf_counter() - start < 1.0
+        assert report.size == 5
 
 
 class TestTightFamilies:
