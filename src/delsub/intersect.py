@@ -11,10 +11,11 @@ at distance 2.  Generating those members straight from the deletion
 positions and residual mismatches - never by materializing and
 intersecting substitution balls - gives the exact intersection size.
 Deleted pairs are named by O(1) keys (see :func:`delsub.diffs.group_pairs`)
-and members by ids interned in O(1) each (:class:`_MemberIds`), so at
-Hamming distance >= 2, where the direct construction supplies the
-pairs, the cost is O(n) plus the output size; below that the scan adds
-a term that grows to O(n^2) on near-constant words.
+and members by ids computed or interned in O(1) each
+(:class:`_MemberIds`), so at Hamming distance >= 2, where the direct
+construction supplies the pairs, the cost is O(n) plus the output size;
+below that the scan adds a term that grows to O(n^2) on near-constant
+words.
 
 Two constructions of the deleted-pair family coexist:
 
@@ -136,15 +137,26 @@ class _MemberIds:
     delete 0-based index j of x, then write symbol c at index p of the
     result.  Equal words get equal ids.
 
-    Edits are bucketed by the Karp-Rabin key of their word, computed in
-    O(1) from x's prefix sums.  Inside a bucket two edits are compared
-    exactly, also in O(1): deleting j1 <= j2 gives words that differ only
-    at x's run boundaries in [j1, j2), so the edited words agree exactly
-    when no such boundary lies outside {p1, p2} and they agree at p1 and
-    at p2.
+    Deleting j and deleting j' from another run give words that differ at
+    every run boundary of x between them (index k with x[k] != x[k+1]).
+    A rewrite of index p to a new symbol therefore reaches a word one
+    substitution away from x minus j' only when p is one of the two
+    boundaries nearest to j's run on that side.  Every other rewrite is
+    an interior edit: its word is reached from j's run alone, by that
+    rewrite alone, and gets the id -1 - (e (n-1) + p) q - c from the
+    run's last index e, with no lookup.
+
+    The remaining edits (the word x minus j itself and the rewrites at
+    the near boundaries) are bucketed by the Karp-Rabin key of their
+    word, computed in O(1) from x's prefix sums.  Inside a bucket two
+    edits are compared exactly, also in O(1): deleting j1 <= j2 gives
+    words that differ only at x's run boundaries in [j1, j2), so the
+    edited words agree exactly when no such boundary lies outside
+    {p1, p2} and they agree at p1 and at p2.
     """
 
-    __slots__ = ("xs", "q", "pw", "pre", "bnd", "first", "extra", "edits")
+    __slots__ = ("xs", "q", "pw", "pre", "bnd", "run_first", "run_last", "near",
+                 "rewrites", "first", "extra", "edits")
 
     def __init__(self, xs: Word, q: int):
         mod, base = _KR_MOD, _KR_BASE
@@ -152,19 +164,50 @@ class _MemberIds:
         pw = [1] * n
         pre = [0] * (n + 1)
         bnd = [0] * n
+        run_first = [0] * n
         for i in range(n):
             if i:
                 pw[i] = pw[i - 1] * base % mod
                 bnd[i] = bnd[i - 1] + (xs[i - 1] != xs[i])
+                run_first[i] = run_first[i - 1] if xs[i - 1] == xs[i] else i
             pre[i + 1] = (pre[i] + xs[i] * pw[i]) % mod
+        run_last = [n - 1] * n
+        for i in range(n - 2, -1, -1):
+            run_last[i] = run_last[i + 1] if xs[i] == xs[i + 1] else i
         self.xs = xs
         self.q = q
         self.pw = pw      # base^k
         self.pre = pre    # sum of x[k] * base^k over k < i
         self.bnd = bnd    # number of run boundaries k < i (x[k] != x[k+1])
+        self.run_first = run_first  # first index of the run holding i
+        self.run_last = run_last    # last index of the run holding i
+        self.near: Dict[int, Tuple[int, ...]] = {}   # run-last -> near boundaries
+        self.rewrites: Optional[Tuple[List[int], List[int]]] = None
         self.first: Dict[int, int] = {}         # key -> id of its first word
         self.extra: Dict[int, List[int]] = {}   # key -> ids of colliding words
         self.edits: List[Tuple[int, int, int]] = []
+
+    def _near(self, j: int) -> Tuple[int, ...]:
+        """The rewrite indices, in increasing order, at which an edit
+        deleting j is not interior: the last indices of the two runs
+        before j's run, the last index of j's run and of the run after
+        it, when they are run boundaries."""
+        e = self.run_last[j]
+        near = self.near.get(e)
+        if near is None:
+            first, last, n = self.run_first, self.run_last, len(self.xs)
+            s = first[j]
+            out = []
+            if s:
+                if first[s - 1]:
+                    out.append(first[s - 1] - 1)
+                out.append(s - 1)
+            if e + 1 < n:
+                out.append(e)
+                if last[e + 1] + 1 < n:
+                    out.append(last[e + 1])
+            near = self.near[e] = tuple(out)
+        return near
 
     def _deleted_key(self, j: int) -> int:
         """The key of x minus index j, not yet reduced."""
@@ -206,32 +249,67 @@ class _MemberIds:
             xs[p2] if p2 < j1 else xs[p2 + 1]
         ) == c2
 
-    def edit(self, j: int, p: int, c: int) -> int:
-        """The id of edit (j, p, c)."""
-        xs = self.xs
-        old = xs[p] if p < j else xs[p + 1]
-        key = (self._deleted_key(j) + (c - old) * self.pw[p + 1]) % _KR_MOD
-        return self._id(key, j, p, c)
+    def _base(self, j: int) -> int:
+        """Interior edit (j, p, c) has id _base(j) - p q - c."""
+        return -1 - self.run_last[j] * (len(self.xs) - 1) * self.q
 
-    def add_column(self, out: Set[int], j: int, p: int) -> None:
-        """Add the ids of every symbol written at index p after deleting j."""
+    def _deleted(self, j: int) -> int:
+        """The id of x minus index j."""
+        xs = self.xs
+        return self._id(self._deleted_key(j) % _KR_MOD, j, 0, xs[0] if j else xs[1])
+
+    def _interned_column(self, out: Set[int], j: int, p: int) -> None:
         xs, mod, find = self.xs, _KR_MOD, self._id
         step = self.pw[p + 1]
         key = self._deleted_key(j) - (xs[p] if p < j else xs[p + 1]) * step
         for c in range(self.q):
             out.add(find((key + c * step) % mod, j, p, c))
 
+    def edit(self, j: int, p: int, c: int) -> int:
+        """The id of edit (j, p, c)."""
+        xs = self.xs
+        old = xs[p] if p < j else xs[p + 1]
+        if c != old and p not in self._near(j):
+            return self._base(j) - p * self.q - c
+        key = (self._deleted_key(j) + (c - old) * self.pw[p + 1]) % _KR_MOD
+        return self._id(key, j, p, c)
+
+    def add_column(self, out: Set[int], j: int, p: int) -> None:
+        """Add the ids of every symbol written at index p after deleting j."""
+        if p in self._near(j):
+            self._interned_column(out, j, p)
+            return
+        xs, q = self.xs, self.q
+        old = xs[p] if p < j else xs[p + 1]
+        base = self._base(j) - p * q
+        out.update([base - c for c in range(q) if c != old])
+        out.add(self._deleted(j))
+
     def add_ball(self, out: Set[int], j: int) -> None:
         """Add the ids of the radius-1 substitution ball of x minus index j."""
-        xs, pw, q, mod, find = self.xs, self.pw, self.q, _KR_MOD, self._id
-        key = self._deleted_key(j) % mod
-        out.add(find(key, j, 0, xs[0] if j else xs[1]))
-        for p in range(len(xs) - 1):
-            old = xs[p] if p < j else xs[p + 1]
-            step = pw[p + 1]
-            for c in range(q):
-                if c != old:
-                    out.add(find((key + (c - old) * step) % mod, j, p, c))
+        xs, q = self.xs, self.q
+        n = len(xs)
+        if self.rewrites is None:
+            # p q + c for every c != x[p] (before j), != x[p+1] (from j on)
+            self.rewrites = (
+                [p * q + c for p in range(n - 1) for c in range(q) if c != xs[p]],
+                [p * q + c for p in range(n - 1) for c in range(q) if c != xs[p + 1]],
+            )
+        before, after = self.rewrites
+        k = q - 1
+        sub = self._base(j).__sub__
+        near = self._near(j)
+        lo = 0
+        for cut in near + (n - 1,):
+            # interior rewrites at indices lo .. cut-1
+            if lo < min(cut, j):
+                out.update(map(sub, before[lo * k : min(cut, j) * k]))
+            if max(lo, j) < cut:
+                out.update(map(sub, after[max(lo, j) * k : cut * k]))
+            lo = cut + 1
+        for p in near:
+            self._interned_column(out, j, p)
+        out.add(self._deleted(j))
 
 
 def structural_group_sets(
@@ -246,13 +324,20 @@ def structural_group_sets(
     z is x minus one index, so each member is an edit of x; ids are
     shared across groups, so group sizes and unions are set algebra on
     ints.
+
+    When x == y every side-R group holds its side-L twin's deleted pairs
+    with the two words swapped, and B(z) & B(z') is symmetric, so the R
+    key maps to the L group's set object instead of a second expansion.
     """
     if not groups:
         return {}
     ids = _MemberIds(xs, profile.q)
     out: Dict[GroupKey, Set[int]] = {}
+    mirror = xs == ys
     for key, pairs in groups.items():
         side, ell, _ = key
+        if mirror and side == "R":
+            continue
         members: Set[int] = set()
         for j, jprime in pairs.values():
             jx, jy = (j, jprime) if side == "L" else (jprime, j)
@@ -268,6 +353,10 @@ def structural_group_sets(
                 else:
                     members.add(ids.edit(jx - 1, p, ys[p] if p < jy - 1 else ys[p + 1]))
         out[key] = members
+    if mirror:
+        for side, ell, case in groups:
+            if side == "R":
+                out[side, ell, case] = out["L", ell, case]
     return out
 
 
@@ -491,19 +580,21 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     xs, ys = x.symbols, y.symbols
     raw = _claims_raw(profile, xs, ys) if d >= 2 else scan_candidates(profile)
     sets = structural_group_sets(profile, xs, ys, group_pairs(xs, ys, raw))
-    union: Set[int] = set()
-    levels: Dict[int, Set[int]] = {0: set(), 1: set(), 2: set()}
-    group_sizes: Dict[str, int] = {}
+    group_sizes = {GROUP_LABELS[key]: len(members) for key, members in sets.items()}
+    # each level grows in place in its first group's set, which is not
+    # read again, so no level copies a large distance-0 group
+    levels: Dict[int, Set[int]] = {}
     for key, members in sets.items():
-        group_sizes[GROUP_LABELS[key]] = len(members)
-        levels[key[1]] |= members
-        union |= members
-    omega0, omega1, omega2 = levels[0], levels[1], levels[2]
+        level = levels.setdefault(key[1], members)
+        if level is not members:
+            level |= members
+    omega0, omega1, omega2 = (levels.get(ell, set()) for ell in (0, 1, 2))
+    fresh1, fresh2 = omega1 - omega0, omega2 - omega0
     return IntersectionReport(
         n=n,
         q=q,
         d=d,
-        size=len(union),
+        size=len(omega0) + len(fresh1) + len(fresh2 - omega1),
         method="structural",
         bound=coverage_bound(n, q),
         bound_applicable=bound_applicable(n, q, d),
@@ -511,8 +602,8 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
         omega0_size=len(omega0),
         omega1_size=len(omega1),
         omega2_size=len(omega2),
-        omega1_minus_omega0=len(omega1 - omega0),
-        omega2_minus_omega0=len(omega2 - omega0),
+        omega1_minus_omega0=len(fresh1),
+        omega2_minus_omega0=len(fresh2),
     )
 
 

@@ -24,6 +24,7 @@ from delsub import (
     min_valid_length,
     verify_claims,
 )
+from delsub.balls import ds11_packed
 from delsub.diffs import group_pairs, scan_candidates
 from delsub import intersect as intersect_module
 from delsub.intersect import ALL_GROUP_KEYS, group_label, structural_group_sets
@@ -338,6 +339,12 @@ class TestMemberIds:
                             id_of_word[z[:p] + (c,) + z[p + 1 :]]
                             for p in range(n - 1) for c in range(q)
                         }
+                        for p in range(n - 1):
+                            column = set()
+                            ids.add_column(column, j, p)
+                            assert column == {
+                                id_of_word[z[:p] + (c,) + z[p + 1 :]] for c in range(q)
+                            }
                     assert len(set(id_of_word.values())) == len(id_of_word), xs
 
     def test_sizes_exact_when_every_key_collides(self, monkeypatch):
@@ -371,6 +378,18 @@ class TestMemberIds:
                     assert intersection_size_fast(x, y).to_dict() == tuple_report(x, y), (x, y)
                     checked += 1
         assert checked == 36
+
+    def test_self_intersection_matches_tuple_expansion(self):
+        # x == y: the side-R groups take side L's member sets, and the
+        # distance-0 balls are mostly interior edits
+        rng = random.Random(29)
+        for q in (2, 3, 4):
+            for n in (60, 120):
+                x = Sequence(tuple(rng.randrange(q) for _ in range(n)), q)
+                report = intersection_size_fast(x, x)
+                assert report.to_dict() == tuple_report(x, x), x
+                if n == 60:
+                    assert report.size == len(ds11_packed(x.symbols, q))
 
     def test_two_substitutions_of_constant_word_is_fast(self):
         n = 2000
