@@ -16,6 +16,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from functools import partial
 from itertools import product
@@ -383,7 +384,8 @@ def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     rows = []
     for requested in read_counts:
-        successes = shortfall = 0
+        outcomes = Counter()
+        shortfall = distinct_total = 0
         for _ in range(args.trials):
             codeword = codebook.sample_word(rng)
             distinct = set()
@@ -393,10 +395,14 @@ def cmd_simulate(args) -> int:
                 distinct.add(out.symbols)
                 draws += 1
             shortfall += len(distinct) < requested
+            distinct_total += len(distinct)
             reads = ReadSet(distinct, codebook.q, codebook.n - 1, raw_count=draws)
             result = reconstruct(reads, codebook)
-            if result.outcome == "unique" and result.codeword == codeword:
-                successes += 1
+            outcome = result.outcome
+            if outcome == "unique":
+                outcome = "unique_correct" if result.codeword == codeword else "unique_wrong"
+            outcomes[outcome] += 1
+        successes = outcomes["unique_correct"]
         rows.append(
             {
                 "reads_requested": requested,
@@ -404,6 +410,9 @@ def cmd_simulate(args) -> int:
                 "successes": successes,
                 "rate": successes / args.trials,
                 "shortfall_trials": shortfall,
+                **{key: outcomes[key] for key in
+                   ("unique_correct", "unique_wrong", "ambiguous", "infeasible")},
+                "mean_distinct_reads": distinct_total / args.trials,
             }
         )
         if shortfall:

@@ -7,14 +7,17 @@ so every read is a length n-1 member of the transmitted word's
 2 or more (one parity symbol suffices), any collection of distinct
 reads larger than the worst pairwise ball-intersection size pins the
 transmitted word down uniquely; the decoder here recovers it by
-candidate filtering.
+candidate filtering.  For the parity code, the candidates are the words
+that hold both of the first two reads (``inverse_pair_words``, built
+cell by cell from the two reads without either inverse ball), or the
+whole restricted inverse ball of a single read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -307,6 +310,9 @@ def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> Set
     words against 13.7k.  In both modes an insertion right after an
     equal symbol is skipped, as it repeats the insertion one slot
     earlier.
+
+    The decoder uses it only for a single read, whose pool is this whole
+    ball; two or more reads take ``inverse_pair_words``.
     """
     m = len(y)
     total = sum(y)
@@ -324,6 +330,95 @@ def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> Set
             out.add(ins + v)
             out.update(v[:pos] + ins + v[pos:] for pos in range(1, m + 1) if v[pos - 1] != a)
     return out
+
+
+def inverse_pair_words(r1: Word, r2: Word, q: int, *, residue: int) -> Set[Word]:
+    """The words of symbol sum ``residue`` mod q in the inverse (1,1)-balls
+    of both reads, built without either ball.
+
+    x lies in both balls when deleting some k1 from x leaves a word within
+    Hamming distance 1 of r1 and deleting some k2 leaves one within 1 of
+    r2.  k1 == k2 asks for a word within distance 1 of both reads plus
+    one inserted symbol; k1 < k2 and k1 > k2 are the cells visited by
+    ``_pair_cells``, each of which holds O(1) words or, with no conflict,
+    O(n) words.  The two reads must differ.
+    """
+    if r1 == r2:
+        raise ValueError("the two reads must differ; one read's pool is inverse_ball_words")
+    out: Set[Word] = set()
+    diff = [p for p, (u, v) in enumerate(zip(r1, r2)) if u != v]
+    if len(diff) == 1:
+        p = diff[0]
+        middles = [r1[:p] + (a,) + r1[p + 1 :] for a in range(q)]
+    elif len(diff) == 2:
+        middles = [r1[:p] + (r2[p],) + r1[p + 1 :] for p in diff]
+    else:
+        middles = []
+    for z in middles:
+        a = (residue - sum(z)) % q
+        out.update(z[:k] + (a,) + z[k:] for k in range(len(z) + 1))
+    _pair_cells(r1, r2, q, residue, out)
+    _pair_cells(r2, r1, q, residue, out)
+    return out
+
+
+def _pair_cells(a: Word, b: Word, q: int, residue: int, out: Set[Word]) -> None:
+    """Add the words of the cells k1 < k2, where deleting k1 from x comes
+    within distance 1 of ``a`` and deleting k2 within distance 1 of ``b``.
+
+    Position i of x is compared with A[i] = a with a hole at k1 and with
+    B[i] = b with a hole at k2; a conflict is an i where both exist and
+    differ.  The conflicts are those of a[:k1] against b[:k1] (prefix
+    table p0), of a[k1:k2-1] against b[k1+1:k2] (table s) and of a[k2:]
+    against b[k2:], so the cell loops break once the first two pass 2.
+    w follows A, with its hole filled from B; ``delta`` is what the
+    residue asks to be added to w's symbol sum.
+    """
+    m = len(a)
+    d0 = [t for t in range(m) if a[t] != b[t]]
+    d1 = [i for i in range(1, m) if a[i - 1] != b[i]]
+    p0 = list(accumulate((u != v for u, v in zip(a, b)), initial=0))
+    s = [0] + list(accumulate((u != v for u, v in zip(a, b[1:])), initial=0))
+    lowest_k2 = d0[-3] + 1 if len(d0) > 2 else 0
+    base = sum(a)
+    rewritten: Set[Word] = set()  # w whose one-rewrite family is already in out
+    for k1 in range(m):
+        pre = p0[k1]
+        if pre > 2:
+            break
+        for k2 in range(max(k1 + 1, lowest_k2), m + 1):
+            if pre + s[k2] - s[k1 + 1] > 2:
+                break
+            conflicts = d0[:pre] + d1[s[k1 + 1] : s[k2]] + [t + 1 for t in d0[p0[k2] :]]
+            if len(conflicts) > 2:
+                continue
+            w = a[:k1] + (b[k1],) + a[k1:]
+            delta = (residue - base - b[k1]) % q
+            # B's symbol at each conflict: b[i] before the hole k2, b[i-1] after
+            theirs = [b[i] if i < k2 else b[i - 1] for i in conflicts]
+            if len(conflicts) == 2:
+                # each read takes one conflict; both holes keep w's symbols
+                for i, c in zip(conflicts, theirs):
+                    if (c - w[i]) % q == delta:
+                        out.add(w[:i] + (c,) + w[i + 1 :])
+            elif conflicts:
+                (p,), (c,) = conflicts, theirs
+                # p follows A and hole k2 is free; p follows B and hole k1
+                # is free; or p takes a third symbol
+                out.add(w[:k2] + ((w[k2] + delta) % q,) + w[k2 + 1 :])
+                v = w[:p] + (c,) + w[p + 1 :]
+                out.add(v[:k1] + ((w[k1] + delta - c + w[p]) % q,) + v[k1 + 1 :])
+                third = (w[p] + delta) % q
+                if third != c:
+                    out.add(w[:p] + (third,) + w[p + 1 :])
+            else:
+                # both holes free, or one position rewritten against both reads
+                for h in range(q):
+                    tail = ((w[k2] + delta - h + w[k1]) % q,) + w[k2 + 1 :]
+                    out.add(w[:k1] + (h,) + w[k1 + 1 : k2] + tail)
+                if delta and w not in rewritten:
+                    rewritten.add(w)
+                    out.update(w[:i] + ((w[i] + delta) % q,) + w[i + 1 :] for i in range(m + 1))
 
 
 def read_coverage(
@@ -369,6 +464,12 @@ def read_coverage(
 def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
     """Codewords whose (1,1)-ball contains every read.
 
+    An explicit codebook is filtered word by word.  For the parity code
+    the pool is the parity words holding the first two reads in sorted
+    order, generated directly by ``inverse_pair_words`` (or the
+    restricted inverse ball when there is one read), and the rest of the
+    reads filter it by O(n) membership.
+
     Returns a unique codeword, the sorted candidate list when several
     remain, or an infeasible outcome when no codeword explains all
     reads.  With more distinct reads than the codebook's read coverage,
@@ -384,20 +485,21 @@ def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
         raise ValueError("reads and codebook use different alphabets")
     ordered = sorted(reads.reads)
     if codebook.kind == "explicit":
-        candidates = [
+        candidates = sorted({
             w for w in codebook.words
             if all(_membership_t(r, w) for r in ordered)
-        ]
+        })
     else:
-        pool = inverse_ball_words(ordered[0], codebook.q, residue=0)
-        if len(ordered) > 1:
-            pool &= inverse_ball_words(ordered[1], codebook.q, residue=0)
-        candidates = [
+        if len(ordered) == 1:
+            pool = inverse_ball_words(ordered[0], codebook.q, residue=0)
+        else:
+            pool = inverse_pair_words(ordered[0], ordered[1], codebook.q, residue=0)
+        rest = ordered[2:]
+        candidates = sorted(
             w for w in pool
             if codebook.contains_word(w)
-            and all(_membership_t(r, w) for r in ordered[2:])
-        ]
-    candidates = sorted(set(candidates))
+            and (not rest or all(_membership_t(r, w) for r in rest))
+        )
     seqs = tuple(Sequence._wrap(w, codebook.q) for w in candidates)
     if not seqs:
         outcome = "infeasible"

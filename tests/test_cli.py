@@ -266,6 +266,14 @@ class TestSimulateCommand:
         # 25 distinct reads exceed any pairwise intersection at n=10
         assert payload["rows"][1]["rate"] == 1.0
         assert [row["shortfall_trials"] for row in payload["rows"]] == [0, 0]
+        for row in payload["rows"]:
+            counts = [row[k] for k in ("unique_correct", "unique_wrong", "ambiguous", "infeasible")]
+            assert sum(counts) == row["trials"]
+            assert row["unique_correct"] == row["successes"]
+            # the sent codeword explains its own reads, so it is always a candidate
+            assert row["unique_wrong"] == row["infeasible"] == 0
+            assert row["mean_distinct_reads"] == row["reads_requested"]
+        assert payload["rows"][0]["ambiguous"] > 0
 
     def test_explicit_codebook_from_file(self, capsys, tmp_path):
         path = tmp_path / "book.txt"
@@ -319,6 +327,8 @@ class TestSimulateCommand:
         payload = json.loads(out)
         jsonschema.validate(payload, load_schema("simulate"))
         assert [row["shortfall_trials"] for row in payload["rows"]] == [0, 6]
+        assert payload["rows"][0]["mean_distinct_reads"] == 1.0
+        assert payload["rows"][1]["mean_distinct_reads"] <= 5
         assert "6/6 trials at reads=8" in err
 
     def test_parity_requires_n(self, capsys):

@@ -1,8 +1,9 @@
 import random
-from itertools import combinations
+import time
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delsub import (
@@ -19,11 +20,17 @@ from delsub import (
     extremal_pair,
     hamming,
     intersection_size_fast,
+    min_valid_length,
     read_coverage,
     reconstruct,
     required_reads,
 )
-from delsub.reconstruct import inverse_ball_words
+from delsub.reconstruct import (
+    ReconResult,
+    _membership_t,
+    inverse_ball_words,
+    inverse_pair_words,
+)
 
 from helpers import all_words, sequences
 
@@ -191,6 +198,118 @@ class TestBallMembership:
                 expected = {w for w in words if y.symbols in
                             {s.symbols for s in ds_ball(Sequence(w, q), BallSpec(1, 1))}}
                 assert inverse_ball_words(y.symbols, q) == expected
+
+
+def two_ball_pool(r1, r2, q, residue):
+    return inverse_ball_words(r1, q, residue=residue) & inverse_ball_words(r2, q, residue=residue)
+
+
+def two_ball_reconstruct(reads, codebook):
+    """The parity decoder with its pool taken from the intersection of
+    the first two reads' inverse balls."""
+    ordered = sorted(reads.reads)
+    q = codebook.q
+    if len(ordered) == 1:
+        pool = inverse_ball_words(ordered[0], q, residue=0)
+    else:
+        pool = two_ball_pool(ordered[0], ordered[1], q, 0)
+    words = sorted(w for w in pool if all(_membership_t(r, w) for r in ordered))
+    outcome = {0: "infeasible", 1: "unique"}.get(len(words), "ambiguous")
+    seqs = tuple(Sequence(w, q) for w in words)
+    return ReconResult(outcome, seqs, len(reads), reads.raw_count)
+
+
+@st.composite
+def read_pairs(draw):
+    """Two distinct reads of one length, either independent or one a
+    small edit of the other, so far-apart pairs and close ones both
+    appear."""
+    q = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 14))
+    word = st.lists(st.integers(0, q - 1), min_size=m, max_size=m).map(tuple)
+    r1 = draw(word)
+    if draw(st.booleans()):
+        r2 = draw(word)
+    else:
+        edits = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, q - 1)),
+                              min_size=1, max_size=3))
+        r2 = list(r1)
+        for p, a in edits:
+            r2[p] = a
+        r2 = tuple(r2)
+    assume(r1 != r2)
+    return q, r1, r2, draw(st.integers(0, q - 1))
+
+
+class TestInversePairWords:
+    """The directly built pool against the intersection of two inverse balls."""
+
+    def test_exhaustive_small_read_pairs(self):
+        for q, top in ((2, 6), (3, 4), (4, 3)):
+            for m in range(1, top + 1):
+                words = list(product(range(q), repeat=m))
+                for residue in range(q):
+                    balls = {r: inverse_ball_words(r, q, residue=residue) for r in words}
+                    for r1, r2 in permutations(words, 2):
+                        assert inverse_pair_words(r1, r2, q, residue=residue) == (
+                            balls[r1] & balls[r2]
+                        ), (q, r1, r2, residue)
+
+    @given(read_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_read_pairs(self, case):
+        q, r1, r2, residue = case
+        got = inverse_pair_words(r1, r2, q, residue=residue)
+        assert got == two_ball_pool(r1, r2, q, residue)
+
+    def test_far_apart_reads_share_nothing(self):
+        assert inverse_pair_words((0,) * 8, (1,) * 8, 2, residue=0) == set()
+        assert inverse_pair_words((0, 0, 0, 0, 0), (1, 2, 1, 2, 1), 3, residue=1) == set()
+        # a shift is close, though Hamming-far: 201201 holds both reads
+        assert (2, 0, 1, 2, 0, 1) in inverse_pair_words((0, 1, 2, 0, 1), (2, 0, 1, 2, 0), 3,
+                                                        residue=0)
+
+    def test_equal_reads_rejected(self):
+        with pytest.raises(ValueError, match="differ"):
+            inverse_pair_words((0, 1, 1, 2), (0, 1, 1, 2), 3, residue=2)
+
+    def test_seeded_decodes_match_two_ball_decoder(self):
+        rng = random.Random(4242)
+        seen = set()
+        for trial in range(240):
+            q, n = rng.randint(2, 5), rng.randint(2, 60)
+            book = Codebook.parity(n, q)
+            x = book.sample_word(rng)
+            if trial % 3 == 0:
+                wanted = 2
+            elif trial % 3 == 1 or n < min_valid_length(q):
+                wanted = rng.randint(3, 8)
+            else:
+                wanted = required_reads(n, q)
+            distinct, draws = set(), 0
+            while len(distinct) < wanted and draws < 20 * wanted:
+                distinct.add(channel_transmit(x, 0.5, rng=rng).symbols)
+                draws += 1
+            if trial % 5 == 4:
+                # a read of another codeword often leaves nothing feasible
+                distinct.add(channel_transmit(book.sample_word(rng), 0.5, rng=rng).symbols)
+            reads = ReadSet(distinct, q, n - 1, raw_count=draws)
+            result = reconstruct(reads, book)
+            assert result == two_ball_reconstruct(reads, book)
+            seen.add(result.outcome)
+        assert seen == {"unique", "ambiguous", "infeasible"}
+
+    def test_two_read_decode_at_n200_is_fast(self):
+        rng = random.Random(200)
+        book = Codebook.parity(200, 4)
+        x = book.sample_word(rng)
+        distinct = set()
+        while len(distinct) < 2:
+            distinct.add(channel_transmit(x, 0.5, rng=rng).symbols)
+        start = time.perf_counter()
+        result = reconstruct(ReadSet(distinct, 4, 199), book)
+        assert time.perf_counter() - start < 0.5
+        assert x in result.candidates
 
 
 class TestReadCoverage:
