@@ -18,9 +18,10 @@ import random
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from multiprocessing import Pool
+from operator import ne
 from typing import List, Optional, Tuple
 
 from .balls import (
@@ -45,6 +46,7 @@ PAIR_CAP = 4_000_000
 SCOPES = ("claims", "theorem", "lemmas", "remark5")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delsub",
@@ -246,9 +248,7 @@ def _exhaustive_pairs(q: int, n: int, min_d: int) -> List[Tuple[Word, Word]]:
     pairs = []
     for xs in words:
         for ys in words:
-            if xs is ys:
-                continue
-            if sum(a != b for a, b in zip(xs, ys)) >= min_d:
+            if sum(map(ne, xs, ys)) >= min_d:
                 pairs.append((xs, ys))
     return pairs
 
@@ -272,7 +272,7 @@ def _sampled_pairs(
             ys = tuple(ys_list)
         else:
             ys = tuple(rng.randrange(q) for _ in range(n))
-            if sum(a != b for a, b in zip(xs, ys)) < min_d:
+            if sum(map(ne, xs, ys)) < min_d:
                 continue
         if need_shift and n - lcs_length(xs, ys) < 2:
             continue

@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .sequence import Sequence, _delete_t, _require_same_shape
+from .sequence import Sequence, _delete_t, _require_same_shape, mismatch_counts, mismatches
 
 Word = Tuple[int, ...]
 PairValue = Tuple[Word, Word]
@@ -61,18 +61,15 @@ class DiffProfile:
         if n < 2:
             raise ValueError("diff profile needs words of length at least 2")
         xs, ys = x.symbols, y.symbols
-        s = tuple(i for i in range(1, n + 1) if xs[i - 1] != ys[i - 1])
-        tl = tuple(i for i in range(2, n + 1) if xs[i - 1] != ys[i - 2])
-        tr = tuple(i for i in range(2, n + 1) if xs[i - 2] != ys[i - 1])
         self.n = n
         self.q = x.q
-        self.s = s
-        self.tl = tl
-        self.tr = tr
-        self.d = len(s)
-        self._ps = _prefix_table(s, n)
-        self._ptl = _prefix_table(tl, n)
-        self._ptr = _prefix_table(tr, n)
+        self.s = tuple(mismatches(xs, ys, 1))
+        self.tl = tuple(mismatches(xs[1:], ys, 2))
+        self.tr = tuple(mismatches(xs, ys[1:], 2))
+        self.d = len(self.s)
+        self._ps = mismatch_counts(xs, ys)
+        self._ptl = [0] + mismatch_counts(xs[1:], ys)
+        self._ptr = [0] + mismatch_counts(xs, ys[1:])
 
     def s_count(self, lo: int, hi: int) -> int:
         """|S intersected with [lo, hi]| (empty interval gives 0)."""
@@ -116,7 +113,7 @@ class DiffProfile:
             + s[bisect_right(s, jprime) :]
         )
 
-    def _table(self, side: str) -> Tuple[int, ...]:
+    def _table(self, side: str) -> List[int]:
         if side == "L":
             return self._ptl
         if side == "R":
@@ -126,17 +123,6 @@ class DiffProfile:
 
 def _bad_side(side: str):
     raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-
-
-def _prefix_table(positions: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    table = [0] * (n + 1)
-    for p in positions:
-        table[p] = 1
-    acc = 0
-    for i in range(n + 1):
-        acc += table[i]
-        table[i] = acc
-    return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,9 @@ from .diffs import (
     pair_sets,
     scan_candidates,
 )
-from .sequence import Sequence, _require_same_shape, alternating, run_last_positions
+from .sequence import (
+    Sequence, _require_same_shape, alternating, mismatch_counts, run_last_positions,
+)
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -163,12 +165,10 @@ class _MemberIds:
         n = len(xs)
         pw = [1] * n
         pre = [0] * (n + 1)
-        bnd = [0] * n
         run_first = [0] * n
         for i in range(n):
             if i:
                 pw[i] = pw[i - 1] * base % mod
-                bnd[i] = bnd[i - 1] + (xs[i - 1] != xs[i])
                 run_first[i] = run_first[i - 1] if xs[i - 1] == xs[i] else i
             pre[i + 1] = (pre[i] + xs[i] * pw[i]) % mod
         run_last = [n - 1] * n
@@ -178,7 +178,7 @@ class _MemberIds:
         self.q = q
         self.pw = pw      # base^k
         self.pre = pre    # sum of x[k] * base^k over k < i
-        self.bnd = bnd    # number of run boundaries k < i (x[k] != x[k+1])
+        self.bnd = mismatch_counts(xs, xs[1:])  # run boundaries k < i
         self.run_first = run_first  # first index of the run holding i
         self.run_last = run_last    # last index of the run holding i
         self.near: Dict[int, Tuple[int, ...]] = {}   # run-last -> near boundaries

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice, product
+from itertools import combinations, islice, product
+from operator import ne
 from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .intersect import coverage_bound, intersection_size_fast, min_valid_length
-from .sequence import Sequence, _delete_t
+from .sequence import Sequence, _delete_t, mismatch_counts, mismatches
 
 Word = Tuple[int, ...]
 
@@ -143,7 +144,7 @@ def _closer_pair(
                         return w, w[:p] + (a,) + w[p + 1 :]
         return None
     for a, b in combinations(words, 2):
-        if sum(u != v for u, v in zip(a, b)) < min_distance:
+        if sum(map(ne, a, b)) < min_distance:
             return a, b
     return None
 
@@ -266,8 +267,8 @@ def ball_membership(y: Sequence, x: Sequence) -> bool:
     """Whether the read ``y`` lies in the (1,1)-ball of ``x``, i.e. some
     single deletion of ``x`` is within Hamming distance 1 of ``y``.
 
-    Runs in O(n) using prefix/suffix mismatch counts; the ball is never
-    materialized.
+    Runs in O(n) from the first two and the last two mismatches; the
+    ball is never materialized.
     """
     if x.q != y.q:
         raise ValueError(f"alphabet mismatch: q={x.q} vs q={y.q}")
@@ -277,24 +278,18 @@ def ball_membership(y: Sequence, x: Sequence) -> bool:
 
 
 def _membership_t(y: Word, x: Word) -> bool:
+    # Deleting index j of x leaves the mismatches x[k] != y[k] at k < j and
+    # x[k+1] != y[k] at k >= j, so two early-stopping scans decide: the
+    # first two of the former (f1 < f2, padded with n-1) and the last two
+    # of the latter (b1 > b2, padded with -1).  Some j leaves at most one
+    # mismatch iff b2 < j <= f1 or b1 < j <= f2.
     n = len(x)
-    # pre[j]: mismatches of x[:j] vs y[:j]; suf[j]: mismatches of
-    # x[j+1:] vs y[j:].  Deleting 0-based j from x leaves pre[j]+suf[j].
-    best_suffix = [0] * n
-    acc = 0
-    for t in range(n - 2, -1, -1):
-        if x[t + 1] != y[t]:
-            acc += 1
-        best_suffix[t] = acc
-    pre = 0
-    for j in range(n):
-        if pre + best_suffix[j] <= 1:
-            return True
-        if pre > 1:
-            return False
-        if j < n - 1 and x[j] != y[j]:
-            pre += 1
-    return pre <= 1
+    ahead = mismatches(x, y)
+    f1, f2 = next(ahead, n - 1), next(ahead, n - 1)
+    # read backwards and numbered from 2 - n, the scan yields -k
+    back = mismatches(reversed(x), reversed(y), 2 - n)
+    b1, b2 = -next(back, 1), -next(back, 1)
+    return b2 < f1 or b1 < f2
 
 
 def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> Set[Word]:
@@ -346,39 +341,40 @@ def inverse_pair_words(r1: Word, r2: Word, q: int, *, residue: int) -> Set[Word]
     if r1 == r2:
         raise ValueError("the two reads must differ; one read's pool is inverse_ball_words")
     out: Set[Word] = set()
-    diff = [p for p, (u, v) in enumerate(zip(r1, r2)) if u != v]
-    if len(diff) == 1:
-        p = diff[0]
+    d0, p0 = list(mismatches(r1, r2)), mismatch_counts(r1, r2)
+    if len(d0) == 1:
+        p = d0[0]
         middles = [r1[:p] + (a,) + r1[p + 1 :] for a in range(q)]
-    elif len(diff) == 2:
-        middles = [r1[:p] + (r2[p],) + r1[p + 1 :] for p in diff]
+    elif len(d0) == 2:
+        middles = [r1[:p] + (r2[p],) + r1[p + 1 :] for p in d0]
     else:
         middles = []
     for z in middles:
         a = (residue - sum(z)) % q
         out.update(z[:k] + (a,) + z[k:] for k in range(len(z) + 1))
-    _pair_cells(r1, r2, q, residue, out)
-    _pair_cells(r2, r1, q, residue, out)
+    _pair_cells(r1, r2, d0, p0, q, residue, out)
+    _pair_cells(r2, r1, d0, p0, q, residue, out)
     return out
 
 
-def _pair_cells(a: Word, b: Word, q: int, residue: int, out: Set[Word]) -> None:
+def _pair_cells(
+    a: Word, b: Word, d0: List[int], p0: List[int], q: int, residue: int, out: Set[Word]
+) -> None:
     """Add the words of the cells k1 < k2, where deleting k1 from x comes
     within distance 1 of ``a`` and deleting k2 within distance 1 of ``b``.
 
     Position i of x is compared with A[i] = a with a hole at k1 and with
     B[i] = b with a hole at k2; a conflict is an i where both exist and
-    differ.  The conflicts are those of a[:k1] against b[:k1] (prefix
-    table p0), of a[k1:k2-1] against b[k1+1:k2] (table s) and of a[k2:]
-    against b[k2:], so the cell loops break once the first two pass 2.
+    differ.  The conflicts are those of a[:k1] against b[:k1] (indices
+    d0, prefix table p0), of a[k1:k2-1] against b[k1+1:k2] (indices d1,
+    table s) and of a[k2:] against b[k2:], so the cell loops break once
+    the first two pass 2.
     w follows A, with its hole filled from B; ``delta`` is what the
     residue asks to be added to w's symbol sum.
     """
     m = len(a)
-    d0 = [t for t in range(m) if a[t] != b[t]]
-    d1 = [i for i in range(1, m) if a[i - 1] != b[i]]
-    p0 = list(accumulate((u != v for u, v in zip(a, b)), initial=0))
-    s = [0] + list(accumulate((u != v for u, v in zip(a, b[1:])), initial=0))
+    d1 = list(mismatches(a, b[1:], 1))
+    s = [0] + mismatch_counts(a, b[1:])
     lowest_k2 = d0[-3] + 1 if len(d0) > 2 else 0
     base = sum(a)
     rewritten: Set[Word] = set()  # w whose one-rewrite family is already in out
@@ -485,21 +481,17 @@ def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
         raise ValueError("reads and codebook use different alphabets")
     ordered = sorted(reads.reads)
     if codebook.kind == "explicit":
-        candidates = sorted({
-            w for w in codebook.words
-            if all(_membership_t(r, w) for r in ordered)
-        })
+        pool, rest = codebook._word_set(), ordered
+    elif len(ordered) == 1:
+        pool, rest = inverse_ball_words(ordered[0], codebook.q, residue=0), ()
     else:
-        if len(ordered) == 1:
-            pool = inverse_ball_words(ordered[0], codebook.q, residue=0)
-        else:
-            pool = inverse_pair_words(ordered[0], ordered[1], codebook.q, residue=0)
+        pool = inverse_pair_words(ordered[0], ordered[1], codebook.q, residue=0)
         rest = ordered[2:]
-        candidates = sorted(
-            w for w in pool
-            if codebook.contains_word(w)
-            and (not rest or all(_membership_t(r, w) for r in rest))
-        )
+    candidates = sorted(
+        w for w in pool
+        if codebook.contains_word(w)
+        and (not rest or all(_membership_t(r, w) for r in rest))
+    )
     seqs = tuple(Sequence._wrap(w, codebook.q) for w in candidates)
     if not seqs:
         outcome = "infeasible"

@@ -10,7 +10,9 @@ intervals, first symbol at position 1).  Python-level indexing on a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence as PySequence, Tuple
+from itertools import accumulate, compress, count
+from operator import ne
+from typing import Iterable, Iterator, List, Optional, Sequence as PySequence, Tuple
 
 
 class Sequence:
@@ -125,11 +127,22 @@ def _check_interval(lo: int, hi: int, n: int) -> None:
         raise ValueError(f"malformed interval [{lo}, {hi}] for length {n}")
 
 
+def mismatches(a: Iterable[int], b: Iterable[int], start: int = 0) -> Iterator[int]:
+    """Lazily, the indices (numbered from ``start``) at which ``a`` and
+    ``b`` differ, over the shorter length."""
+    return compress(count(start), map(ne, a, b))
+
+
+def mismatch_counts(a: Iterable[int], b: Iterable[int]) -> List[int]:
+    """Prefix table of mismatches: ``table[i]`` is the number of k < i with
+    ``a[k] != b[k]``, for i up to the shorter length."""
+    return list(accumulate(map(ne, a, b), initial=0))
+
+
 def hamming(x: Sequence, y: Sequence) -> int:
     """Number of positions where two equal-length words differ."""
     _require_same_shape(x, y)
-    xs, ys = x.symbols, y.symbols
-    return sum(1 for a, b in zip(xs, ys) if a != b)
+    return sum(map(ne, x.symbols, y.symbols))
 
 
 def levenshtein(x: Sequence, y: Sequence) -> int:
@@ -221,11 +234,9 @@ def runs(x: Sequence, interval: Optional[Tuple[int, int]] = None) -> RunDecompos
     if hi < lo:
         return RunDecomposition((), 0)
     xs = x.symbols
-    boundaries = [lo]
-    for i in range(lo + 1, hi + 1):
-        if xs[i - 1] != xs[i - 2]:
-            boundaries.append(i)
-    return RunDecomposition(tuple(boundaries), len(boundaries))
+    # a run starts at i when x_{i-1} != x_i
+    boundaries = (lo, *mismatches(xs[lo - 1 : hi - 1], xs[lo:hi], lo + 1))
+    return RunDecomposition(boundaries, len(boundaries))
 
 
 def run_last_positions(xs: Tuple[int, ...], lo: int, hi: int) -> list:
@@ -236,12 +247,8 @@ def run_last_positions(xs: Tuple[int, ...], lo: int, hi: int) -> list:
     """
     if hi < lo:
         return []
-    out = []
-    for i in range(lo, hi):
-        if xs[i - 1] != xs[i]:
-            out.append(i)
-    out.append(hi)
-    return out
+    # a run ends at i < hi when x_i != x_{i+1}
+    return [*mismatches(xs[lo - 1 : hi - 1], xs[lo:hi], lo), hi]
 
 
 def _delete_t(xs: Tuple[int, ...], position: int) -> Tuple[int, ...]:

@@ -156,6 +156,27 @@ class TestBallMembership:
             for y in all_words(2, 6):
                 assert ball_membership(y, x) == (y.symbols in ball)
 
+    @pytest.mark.parametrize("q,n", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
+    def test_exhaustive_against_materialized_ball_larger_alphabets(self, q, n):
+        reads = all_words(q, n - 1)
+        for x in all_words(q, n):
+            ball = {m.symbols for m in ds_ball(x, BallSpec(1, 1))}
+            for y in reads:
+                assert ball_membership(y, x) == (y.symbols in ball)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_words_against_definition(self, q, n):
+        # ds_ball needs t + s < n; here some deletion of x must lie
+        # within Hamming distance 1 of y
+        for x in all_words(q, n):
+            xs = x.symbols
+            for y in all_words(q, n - 1):
+                expected = any(
+                    hamming(Sequence(xs[:j] + xs[j + 1 :], q), y) <= 1 for j in range(n)
+                )
+                assert ball_membership(y, x) == expected
+
     def test_far_read_rejected(self):
         x = Sequence((0,) * 6, 2)
         y = Sequence((1, 1, 0, 1, 1), 2)

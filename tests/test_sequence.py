@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsub import Sequence, alternating, delete, hamming, levenshtein, phi, runs
-from delsub.sequence import lcs_length
+from delsub.sequence import lcs_length, mismatch_counts, mismatches, run_last_positions
 
-from helpers import brute_lcs, sequence_pairs, sequences
+from helpers import brute_lcs, sequence_pairs, sequences, word_tuples
 
 
 def seq(text, q=2):
@@ -244,3 +244,55 @@ class TestRuns:
             assert len(set(piece)) == 1
             rebuilt.extend(piece)
         assert tuple(rebuilt) == x.symbols
+
+
+class TestMismatches:
+    @given(word_tuples(3, 0, 10), word_tuples(3, 0, 10), st.integers(-5, 5))
+    def test_indices_match_comprehension(self, a, b, start):
+        m = min(len(a), len(b))
+        expected = [start + k for k in range(m) if a[k] != b[k]]
+        assert list(mismatches(a, b, start)) == expected
+        assert list(mismatches(a, b)) == [k for k in range(m) if a[k] != b[k]]
+
+    @given(word_tuples(3, 0, 10), word_tuples(3, 0, 10))
+    def test_counts_match_comprehension(self, a, b):
+        m = min(len(a), len(b))
+        expected = [sum(1 for k in range(i) if a[k] != b[k]) for i in range(m + 1)]
+        assert mismatch_counts(a, b) == expected
+
+
+def _loop_runs(xs, lo, hi):
+    if hi < lo:
+        return ()
+    boundaries = [lo]
+    for i in range(lo + 1, hi + 1):
+        if xs[i - 1] != xs[i - 2]:
+            boundaries.append(i)
+    return tuple(boundaries)
+
+
+def _loop_run_last_positions(xs, lo, hi):
+    if hi < lo:
+        return []
+    out = []
+    for i in range(lo, hi):
+        if xs[i - 1] != xs[i]:
+            out.append(i)
+    out.append(hi)
+    return out
+
+
+class TestRunsAgainstLoops:
+    """runs and run_last_positions against their definitions as explicit
+    loops over adjacent symbols."""
+
+    @given(sequences(q=3, min_n=0, max_n=12), st.data())
+    def test_random_intervals(self, x, data):
+        n = len(x)
+        lo = data.draw(st.integers(1, max(n, 1)))
+        hi = data.draw(st.integers(lo - 1, n))  # hi == lo - 1 is empty
+        xs = x.symbols
+        decomposition = runs(x, (lo, hi))
+        assert decomposition.boundaries == _loop_runs(xs, lo, hi)
+        assert decomposition.count == len(decomposition.boundaries)
+        assert run_last_positions(xs, lo, hi) == _loop_run_last_positions(xs, lo, hi)
