@@ -73,16 +73,16 @@ class DiffProfile:
 
     def s_count(self, lo: int, hi: int) -> int:
         """|S intersected with [lo, hi]| (empty interval gives 0)."""
-        if hi < lo:
-            return 0
-        return self._ps[min(hi, self.n)] - self._ps[max(lo - 1, 0)]
+        return self._count(self._ps, lo, hi)
 
     def t_count(self, side: str, lo: int, hi: int) -> int:
         """|TL or TR intersected with [lo, hi]|."""
-        table = self._table(side)
-        if hi < lo:
-            return 0
-        return table[min(hi, self.n)] - table[max(lo - 1, 0)]
+        return self._count(self._table(side), lo, hi)
+
+    def _count(self, table: List[int], lo: int, hi: int) -> int:
+        # clamp into [1, n] first: a negative index would wrap around
+        lo, hi = max(lo, 1), min(hi, self.n)
+        return table[hi] - table[lo - 1] if lo <= hi else 0
 
     def deleted_hamming(self, j: int, jprime: int, side: str) -> int:
         """Hamming distance of the deleted pair selected by (j, j', side)

@@ -11,8 +11,8 @@ at distance 2.  Generating those members straight from the deletion
 positions and residual mismatches - never by materializing and
 intersecting substitution balls - gives the exact intersection size.
 Deleted pairs are named by O(1) keys (see :func:`delsub.diffs.group_pairs`)
-and members by ids computed or interned in O(1) each
-(:class:`_MemberIds`), so at Hamming distance >= 2, where the direct
+and members by canonical ids computed in O(1) each from the member word
+alone (:class:`_MemberIds`), so at Hamming distance >= 2, where the direct
 construction supplies the pairs, the cost is O(n) plus the output size;
 below that the scan adds a term that grows to O(n^2) on near-constant
 words.
@@ -53,9 +53,7 @@ from .diffs import (
     pair_sets,
     scan_candidates,
 )
-from .sequence import (
-    Sequence, _require_same_shape, alternating, mismatch_counts, run_last_positions,
-)
+from .sequence import Sequence, _require_same_shape, alternating, run_last_positions
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -128,162 +126,78 @@ def extremal_pair(q: int, n: int) -> Tuple[Sequence, Sequence]:
 # ---------------------------------------------------------------------------
 # Member expansion
 
-# Karp-Rabin key of a word w: sum of w[i] * _KR_BASE^(i+1) mod _KR_MOD.  It
-# only buckets members; equality inside a bucket is decided exactly.
-_KR_MOD = (1 << 61) - 1
-_KR_BASE = 1_000_003
-
 
 class _MemberIds:
     """Member ids for the words reachable from x by one edit (j, p, c):
     delete 0-based index j of x, then write symbol c at index p of the
-    result.  Equal words get equal ids.
+    result.  The id is a function of the edited word w alone, so ids are
+    equal exactly when words are.
 
-    Deleting j and deleting j' from another run give words that differ at
-    every run boundary of x between them (index k with x[k] != x[k+1]).
-    A rewrite of index p to a new symbol therefore reaches a word one
-    substitution away from x minus j' only when p is one of the two
-    boundaries nearest to j's run on that side.  Every other rewrite is
-    an interior edit: its word is reached from j's run alone, by that
-    rewrite alone, and gets the id -1 - (e (n-1) + p) q - c from the
-    run's last index e, with no lookup.
-
-    The remaining edits (the word x minus j itself and the rewrites at
-    the near boundaries) are bucketed by the Karp-Rabin key of their
-    word, computed in O(1) from x's prefix sums.  Inside a bucket two
-    edits are compared exactly, also in O(1): deleting j1 <= j2 gives
-    words that differ only at x's run boundaries in [j1, j2), so the
-    edited words agree exactly when no such boundary lies outside
-    {p1, p2} and they agree at p1 and at p2.
+    Deleting j and deleting j' from an earlier run give words that differ
+    exactly at the run boundaries k of x with j' <= k < j (index k with
+    x[k] != x[k+1]).  So w, one rewrite away from x minus j, is within
+    one substitution of x minus an earlier run only for the run just
+    before j's (last index a1) when w rewrites a1 or is x minus j itself,
+    and for the run two before (last index a2) when w rewrites a1 or a2
+    to x's next symbol; runs further back leave two mismatches.  Let e be
+    the last index of the earliest run whose deletion comes within one
+    substitution of w.  The id of w is e n q + m q + w[m], where m is
+    w's one mismatch against x minus e, or e n q + (n-1) q when w is x
+    minus e; it gives back w.
     """
 
-    __slots__ = ("xs", "q", "pw", "pre", "bnd", "run_first", "run_last", "near",
-                 "rewrites", "first", "extra", "edits")
+    __slots__ = ("xs", "q", "nq", "prev_last", "run_last", "rewrites")
 
     def __init__(self, xs: Word, q: int):
-        mod, base = _KR_MOD, _KR_BASE
         n = len(xs)
-        pw = [1] * n
-        pre = [0] * (n + 1)
-        run_first = [0] * n
-        for i in range(n):
-            if i:
-                pw[i] = pw[i - 1] * base % mod
-                run_first[i] = run_first[i - 1] if xs[i - 1] == xs[i] else i
-            pre[i + 1] = (pre[i] + xs[i] * pw[i]) % mod
+        prev_last = [-1] * n
+        for i in range(1, n):
+            prev_last[i] = prev_last[i - 1] if xs[i - 1] == xs[i] else i - 1
         run_last = [n - 1] * n
         for i in range(n - 2, -1, -1):
             run_last[i] = run_last[i + 1] if xs[i] == xs[i + 1] else i
         self.xs = xs
         self.q = q
-        self.pw = pw      # base^k
-        self.pre = pre    # sum of x[k] * base^k over k < i
-        self.bnd = mismatch_counts(xs, xs[1:])  # run boundaries k < i
-        self.run_first = run_first  # first index of the run holding i
+        self.nq = n * q
+        self.prev_last = prev_last  # last index of the run before i's, or -1
         self.run_last = run_last    # last index of the run holding i
-        self.near: Dict[int, Tuple[int, ...]] = {}   # run-last -> near boundaries
         self.rewrites: Optional[Tuple[List[int], List[int]]] = None
-        self.first: Dict[int, int] = {}         # key -> id of its first word
-        self.extra: Dict[int, List[int]] = {}   # key -> ids of colliding words
-        self.edits: List[Tuple[int, int, int]] = []
 
-    def _near(self, j: int) -> Tuple[int, ...]:
-        """The rewrite indices, in increasing order, at which an edit
-        deleting j is not interior: the last indices of the two runs
-        before j's run, the last index of j's run and of the run after
-        it, when they are run boundaries."""
-        e = self.run_last[j]
-        near = self.near.get(e)
-        if near is None:
-            first, last, n = self.run_first, self.run_last, len(self.xs)
-            s = first[j]
-            out = []
-            if s:
-                if first[s - 1]:
-                    out.append(first[s - 1] - 1)
-                out.append(s - 1)
-            if e + 1 < n:
-                out.append(e)
-                if last[e + 1] + 1 < n:
-                    out.append(last[e + 1])
-            near = self.near[e] = tuple(out)
-        return near
-
-    def _deleted_key(self, j: int) -> int:
-        """The key of x minus index j, not yet reduced."""
-        pre = self.pre
-        return _KR_BASE * pre[j] + pre[-1] - pre[j + 1]
-
-    def _id(self, key: int, j: int, p: int, c: int) -> int:
-        k = self.first.get(key)
-        if k is None:
-            k = self.first[key] = len(self.edits)
-            self.edits.append((j, p, c))
-            return k
-        if self._same(self.edits[k], j, p, c):
-            return k
-        for k in self.extra.get(key, ()):
-            if self._same(self.edits[k], j, p, c):
-                return k
-        k = len(self.edits)
-        self.edits.append((j, p, c))
-        self.extra.setdefault(key, []).append(k)
-        return k
-
-    def _same(self, edit: Tuple[int, int, int], j2: int, p2: int, c2: int) -> bool:
-        j1, p1, c1 = edit
-        if j1 > j2:
-            j1, p1, c1, j2, p2, c2 = j2, p2, c2, j1, p1, c1
-        xs = self.xs
-        # run boundaries in [j1, j2) other than p1 and p2
-        stray = self.bnd[j2] - self.bnd[j1]
-        if stray:
-            stray -= j1 <= p1 < j2 and xs[p1] != xs[p1 + 1]
-            stray -= p2 != p1 and j1 <= p2 < j2 and xs[p2] != xs[p2 + 1]
-            if stray:
-                return False
-        if p1 == p2:
-            return c1 == c2
-        # the second word at p1, the first at p2
-        return (xs[p1] if p1 < j2 else xs[p1 + 1]) == c1 and (
-            xs[p2] if p2 < j1 else xs[p2 + 1]
-        ) == c2
-
-    def _base(self, j: int) -> int:
-        """Interior edit (j, p, c) has id _base(j) - p q - c."""
-        return -1 - self.run_last[j] * (len(self.xs) - 1) * self.q
-
-    def _deleted(self, j: int) -> int:
+    def deleted(self, j: int) -> int:
         """The id of x minus index j."""
-        xs = self.xs
-        return self._id(self._deleted_key(j) % _KR_MOD, j, 0, xs[0] if j else xs[1])
-
-    def _interned_column(self, out: Set[int], j: int, p: int) -> None:
-        xs, mod, find = self.xs, _KR_MOD, self._id
-        step = self.pw[p + 1]
-        key = self._deleted_key(j) - (xs[p] if p < j else xs[p + 1]) * step
-        for c in range(self.q):
-            out.add(find((key + c * step) % mod, j, p, c))
+        a1 = self.prev_last[j]
+        if a1 < 0:
+            return self.run_last[j] * self.nq + (len(self.xs) - 1) * self.q
+        return a1 * (self.nq + self.q) + self.xs[a1]
 
     def edit(self, j: int, p: int, c: int) -> int:
         """The id of edit (j, p, c)."""
-        xs = self.xs
-        old = xs[p] if p < j else xs[p + 1]
-        if c != old and p not in self._near(j):
-            return self._base(j) - p * self.q - c
-        key = (self._deleted_key(j) + (c - old) * self.pw[p + 1]) % _KR_MOD
-        return self._id(key, j, p, c)
+        xs, q = self.xs, self.q
+        if c == (xs[p] if p < j else xs[p + 1]):
+            return self.deleted(j)
+        a1 = self.prev_last[j]
+        if p == a1:
+            # x minus a1 itself, or one substitution from it at a1
+            if c == xs[a1 + 1]:
+                return self.deleted(a1)
+            return a1 * (self.nq + q) + c
+        if p < a1 and p == self.prev_last[a1] and c == xs[p + 1]:
+            # p is a2: one substitution from x minus a2, at a1
+            return p * self.nq + a1 * q + xs[a1]
+        # no earlier run comes within one substitution
+        return self.run_last[j] * self.nq + p * q + c
 
     def add_column(self, out: Set[int], j: int, p: int) -> None:
         """Add the ids of every symbol written at index p after deleting j."""
-        if p in self._near(j):
-            self._interned_column(out, j, p)
+        a1 = self.prev_last[j]
+        if p == a1 or (p < a1 and p == self.prev_last[a1]):
+            out.update([self.edit(j, p, c) for c in range(self.q)])
             return
         xs, q = self.xs, self.q
         old = xs[p] if p < j else xs[p + 1]
-        base = self._base(j) - p * q
-        out.update([base - c for c in range(q) if c != old])
-        out.add(self._deleted(j))
+        base = self.run_last[j] * self.nq + p * q
+        out.update([base + c for c in range(q) if c != old])
+        out.add(self.deleted(j))
 
     def add_ball(self, out: Set[int], j: int) -> None:
         """Add the ids of the radius-1 substitution ball of x minus index j."""
@@ -297,19 +211,18 @@ class _MemberIds:
             )
         before, after = self.rewrites
         k = q - 1
-        sub = self._base(j).__sub__
-        near = self._near(j)
+        add = (self.run_last[j] * self.nq).__add__
+        a1 = self.prev_last[j]
+        # the rewrite indices a2 < a1 that need a check, when they exist
+        near = [a for a in (self.prev_last[a1], a1) if a >= 0] if a1 >= 0 else []
         lo = 0
-        for cut in near + (n - 1,):
-            # interior rewrites at indices lo .. cut-1
-            if lo < min(cut, j):
-                out.update(map(sub, before[lo * k : min(cut, j) * k]))
-            if max(lo, j) < cut:
-                out.update(map(sub, after[max(lo, j) * k : cut * k]))
+        for cut in near:
+            out.update(map(add, before[lo * k : cut * k]))
+            self.add_column(out, j, cut)
             lo = cut + 1
-        for p in near:
-            self._interned_column(out, j, p)
-        out.add(self._deleted(j))
+        out.update(map(add, before[lo * k : j * k]))
+        out.update(map(add, after[j * k :]))
+        out.add(self.deleted(j))
 
 
 def structural_group_sets(
@@ -633,6 +546,17 @@ _GROUP_PASSED: Dict[GroupKey, CheckResult] = {
     key: CheckResult(label, True, True) for key, label in GROUP_LABELS.items()
 }
 
+# The not-applicable result of each fact check, shared the same way.
+_NOT_APPLICABLE: Dict[str, CheckResult] = {
+    name: CheckResult(name, False, True)
+    for name in [
+        f"{fact}[{side}]"
+        for fact in ("dist1-absorbed", "dist1-family", "dist2-offdiag-family",
+                     "dist2-offdiag-new", "dist2-new-d3", "dist2-family-d3")
+        for side in ("L", "R")
+    ] + ["adjacent-swap-core-size", "adjacent-swap-new"]
+}
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -724,11 +648,11 @@ def _fact_checks(
         if not shifted[side]:
             ok = omega[(side, 1)] <= omega[(side, 0)]
             checks.append(CheckResult(f"dist1-absorbed[{side}]", True, ok))
-            checks.append(CheckResult(f"dist1-family[{side}]", False, True))
+            checks.append(_NOT_APPLICABLE[f"dist1-family[{side}]"])
         else:
             limit = 3 if d == 2 else 2
             count = len(family(side, 1, (1, 2, 3)))
-            checks.append(CheckResult(f"dist1-absorbed[{side}]", False, True))
+            checks.append(_NOT_APPLICABLE[f"dist1-absorbed[{side}]"])
             checks.append(
                 CheckResult(
                     f"dist1-family[{side}]", True, count <= limit,
@@ -753,10 +677,10 @@ def _fact_checks(
                         f"{count} pairs vs limit 6",
                     )
                 )
-                checks.append(CheckResult(f"dist2-offdiag-new[{side}]", False, True))
+                checks.append(_NOT_APPLICABLE[f"dist2-offdiag-new[{side}]"])
             else:
                 fresh = len(even_members(side) - omega[(side, 0)])
-                checks.append(CheckResult(f"dist2-offdiag-family[{side}]", False, True))
+                checks.append(_NOT_APPLICABLE[f"dist2-offdiag-family[{side}]"])
                 checks.append(
                     CheckResult(
                         f"dist2-offdiag-new[{side}]", True, fresh <= 6,
@@ -781,8 +705,8 @@ def _fact_checks(
                 )
             )
         else:
-            checks.append(CheckResult("adjacent-swap-core-size", False, True))
-            checks.append(CheckResult("adjacent-swap-new", False, True))
+            checks.append(_NOT_APPLICABLE["adjacent-swap-core-size"])
+            checks.append(_NOT_APPLICABLE["adjacent-swap-new"])
     else:
         for side in ("L", "R"):
             if not shifted[side]:
@@ -793,10 +717,10 @@ def _fact_checks(
                         f"{fresh} new members vs limit 8",
                     )
                 )
-                checks.append(CheckResult(f"dist2-family-d3[{side}]", False, True))
+                checks.append(_NOT_APPLICABLE[f"dist2-family-d3[{side}]"])
             else:
                 count = len(family(side, 2, range(1, 7)))
-                checks.append(CheckResult(f"dist2-new-d3[{side}]", False, True))
+                checks.append(_NOT_APPLICABLE[f"dist2-new-d3[{side}]"])
                 checks.append(
                     CheckResult(
                         f"dist2-family-d3[{side}]", True, count <= 8,

@@ -55,8 +55,9 @@ class TestDiffProfile:
         x, y = pair
         p = DiffProfile(x, y)
         n = len(x)
-        for lo in range(1, n + 1):
-            for hi in range(lo - 1, n + 1):
+        # intervals reaching outside [1, n] count only their part inside
+        for lo in range(-2, n + 4):
+            for hi in range(lo - 1, n + 4):
                 assert p.s_count(lo, hi) == sum(1 for v in p.s if lo <= v <= hi)
                 assert p.t_count("L", lo, hi) == sum(1 for v in p.tl if lo <= v <= hi)
                 assert p.t_count("R", lo, hi) == sum(1 for v in p.tr if lo <= v <= hi)

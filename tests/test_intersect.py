@@ -313,14 +313,10 @@ def tuple_report(x, y):
 
 
 class TestMemberIds:
-    @pytest.mark.parametrize("base", [intersect_module._KR_BASE, 1, 0])
-    def test_ids_equal_exactly_when_words_equal(self, base, monkeypatch):
-        # every edit (j, p, c) of every binary word up to n = 8 and ternary
-        # word up to n = 5; base 1 makes the key the symbol sum, so most
-        # buckets hold several distinct words, and base 0 puts every word
-        # in one bucket, so only the exact comparison tells them apart
-        monkeypatch.setattr(intersect_module, "_KR_BASE", base)
-        for q, top in ((2, 8), (3, 5)):
+    def test_ids_equal_exactly_when_words_equal(self):
+        # every edit (j, p, c) of every binary word up to n = 9, ternary
+        # word up to n = 6 and q = 4, 5 word up to n = 4
+        for q, top in ((2, 9), (3, 6), (4, 4), (5, 4)):
             for n in range(2, top + 1):
                 for x in all_words(q, n):
                     xs = x.symbols
@@ -347,8 +343,23 @@ class TestMemberIds:
                             }
                     assert len(set(id_of_word.values())) == len(id_of_word), xs
 
-    def test_sizes_exact_when_every_key_collides(self, monkeypatch):
-        monkeypatch.setattr(intersect_module, "_KR_BASE", 1)
+    def test_ids_do_not_depend_on_query_order(self):
+        # an id is a function of the edited word alone: two id tables
+        # queried in opposite orders agree, and every id is below n n q
+        words = [(2, x.symbols) for n in range(2, 8) for x in all_words(2, n)]
+        rng = random.Random(31)
+        for q in (3, 4):
+            words += [(q, tuple(rng.randrange(q) for _ in range(40))) for _ in range(200)]
+        for q, xs in words:
+            n = len(xs)
+            edits = [(j, p, c) for j in range(n) for p in range(n - 1) for c in range(q)]
+            forward = intersect_module._MemberIds(xs, q)
+            backward = intersect_module._MemberIds(xs, q)
+            ids = [forward.edit(*e) for e in edits]
+            assert ids == [backward.edit(*e) for e in reversed(edits)][::-1], xs
+            assert 0 <= min(ids) and max(ids) < n * n * q, xs
+
+    def test_sizes_match_oracle_exhaustively(self):
         for n in range(3, 7):
             words = all_words(2, n)
             for x in words:
