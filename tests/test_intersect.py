@@ -313,22 +313,28 @@ def tuple_report(x, y):
 
 
 class TestMemberIds:
-    def test_ids_equal_exactly_when_words_equal(self):
+    @pytest.mark.parametrize("order_seed", [0, 1000003, 1])
+    def test_ids_equal_exactly_when_words_equal(self, order_seed):
         # every edit (j, p, c) of every binary word up to n = 9, ternary
-        # word up to n = 6 and q = 4, 5 word up to n = 4
+        # word up to n = 6 and q = 4, 5 word up to n = 4, each word's edits
+        # queried in an order shuffled by order_seed
+        rng = random.Random(order_seed)
         for q, top in ((2, 9), (3, 6), (4, 4), (5, 4)):
             for n in range(2, top + 1):
                 for x in all_words(q, n):
                     xs = x.symbols
                     ids = intersect_module._MemberIds(xs, q)
+                    edits = [(j, p, c) for j in range(n) for p in range(n - 1) for c in range(q)]
+                    rng.shuffle(edits)
                     id_of_word = {}
+                    for j, p, c in edits:
+                        z = xs[:j] + xs[j + 1 :]
+                        word = z[:p] + (c,) + z[p + 1 :]
+                        k = ids.edit(j, p, c)
+                        assert id_of_word.setdefault(word, k) == k, (xs, j, p, c)
+                    assert len(set(id_of_word.values())) == len(id_of_word), xs
                     for j in range(n):
                         z = xs[:j] + xs[j + 1 :]
-                        for p in range(n - 1):
-                            for c in range(q):
-                                word = z[:p] + (c,) + z[p + 1 :]
-                                k = ids.edit(j, p, c)
-                                assert id_of_word.setdefault(word, k) == k, (xs, j, p, c)
                         ball = set()
                         ids.add_ball(ball, j)
                         assert ball == {
@@ -341,7 +347,6 @@ class TestMemberIds:
                             assert column == {
                                 id_of_word[z[:p] + (c,) + z[p + 1 :]] for c in range(q)
                             }
-                    assert len(set(id_of_word.values())) == len(id_of_word), xs
 
     def test_ids_do_not_depend_on_query_order(self):
         # an id is a function of the edited word alone: two id tables
