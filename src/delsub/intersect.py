@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, KeysView, List, Optional, Set, Tuple
 
 from .diffs import (
     CASE_BY_TRIPLE,
@@ -546,6 +546,9 @@ _GROUP_PASSED: Dict[GroupKey, CheckResult] = {
     key: CheckResult(label, True, True) for key, label in GROUP_LABELS.items()
 }
 
+# The group checks of a pair whose scanned and direct families agree.
+_ALL_GROUPS_PASSED: Tuple[CheckResult, ...] = tuple(_GROUP_PASSED.values())
+
 # The not-applicable result of each fact check, shared the same way.
 _NOT_APPLICABLE: Dict[str, CheckResult] = {
     name: CheckResult(name, False, True)
@@ -600,21 +603,30 @@ def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:
     xs, ys = x.symbols, y.symbols
     scanned = group_pairs(xs, ys, scan_candidates(profile))
     direct = group_pairs(xs, ys, _claims_raw(profile, xs, ys))
-    group_checks = []
-    for key, passed in _GROUP_PASSED.items():
-        expected = scanned.get(key, {}).keys()
-        got = direct.get(key, {}).keys()
-        group_checks.append(
-            passed if expected == got else CheckResult(
-                name=passed.name,
-                applicable=True,
-                passed=False,
-                detail=f"direct has {len(got)} pairs, scan has {len(expected)}",
+    group_checks = _ALL_GROUPS_PASSED
+    if _pair_keys(scanned) != _pair_keys(direct):
+        # some group differs: name each one with its two pair counts
+        checks = []
+        for key, passed in _GROUP_PASSED.items():
+            expected = scanned.get(key, {}).keys()
+            got = direct.get(key, {}).keys()
+            checks.append(
+                passed if expected == got else CheckResult(
+                    name=passed.name,
+                    applicable=True,
+                    passed=False,
+                    detail=f"direct has {len(got)} pairs, scan has {len(expected)}",
+                )
             )
-        )
+        group_checks = tuple(checks)
     sets = structural_group_sets(profile, xs, ys, scanned)
     fact_checks = _fact_checks(profile, scanned, sets)
-    return VerificationReport(x, y, tuple(group_checks), tuple(fact_checks))
+    return VerificationReport(x, y, group_checks, tuple(fact_checks))
+
+
+def _pair_keys(groups: PairGroups) -> Dict[GroupKey, KeysView[PairKey]]:
+    """Each group's deleted-pair keys; groups with no pair are absent."""
+    return {key: pairs.keys() for key, pairs in groups.items()}
 
 
 def _fact_checks(

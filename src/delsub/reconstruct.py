@@ -10,7 +10,9 @@ transmitted word down uniquely; the decoder here recovers it by
 candidate filtering.  For the parity code, the candidates are the words
 that hold both of the first two reads (``inverse_pair_words``, built
 cell by cell from the two reads without either inverse ball), or the
-whole restricted inverse ball of a single read.
+whole restricted inverse ball of a single read (``inverse_ball_words``),
+which comes back sorted and is the candidate list as it stands: every
+word of it is a parity codeword, and no other read is left to filter it.
 """
 
 from __future__ import annotations
@@ -91,15 +93,21 @@ class Codebook:
         return self.q ** (self.n - 1)
 
     def __contains__(self, x) -> bool:
-        symbols = x.symbols if isinstance(x, Sequence) else tuple(x)
-        if len(symbols) != self.n:
+        """Whether ``x`` (a Sequence or a symbol iterable) is a codeword: a
+        Sequence must share the codebook's alphabet, and every symbol
+        must lie in 0..q-1."""
+        if isinstance(x, Sequence):
+            if x.q != self.q:
+                return False
+            symbols = x.symbols
+        else:
+            symbols = tuple(x)
+        alphabet = range(self.q)
+        if len(symbols) != self.n or not all(s in alphabet for s in symbols):
             return False
-        return self.contains_word(symbols)
-
-    def contains_word(self, word: Word) -> bool:
         if self.kind == "explicit":
-            return word in self._word_set()
-        return sum(word) % self.q == 0
+            return symbols in self._word_set()
+        return sum(symbols) % self.q == 0
 
     def _word_set(self) -> FrozenSet[Word]:
         if not hasattr(self, "_cached_word_set"):
@@ -292,10 +300,10 @@ def _membership_t(y: Word, x: Word) -> bool:
     return b2 < f1 or b1 < f2
 
 
-def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> Set[Word]:
-    """All words of length n = len(y)+1 whose (1,1)-ball contains ``y``:
-    exactly the single-symbol insertions into the words within Hamming
-    distance 1 of ``y``.
+def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> List[Word]:
+    """All words of length n = len(y)+1 whose (1,1)-ball contains ``y``,
+    sorted and each listed once: exactly the single-symbol insertions
+    into the words within Hamming distance 1 of ``y``.
 
     With ``residue``, only the words whose symbol sum is congruent to
     ``residue`` mod q (residue 0: the parity codewords).  Each variant v
@@ -306,25 +314,34 @@ def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> Set
     equal symbol is skipped, as it repeats the insertion one slot
     earlier.
 
+    The words are built, deduplicated and sorted as ``bytes`` when
+    q <= 256, where slicing, hashing and comparison run as C-level
+    memcmp and byte order is tuple order; larger alphabets use tuples
+    throughout.  Either way each word becomes a tuple once, after the
+    sort.
+
     The decoder uses it only for a single read, whose pool is this whole
     ball; two or more reads take ``inverse_pair_words``.
     """
+    enc = bytes if q <= 256 else tuple
+    ins = [enc((a,)) for a in range(q)]
     m = len(y)
+    yw = enc(y)
     total = sum(y)
-    variants: List[Tuple[Word, int]] = [(y, total)]
+    variants = [(yw, total)]
     for p, base in enumerate(y):
-        head, tail = y[:p], y[p + 1 :]
+        head, tail = yw[:p], yw[p + 1 :]
         for a in range(q):
             if a != base:
-                variants.append((head + (a,) + tail, total - base + a))
-    out: Set[Word] = set()
+                variants.append((head + ins[a] + tail, total - base + a))
+    out = set()
     for v, s in variants:
         symbols = range(q) if residue is None else ((residue - s) % q,)
         for a in symbols:
-            ins = (a,)
-            out.add(ins + v)
-            out.update(v[:pos] + ins + v[pos:] for pos in range(1, m + 1) if v[pos - 1] != a)
-    return out
+            one = ins[a]
+            out.add(one + v)
+            out.update(v[:pos] + one + v[pos:] for pos in range(1, m + 1) if v[pos - 1] != a)
+    return [tuple(w) for w in sorted(out)]
 
 
 def inverse_pair_words(r1: Word, r2: Word, q: int, *, residue: int) -> Set[Word]:
@@ -462,9 +479,9 @@ def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
 
     An explicit codebook is filtered word by word.  For the parity code
     the pool is the parity words holding the first two reads in sorted
-    order, generated directly by ``inverse_pair_words`` (or the
-    restricted inverse ball when there is one read), and the rest of the
-    reads filter it by O(n) membership.
+    order, generated directly by ``inverse_pair_words``, and the rest of
+    the reads filter it by O(n) membership; a single read's candidates
+    are its sorted restricted inverse ball as returned.
 
     Returns a unique codeword, the sorted candidate list when several
     remain, or an infeasible outcome when no codeword explains all
@@ -480,18 +497,16 @@ def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
     if reads.q != codebook.q:
         raise ValueError("reads and codebook use different alphabets")
     ordered = sorted(reads.reads)
-    if codebook.kind == "explicit":
-        pool, rest = codebook._word_set(), ordered
-    elif len(ordered) == 1:
-        pool, rest = inverse_ball_words(ordered[0], codebook.q, residue=0), ()
+    if codebook.kind == "parity" and len(ordered) == 1:
+        # already sorted, and every word of it is a parity codeword
+        candidates = inverse_ball_words(ordered[0], codebook.q, residue=0)
     else:
-        pool = inverse_pair_words(ordered[0], ordered[1], codebook.q, residue=0)
-        rest = ordered[2:]
-    candidates = sorted(
-        w for w in pool
-        if codebook.contains_word(w)
-        and (not rest or all(_membership_t(r, w) for r in rest))
-    )
+        if codebook.kind == "explicit":
+            pool, rest = codebook._word_set(), ordered
+        else:
+            pool = inverse_pair_words(ordered[0], ordered[1], codebook.q, residue=0)
+            rest = ordered[2:]
+        candidates = sorted(w for w in pool if all(_membership_t(r, w) for r in rest))
     seqs = tuple(Sequence._wrap(w, codebook.q) for w in candidates)
     if not seqs:
         outcome = "infeasible"

@@ -40,8 +40,8 @@ class Sequence:
     def _wrap(cls, symbols: Tuple[int, ...], q: int) -> "Sequence":
         """Wrap an already-validated symbol tuple without re-checking."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "symbols", symbols)
-        object.__setattr__(obj, "q", q)
+        _set_symbols(obj, symbols)
+        _set_q(obj, q)
         return obj
 
     @classmethod
@@ -101,6 +101,12 @@ class Sequence:
         if not 1 <= position <= len(self.symbols):
             raise IndexError(f"position {position} outside [1, {len(self.symbols)}]")
         return self.symbols[position - 1]
+
+
+# The slot descriptors' setters fill a new instance without going through
+# the refusing __setattr__ and cost less per call than object.__setattr__.
+_set_symbols = Sequence.symbols.__set__
+_set_q = Sequence.q.__set__
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ independent.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from hypothesis import strategies as st
 
@@ -89,6 +89,20 @@ def expand_members(pairs: Iterable[Tuple[Word, Word]], q: int) -> Set[Word]:
         else:
             rewritten = diff or range(len(z))
             out.update(z[:i] + (a,) + z[i + 1 :] for i in rewritten for a in range(q))
+    return out
+
+
+def inverse_ball_oracle(y: Word, q: int, residue: Optional[int] = None) -> Set[Word]:
+    """The words of length len(y)+1 whose (1,1)-ball holds ``y`` (with
+    ``residue``, only those of symbol sum ``residue`` mod q), as a set of
+    tuples: every symbol inserted at every slot of y and of each word at
+    Hamming distance 1 from it."""
+    m = len(y)
+    variants = [y] + [y[:p] + (a,) + y[p + 1 :] for p in range(m) for a in range(q) if a != y[p]]
+    out: Set[Word] = set()
+    for v in variants:
+        symbols = range(q) if residue is None else ((residue - sum(v)) % q,)
+        out.update(v[:pos] + (a,) + v[pos:] for a in symbols for pos in range(m + 1))
     return out
 
 

@@ -446,6 +446,26 @@ class TestVerifyClaims:
         assert report.all_passed
         assert len(report.group_checks) == len(ALL_GROUP_KEYS) == 20
 
+    def test_group_mismatch_reported_per_group(self, monkeypatch):
+        # drop one group from the direct construction: that group alone
+        # fails, with both pair counts, and the others keep passing
+        x, y = WORKED_X, WORKED_Y
+        scanned = group_pairs(x.symbols, y.symbols, scan_candidates(DiffProfile(x, y)))
+        target = max(scanned, key=lambda key: len(scanned[key]))
+        original = intersect_module._claims_raw
+
+        def without_target(profile, xs, ys):
+            return [e for e in original(profile, xs, ys) if e[:3] != target]
+
+        monkeypatch.setattr(intersect_module, "_claims_raw", without_target)
+        report = verify_claims(x, y)
+        assert not report.all_passed
+        assert [(c.name, c.detail) for c in report.failures()] == [
+            (group_label(target), f"direct has 0 pairs, scan has {len(scanned[target])}")
+        ]
+        assert len(report.group_checks) == 20
+        assert [c.name for c in report.group_checks] == [group_label(k) for k in ALL_GROUP_KEYS]
+
     def test_exhaustive_small_domain(self):
         for x in all_words(2, 6):
             for y in all_words(2, 6):

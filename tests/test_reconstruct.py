@@ -32,7 +32,7 @@ from delsub.reconstruct import (
     inverse_pair_words,
 )
 
-from helpers import all_words, sequences
+from helpers import all_words, inverse_ball_oracle, sequences
 
 
 def seq(text, q=2):
@@ -53,6 +53,18 @@ class TestCodebook:
         assert len(words) == 27
         dmin = min(hamming(a, b) for a, b in combinations(words, 2))
         assert dmin == 2
+
+    def test_membership_needs_the_alphabet(self):
+        parity = Codebook.parity(2, 4)
+        assert (1, 3) in parity and Sequence((1, 3), 4) in parity
+        # symbol sums of 0 mod 4, but not words over 0..3
+        assert (5, 3) not in parity
+        assert (-1, 1) not in parity
+        assert Sequence((1, 3), 5) not in parity
+        explicit = Codebook.explicit([Sequence((1, 3), 4)])
+        assert (1, 3) in explicit and Sequence((1, 3), 4) in explicit
+        assert Sequence((1, 3), 5) not in explicit
+        assert (1, 3, 0) not in explicit and (1,) not in parity
 
     def test_explicit_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -210,7 +222,7 @@ class TestBallMembership:
         full = inverse_ball_words(y, q)
         for r in range(q):
             expected = {w for w in full if sum(w) % q == r}
-            assert inverse_ball_words(y, q, residue=r) == expected
+            assert inverse_ball_words(y, q, residue=r) == sorted(expected)
 
     def test_inverse_ball_matches_brute_force(self):
         for q, m in ((2, 5), (3, 3)):
@@ -218,11 +230,23 @@ class TestBallMembership:
             for y in all_words(q, m):
                 expected = {w for w in words if y.symbols in
                             {s.symbols for s in ds_ball(Sequence(w, q), BallSpec(1, 1))}}
-                assert inverse_ball_words(y.symbols, q) == expected
+                assert inverse_ball_words(y.symbols, q) == sorted(expected)
+
+    @pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (4, 4)])
+    def test_inverse_ball_is_sorted_oracle_exhaustively(self, q, top):
+        # sorted, each word once, and every word of the oracle's set
+        for m in range(1, top + 1):
+            for y in product(range(q), repeat=m):
+                for residue in [None, *range(q)]:
+                    assert inverse_ball_words(y, q, residue=residue) == sorted(
+                        inverse_ball_oracle(y, q, residue)
+                    ), (y, residue)
 
 
 def two_ball_pool(r1, r2, q, residue):
-    return inverse_ball_words(r1, q, residue=residue) & inverse_ball_words(r2, q, residue=residue)
+    return set(inverse_ball_words(r1, q, residue=residue)) & set(
+        inverse_ball_words(r2, q, residue=residue)
+    )
 
 
 def two_ball_reconstruct(reads, codebook):
@@ -231,7 +255,7 @@ def two_ball_reconstruct(reads, codebook):
     ordered = sorted(reads.reads)
     q = codebook.q
     if len(ordered) == 1:
-        pool = inverse_ball_words(ordered[0], q, residue=0)
+        pool = inverse_ball_oracle(ordered[0], q, 0)
     else:
         pool = two_ball_pool(ordered[0], ordered[1], q, 0)
     words = sorted(w for w in pool if all(_membership_t(r, w) for r in ordered))
@@ -270,7 +294,7 @@ class TestInversePairWords:
             for m in range(1, top + 1):
                 words = list(product(range(q), repeat=m))
                 for residue in range(q):
-                    balls = {r: inverse_ball_words(r, q, residue=residue) for r in words}
+                    balls = {r: set(inverse_ball_words(r, q, residue=residue)) for r in words}
                     for r1, r2 in permutations(words, 2):
                         assert inverse_pair_words(r1, r2, q, residue=residue) == (
                             balls[r1] & balls[r2]
@@ -331,6 +355,41 @@ class TestInversePairWords:
         result = reconstruct(ReadSet(distinct, 4, 199), book)
         assert time.perf_counter() - start < 0.5
         assert x in result.candidates
+
+
+class TestLargeAlphabets:
+    """Above q = 256 the inverse ball is built from tuples instead of
+    bytes; q = 256 is the largest alphabet built from bytes."""
+
+    @pytest.mark.parametrize("q", [256, 257, 300])
+    def test_inverse_ball_matches_oracle(self, q):
+        rng = random.Random(q)
+        for _ in range(3):
+            y = tuple(rng.randrange(q) for _ in range(4)) + (q - 1,)
+            for residue in (0, rng.randrange(q), q - 1):
+                assert inverse_ball_words(y, q, residue=residue) == sorted(
+                    inverse_ball_oracle(y, q, residue)
+                )
+        assert inverse_ball_words((q - 1,), q) == sorted(inverse_ball_oracle((q - 1,), q))
+
+    @pytest.mark.parametrize("q", [256, 257, 300])
+    def test_parity_decodes_match_oracle_decoder(self, q):
+        rng = random.Random(q + 1)
+        book = Codebook.parity(6, q)
+        for wanted in (1, 2, 4):
+            for _ in range(2):
+                x = book.sample_word(rng)
+                distinct = set()
+                while len(distinct) < wanted:
+                    distinct.add(channel_transmit(x, 0.5, rng=rng).symbols)
+                reads = ReadSet(distinct, q, 5)
+                result = reconstruct(reads, book)
+                assert result == two_ball_reconstruct(reads, book)
+                assert x in result.candidates
+                assert all(type(c.symbols) is tuple for c in result.candidates)
+                if wanted == 1:
+                    # the whole restricted ball, which holds every symbol
+                    assert max(max(c) for c in result.candidates) == q - 1
 
 
 class TestReadCoverage:

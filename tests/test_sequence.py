@@ -41,6 +41,19 @@ class TestSequenceBasics:
         with pytest.raises(AttributeError):
             s.symbols = (1, 1)
 
+    @pytest.mark.parametrize("q", [2, 256, 257, 300])
+    def test_wrap_equals_validated_constructor(self, q):
+        symbols = (0, q - 1, 1, q - 2)
+        s = Sequence._wrap(symbols, q)
+        assert type(s) is Sequence
+        assert s == Sequence(symbols, q)
+        assert hash(s) == hash(Sequence(symbols, q))
+        assert s.symbols is symbols and s.q == q
+        for name, value in (("symbols", (1,) * 4), ("q", 3), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        assert s.symbols is symbols and s.q == q
+
     def test_concat_requires_same_alphabet(self):
         with pytest.raises(ValueError):
             seq("01", q=2) + seq("01", q=3)
