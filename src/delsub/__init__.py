@@ -10,14 +10,10 @@ of it as a command line tool.
 """
 
 from .sequence import (
-    RunDecomposition,
     Sequence,
     alternating,
     delete,
     hamming,
-    levenshtein,
-    phi,
-    runs,
 )
 from .balls import (
     BallSpec,
@@ -76,7 +72,6 @@ __all__ = [
     "Landmarks",
     "ReadSet",
     "ReconResult",
-    "RunDecomposition",
     "Sequence",
     "SequenceSet",
     "VerificationReport",
@@ -96,13 +91,10 @@ __all__ = [
     "intersection_size_fast",
     "lambda_enumerate",
     "landmarks",
-    "levenshtein",
     "min_valid_length",
-    "phi",
     "read_coverage",
     "reconstruct",
     "required_reads",
-    "runs",
     "sub_intersection_size",
     "substitution_ball",
     "substitution_ball_size",

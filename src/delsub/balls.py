@@ -8,7 +8,7 @@ of the mismatch machinery in :mod:`delsub.diffs`.
 
 Materialization refuses to run past a configurable budget, checked
 before anything is allocated: generated elements for the generic
-enumeration, bytes of the packed array for the vectorized (1,1) path.
+enumeration, bytes held at once for the vectorized (1,1) path.
 The enumeration here is meant for desk-scale verification, not
 production workloads.
 """
@@ -59,10 +59,6 @@ class SequenceSet:
             if len(w) != length:
                 raise ValueError("all members must share one length")
 
-    @classmethod
-    def from_sequences(cls, seqs: Iterable[Sequence], q: int, length: int) -> "SequenceSet":
-        return cls((s.symbols for s in seqs), q, length)
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -88,10 +84,6 @@ class SequenceSet:
     def __and__(self, other: "SequenceSet") -> "SequenceSet":
         self._check_compatible(other)
         return SequenceSet(self.words & other.words, self.q, self.length)
-
-    def __or__(self, other: "SequenceSet") -> "SequenceSet":
-        self._check_compatible(other)
-        return SequenceSet(self.words | other.words, self.q, self.length)
 
     def issubset(self, other: "SequenceSet") -> bool:
         self._check_compatible(other)
@@ -176,23 +168,46 @@ def ball_intersection(
     """Members common to the two materialized balls.
 
     This is the oracle every structural computation is checked against;
-    it never takes shortcuts.  For spec (1, 1) the budget bounds the
-    n(n-1)q(n-1) bytes that :func:`ds11_packed` allocates per ball.
+    it never takes shortcuts.  For spec (1, 1) the budget bounds the bytes
+    held at once, as :func:`_oracle_peak_bytes` counts them.
     """
     _require_same_shape(x, y)
     n = len(x)
     if spec.t + spec.s >= n:
         raise ValueError(f"need t + s < n, got t={spec.t}, s={spec.s}, n={n}")
     if spec == BallSpec(1, 1) and x.q <= 255:
-        packed = n * (n - 1) * x.q * (n - 1)
-        if packed > budget:
+        peak = _oracle_peak_bytes(n, x.q)
+        if peak > budget:
             raise BudgetExceededError(
-                f"the packed (1,1)-ball at n={n}, q={x.q} takes {packed} bytes, "
-                f"above the budget of {budget}"
+                f"the (1,1)-ball oracle at n={n}, q={x.q} may hold {peak} bytes "
+                f"at once, above the budget of {budget}"
             )
         common = ds11_packed(x.symbols, x.q) & ds11_packed(y.symbols, y.q)
         return SequenceSet((tuple(w) for w in common), x.q, n - 1)
     return ds_ball(x, spec, budget) & ds_ball(y, spec, budget)
+
+
+def _oracle_peak_bytes(n: int, q: int) -> int:
+    """Upper bound on the bytes the packed (1,1) path of
+    :func:`ball_intersection` holds at once, as CPython allocates them.
+
+    :func:`ds11_packed` builds each ball as an n(n-1)q x (n-1) array, a
+    list of as many bytes objects and a frozenset of the distinct ones.
+    The first ball is held while the second is built, both while they are
+    intersected, and the common words then become tuples in a frozenset.
+    """
+    rows, width = n * (n - 1) * q, n - 1
+    members = n * (1 + (q - 1) * width)  # distinct words one ball can hold
+    word = 33 + width  # one bytes object
+    # a set of at most `members` keys: its hash table, and while it grows
+    # the old table next to the new one
+    table = 16 << (4 * members).bit_length()
+    growing = table + table // 2
+    ball = members * word + table
+    # array, row list and bytes objects; 18 n (n-1) for the index tables
+    building = rows * (width + 8 + word) + 18 * n * width + growing
+    result = members * (word + 40 + 8 * width) + table + growing  # + one tuple per word
+    return max(ball + building, 2 * ball + growing, result)
 
 
 def sub_intersection_size(x: Sequence, y: Sequence) -> int:

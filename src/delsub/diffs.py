@@ -29,7 +29,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .sequence import Sequence, _delete_t, _require_same_shape, mismatch_counts, mismatches
+from .sequence import (Sequence, _delete_t, _require_same_shape, mismatch_counts, mismatches,
+                       run_last_table)
 
 Word = Tuple[int, ...]
 PairValue = Tuple[Word, Word]
@@ -71,36 +72,12 @@ class DiffProfile:
         self._ptl = [0] + mismatch_counts(xs[1:], ys)
         self._ptr = [0] + mismatch_counts(xs, ys[1:])
 
-    def s_count(self, lo: int, hi: int) -> int:
-        """|S intersected with [lo, hi]| (empty interval gives 0)."""
-        return self._count(self._ps, lo, hi)
-
     def t_count(self, side: str, lo: int, hi: int) -> int:
         """|TL or TR intersected with [lo, hi]|."""
-        return self._count(self._table(side), lo, hi)
-
-    def _count(self, table: List[int], lo: int, hi: int) -> int:
+        table = self._table(side)
         # clamp into [1, n] first: a negative index would wrap around
         lo, hi = max(lo, 1), min(hi, self.n)
         return table[hi] - table[lo - 1] if lo <= hi else 0
-
-    def deleted_hamming(self, j: int, jprime: int, side: str) -> int:
-        """Hamming distance of the deleted pair selected by (j, j', side)
-        without constructing it.
-
-        Side "L" deletes j from x and j' from y; side "R" deletes j' from
-        x and j from y.  Requires j <= j'.
-        """
-        if j > jprime:
-            raise ValueError(f"need j <= j', got j={j}, j'={jprime}")
-        if not 1 <= j <= self.n or not 1 <= jprime <= self.n:
-            raise ValueError(f"positions must lie in [1, {self.n}]")
-        table = self._table(side)
-        return (
-            self._ps[j - 1]
-            + (table[jprime] - table[j])
-            + (self._ps[self.n] - self._ps[jprime])
-        )
 
     def mismatch_positions(self, j: int, jprime: int, side: str) -> Tuple[int, ...]:
         """The 1-based original positions carrying the residual mismatches
@@ -227,17 +204,6 @@ def pair_value(
     return _bad_side(side)
 
 
-def _run_last_table(xs: Word) -> List[int]:
-    """``table[i]`` is the last position of the run of ``xs`` holding
-    position i (1-based; ``table[0]`` is unused)."""
-    n = len(xs)
-    table = list(range(n + 1))
-    for i in range(n - 1, 0, -1):
-        if xs[i - 1] == xs[i]:
-            table[i] = table[i + 1]
-    return table
-
-
 def group_pairs(xs: Word, ys: Word, raw: List[RawEntry]) -> PairGroups:
     """Per group, each distinct deleted pair of the raw entries mapped to
     the first (j, j') that produced it.
@@ -250,7 +216,7 @@ def group_pairs(xs: Word, ys: Word, raw: List[RawEntry]) -> PairGroups:
     groups: PairGroups = {}
     if not raw:
         return groups
-    last_x, last_y = _run_last_table(xs), _run_last_table(ys)
+    last_x, last_y = run_last_table(xs), run_last_table(ys)
     for side, ell, case, j, jprime in raw:
         if side == "L":
             key = (last_x[j], last_y[jprime])

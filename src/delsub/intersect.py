@@ -53,7 +53,7 @@ from .diffs import (
     pair_sets,
     scan_candidates,
 )
-from .sequence import Sequence, _require_same_shape, alternating, run_last_positions
+from .sequence import Sequence, _require_same_shape, alternating, run_last_positions, run_last_table
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -150,17 +150,14 @@ class _MemberIds:
 
     def __init__(self, xs: Word, q: int):
         n = len(xs)
-        prev_last = [-1] * n
-        for i in range(1, n):
-            prev_last[i] = prev_last[i - 1] if xs[i - 1] == xs[i] else i - 1
-        run_last = [n - 1] * n
-        for i in range(n - 2, -1, -1):
-            run_last[i] = run_last[i + 1] if xs[i] == xs[i + 1] else i
         self.xs = xs
         self.q = q
         self.nq = n * q
-        self.prev_last = prev_last  # last index of the run before i's, or -1
-        self.run_last = run_last    # last index of the run holding i
+        # last index of the run holding i
+        self.run_last = [last - 1 for last in run_last_table(xs)[1:]]
+        # last index of the run before i's, or -1: one before the first
+        # index of i's run, which the reversed word has as a run's last
+        self.prev_last = [n - 1 - last for last in reversed(run_last_table(xs[::-1])[1:])]
         self.rewrites: Optional[Tuple[List[int], List[int]]] = None
 
     def deleted(self, j: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from operator import ne
 from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
@@ -114,17 +114,14 @@ class Codebook:
             self._cached_word_set = frozenset(self.words)
         return self._cached_word_set
 
-    def iter_words(self, limit: Optional[int] = None) -> Iterator[Word]:
-        """Enumerate codewords (lexicographically for parity codebooks),
-        stopping after ``limit`` words when given."""
+    def iter_words(self) -> Iterator[Word]:
+        """Enumerate codewords (lexicographically for parity codebooks)."""
         if self.kind == "explicit":
-            source: Iterable[Word] = self.words
-        else:
-            source = (
-                prefix + ((-sum(prefix)) % self.q,)
-                for prefix in product(range(self.q), repeat=self.n - 1)
-            )
-        return islice(source, limit) if limit is not None else iter(source)
+            return iter(self.words)
+        return (
+            prefix + ((-sum(prefix)) % self.q,)
+            for prefix in product(range(self.q), repeat=self.n - 1)
+        )
 
     def sample_word(self, rng: random.Random) -> Sequence:
         """Uniformly random codeword."""

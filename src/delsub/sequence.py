@@ -1,5 +1,6 @@
-"""q-ary sequence primitives: words over {0,...,q-1}, distances, runs,
-deletion, and the combined delete-and-substitute operator.
+"""q-ary sequence primitives: words over {0,...,q-1}, Hamming distance,
+longest common subsequences, run-last positions and tables, deletion, and
+the mismatch primitive the other modules share.
 
 Positions handed to the operations in this module are 1-based, matching
 the interval conventions used throughout the package ([l, r] closed
@@ -9,7 +10,6 @@ intervals, first symbol at position 1).  Python-level indexing on a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from operator import ne
 from typing import Iterable, Iterator, List, Optional, Sequence as PySequence, Tuple
@@ -96,12 +96,6 @@ class Sequence:
     def __repr__(self) -> str:
         return f"Sequence({str(self)!r}, q={self.q})"
 
-    def symbol_at(self, position: int) -> int:
-        """Symbol at a 1-based position."""
-        if not 1 <= position <= len(self.symbols):
-            raise IndexError(f"position {position} outside [1, {len(self.symbols)}]")
-        return self.symbols[position - 1]
-
 
 # The slot descriptors' setters fill a new instance without going through
 # the refusing __setattr__ and cost less per call than object.__setattr__.
@@ -109,28 +103,11 @@ _set_symbols = Sequence.symbols.__set__
 _set_q = Sequence.q.__set__
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
-    """Maximal constant substrings of a word (or of one of its intervals).
-
-    ``boundaries`` holds the 1-based start position of every run, in
-    increasing order; ``count`` is the number of runs.
-    """
-
-    boundaries: Tuple[int, ...]
-    count: int
-
-
 def _require_same_shape(x: Sequence, y: Sequence) -> None:
     if x.q != y.q:
         raise ValueError(f"alphabet mismatch: q={x.q} vs q={y.q}")
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-
-
-def _check_interval(lo: int, hi: int, n: int) -> None:
-    if lo < 1 or hi > n or hi < lo - 1:
-        raise ValueError(f"malformed interval [{lo}, {hi}] for length {n}")
 
 
 def mismatches(a: Iterable[int], b: Iterable[int], start: int = 0) -> Iterator[int]:
@@ -149,16 +126,6 @@ def hamming(x: Sequence, y: Sequence) -> int:
     """Number of positions where two equal-length words differ."""
     _require_same_shape(x, y)
     return sum(map(ne, x.symbols, y.symbols))
-
-
-def levenshtein(x: Sequence, y: Sequence) -> int:
-    """Smallest number of symbols that must be dropped from each of two
-    equal-length words so that they share a common subsequence.
-
-    Equals n minus the length of a longest common subsequence.
-    """
-    _require_same_shape(x, y)
-    return len(x) - lcs_length(x.symbols, y.symbols)
 
 
 def lcs_length(xs: PySequence[int], ys: PySequence[int]) -> int:
@@ -190,26 +157,6 @@ def delete(x: Sequence, position: int) -> Sequence:
     return Sequence._wrap(_delete_t(x.symbols, position), x.q)
 
 
-def phi(x: Sequence, j1: int, j2: int, a: int) -> Sequence:
-    """Delete the symbol at position ``j1`` and write symbol ``a`` at the
-    position that held ``x[j2]``.
-
-    Both positions refer to the original word; the result has length
-    n - 1.  Substituting a symbol with itself is allowed, in which case
-    the result is a plain deletion.
-    """
-    n = len(x)
-    if not 1 <= j1 <= n:
-        raise IndexError(f"deletion position {j1} outside [1, {n}]")
-    if not 1 <= j2 <= n:
-        raise IndexError(f"substitution position {j2} outside [1, {n}]")
-    if j1 == j2:
-        raise ValueError("deletion and substitution positions must differ")
-    if not 0 <= a < x.q:
-        raise ValueError(f"symbol {a} outside alphabet of size {x.q}")
-    return Sequence._wrap(_phi_t(x.symbols, j1, j2, a), x.q)
-
-
 def alternating(n: int, a: int, b: int, q: Optional[int] = None) -> Sequence:
     """The length-n word abab... starting with ``a``.
 
@@ -225,26 +172,6 @@ def alternating(n: int, a: int, b: int, q: Optional[int] = None) -> Sequence:
     return Sequence(((a, b)[i % 2] for i in range(n)), q)
 
 
-def runs(x: Sequence, interval: Optional[Tuple[int, int]] = None) -> RunDecomposition:
-    """Decompose a word (or the closed 1-based interval ``[l, r]`` of it)
-    into maximal constant substrings.
-
-    An empty interval yields ``count == 0``.
-    """
-    n = len(x)
-    if interval is None:
-        lo, hi = 1, n
-    else:
-        lo, hi = interval
-        _check_interval(lo, hi, n)
-    if hi < lo:
-        return RunDecomposition((), 0)
-    xs = x.symbols
-    # a run starts at i when x_{i-1} != x_i
-    boundaries = (lo, *mismatches(xs[lo - 1 : hi - 1], xs[lo:hi], lo + 1))
-    return RunDecomposition(boundaries, len(boundaries))
-
-
 def run_last_positions(xs: Tuple[int, ...], lo: int, hi: int) -> list:
     """1-based last position of every run of ``xs`` restricted to [lo, hi].
 
@@ -257,12 +184,17 @@ def run_last_positions(xs: Tuple[int, ...], lo: int, hi: int) -> list:
     return [*mismatches(xs[lo - 1 : hi - 1], xs[lo:hi], lo), hi]
 
 
+def run_last_table(xs: PySequence[int]) -> List[int]:
+    """``table[i]`` is the 1-based last position of the run of ``xs`` that
+    holds position i, for i in [1, n]; ``table[0]`` is 0."""
+    n = len(xs)
+    table = list(range(n + 1))
+    for i in range(n - 1, 0, -1):
+        if xs[i - 1] == xs[i]:
+            table[i] = table[i + 1]
+    return table
+
+
 def _delete_t(xs: Tuple[int, ...], position: int) -> Tuple[int, ...]:
     return xs[: position - 1] + xs[position:]
 
-
-def _phi_t(xs: Tuple[int, ...], j1: int, j2: int, a: int) -> Tuple[int, ...]:
-    out = list(xs)
-    out[j2 - 1] = a
-    del out[j1 - 1]
-    return tuple(out)

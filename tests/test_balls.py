@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from delsub import (
+    DEFAULT_BUDGET,
     BallSpec,
     BudgetExceededError,
     Sequence,
@@ -12,12 +14,13 @@ from delsub import (
     deletion_ball,
     ds_ball,
     lambda_enumerate,
-    runs,
     sub_intersection_size,
     substitution_ball,
     substitution_ball_size,
 )
-from delsub.balls import ds11_packed
+from delsub import balls
+from delsub.balls import _oracle_peak_bytes, ds11_packed
+from delsub.sequence import run_last_positions
 
 from helpers import all_words, sequences
 
@@ -80,7 +83,7 @@ class TestDeletionBall:
 
     def test_size_equals_run_count_exhaustive(self):
         for x in all_words(2, 6):
-            assert len(deletion_ball(x, 1)) == runs(x).count
+            assert len(deletion_ball(x, 1)) == len(run_last_positions(x.symbols, 1, len(x)))
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
@@ -155,13 +158,32 @@ class TestBallIntersection:
             ball_intersection(seq("0101"), seq("010"), BallSpec(1, 1))
 
     def test_budget_counts_packed_bytes(self):
-        # each packed ball takes 60*59*4*59 = 835,440 bytes, while the
-        # element estimate is only 60*(1+3*59) = 10,680
+        # each packed array takes 60*59*4*59 = 835,440 bytes, but the bytes
+        # objects, sets and tuples built from them bring the peak to
+        # 9,072,160 bytes; the default budget still admits it
         x = Sequence((0, 1, 2, 3) * 15, 4)
         y = Sequence((1, 0, 2, 3) + (0, 1, 2, 3) * 14, 4)
-        with pytest.raises(BudgetExceededError):
-            ball_intersection(x, y, BallSpec(1, 1), budget=100_000)
-        assert len(ball_intersection(x, y, BallSpec(1, 1), budget=835_440)) > 0
+        assert _oracle_peak_bytes(60, 4) == 9_072_160 <= DEFAULT_BUDGET
+        with pytest.raises(BudgetExceededError, match="bytes"):
+            ball_intersection(x, y, BallSpec(1, 1), budget=9_072_159)
+        assert len(ball_intersection(x, y, BallSpec(1, 1), budget=9_072_160)) > 0
+
+    @pytest.mark.parametrize("q,n", [(2, 120), (3, 60), (4, 60), (5, 40), (3, 8)])
+    def test_peak_within_counted_bytes(self, q, n):
+        # a word cycling through the alphabet has n runs, the most distinct
+        # ball members, and against itself the whole ball is common
+        x = Sequence(tuple(i % q for i in range(n)), q)
+        rng = random.Random(n)
+        y = Sequence(tuple(rng.randrange(q) for _ in range(n)), q)
+        for a, b in ((x, x), (y, y)):
+            balls._DELETION_INDEX_CACHE.pop(n, None)
+            tracemalloc.start()
+            try:
+                ball_intersection(a, b, BallSpec(1, 1), budget=10**9)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _oracle_peak_bytes(n, q)
 
     @given(sequences(q=2, min_n=4, max_n=7))
     @settings(max_examples=30)

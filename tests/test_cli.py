@@ -107,8 +107,8 @@ class TestIntersectCommand:
         assert payload["oracle_size"] is None
 
     def test_oracle_budget_counts_packed_bytes(self, capsys):
-        # 60*59*4*59 = 835,440 packed bytes per ball, above the budget even
-        # though the ball has only 60*(1+3*59) = 10,680 elements
+        # the oracle may hold 9,072,160 bytes at once here, above the budget
+        # even though the ball has only 60*(1+3*59) = 10,680 elements
         x = "0123" * 15
         y = "1023" + "0123" * 14
         code, out, _ = run_cli(

@@ -11,6 +11,7 @@ from delsub import (
     landmarks,
 )
 from delsub.diffs import group_pairs, pair_value, scan_candidates
+from delsub.sequence import run_last_positions
 
 from helpers import all_words, naive_lambda_groups, sequence_pairs
 
@@ -58,30 +59,40 @@ class TestDiffProfile:
         # intervals reaching outside [1, n] count only their part inside
         for lo in range(-2, n + 4):
             for hi in range(lo - 1, n + 4):
-                assert p.s_count(lo, hi) == sum(1 for v in p.s if lo <= v <= hi)
                 assert p.t_count("L", lo, hi) == sum(1 for v in p.tl if lo <= v <= hi)
                 assert p.t_count("R", lo, hi) == sum(1 for v in p.tr if lo <= v <= hi)
 
 
+def deleted_mismatches(x, y, j, jp, side):
+    """Original positions of the mismatches of a deleted pair, found by
+    deleting and comparing: side L deletes j from x and j' from y, side R
+    deletes j' from x and j from y."""
+    jx, jy = (j, jp) if side == "L" else (jp, j)
+    z, zp = delete(x, jx).symbols, delete(y, jy).symbols
+    # index k of the deleted words holds original position k + 1 before
+    # the earlier deletion j and k + 2 from it on
+    return tuple(k + 1 if k + 1 < j else k + 2 for k in range(len(z)) if z[k] != zp[k])
+
+
 class TestDeletedHamming:
+    """The deleted-pair identity behind ``mismatch_positions``: a deleted
+    pair's mismatches are S before j, TL or TR in (j, j'] and S after j'."""
+
     def test_identical_words(self):
         x = seq("01100")
         p = DiffProfile(x, x)
         for j in range(1, 6):
-            assert p.deleted_hamming(j, j, "L") == 0
-            assert p.deleted_hamming(j, j, "R") == 0
+            assert p.mismatch_positions(j, j, "L") == ()
+            assert p.mismatch_positions(j, j, "R") == ()
 
     def test_worked_pair_all_positions_both_sides(self):
         p = DiffProfile(WORKED_X, WORKED_Y)
         n = len(WORKED_X)
         for j in range(1, n + 1):
             for jp in range(j, n + 1):
-                assert p.deleted_hamming(j, jp, "L") == hamming(
-                    delete(WORKED_X, j), delete(WORKED_Y, jp)
-                )
-                assert p.deleted_hamming(j, jp, "R") == hamming(
-                    delete(WORKED_X, jp), delete(WORKED_Y, j)
-                )
+                for side in "LR":
+                    expected = deleted_mismatches(WORKED_X, WORKED_Y, j, jp, side)
+                    assert p.mismatch_positions(j, jp, side) == expected
 
     def test_collapsed_pair_is_exact_copy(self):
         # with no shifted mismatch between the first and last mismatch,
@@ -89,13 +100,8 @@ class TestDeletedHamming:
         x, y = seq("00110"), seq("01100")
         p = DiffProfile(x, y)
         assert p.t_count("L", p.s[0] + 1, p.s[-1]) == 0
-        assert p.deleted_hamming(p.s[0], p.s[-1], "L") == 0
+        assert p.mismatch_positions(p.s[0], p.s[-1], "L") == ()
         assert delete(x, p.s[0]) == delete(y, p.s[-1])
-
-    def test_order_requirement(self):
-        p = DiffProfile(WORKED_X, WORKED_Y)
-        with pytest.raises(ValueError):
-            p.deleted_hamming(5, 4, "L")
 
     @given(sequence_pairs(q=5, min_n=2, max_n=10))
     @settings(max_examples=60)
@@ -105,12 +111,9 @@ class TestDeletedHamming:
         n = len(x)
         for j in range(1, n + 1):
             for jp in range(j, n + 1):
-                assert p.deleted_hamming(j, jp, "L") == hamming(
-                    delete(x, j), delete(y, jp)
-                )
-                assert p.deleted_hamming(j, jp, "R") == hamming(
-                    delete(x, jp), delete(y, j)
-                )
+                for side in "LR":
+                    expected = deleted_mismatches(x, y, j, jp, side)
+                    assert p.mismatch_positions(j, jp, side) == expected
 
 
 def reference_landmarks(p):
@@ -216,15 +219,13 @@ class TestLambdaEnumerate:
         # ...ab.../...ba... pair: the (2,0,0) family of pairs deleting the
         # same position from both words has one pair value per run of the
         # common tail
-        from delsub import runs
-
         x = seq("0110100")
         y = seq("1010100")
         p = DiffProfile(x, y)
         assert p.d == 2
         i2 = p.s[1]
         family = lambda_enumerate(x, y)[("L", 2, 1)]
-        assert len(family) == runs(x, (i2 + 1, len(x))).count
+        assert len(family) == len(run_last_positions(x.symbols, i2 + 1, len(x)))
 
     @given(sequence_pairs(q=3, min_n=2, max_n=7))
     @settings(max_examples=60)
@@ -246,9 +247,9 @@ class TestLambdaEnumerate:
             key = (side, j, jp)
             assert key not in seen
             seen[key] = (ell, case)
-            prefix = p.s_count(1, j - 1)
+            prefix = sum(1 for v in p.s if v < j)
             mid = p.t_count(side, j + 1, jp)
-            suffix = p.s_count(jp + 1, n)
+            suffix = sum(1 for v in p.s if v > jp)
             assert prefix + mid + suffix == ell
             if ell:
                 assert CASE_BY_TRIPLE[(prefix, mid, suffix)] == case
@@ -266,9 +267,9 @@ class TestRunContainment:
         p = DiffProfile(x, y)
         j1 = data.draw(st.integers(1, n))
         j2 = data.draw(st.integers(j1, n))
-        if p.s_count(j1, j2 - 1) == 0 and p.t_count("L", j1 + 1, j2) == 0:
+        if not any(j1 <= v < j2 for v in p.s) and p.t_count("L", j1 + 1, j2) == 0:
             assert len(set(x.symbols[j1 - 1 : j2])) == 1
-        if p.s_count(j1 + 1, j2) == 0 and p.t_count("L", j1 + 1, j2) == 0:
+        if not any(j1 < v <= j2 for v in p.s) and p.t_count("L", j1 + 1, j2) == 0:
             assert len(set(y.symbols[j1 - 1 : j2])) == 1
 
     def test_pair_view_dedup_collapses_rectangles(self):

@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from delsub import Sequence, alternating, delete, hamming, levenshtein, phi, runs
-from delsub.sequence import lcs_length, mismatch_counts, mismatches, run_last_positions
+from delsub import Sequence, alternating, delete, hamming
+from delsub.sequence import (
+    lcs_length, mismatch_counts, mismatches, run_last_positions, run_last_table,
+)
 
 from helpers import brute_lcs, sequence_pairs, sequences, word_tuples
 
@@ -59,13 +61,6 @@ class TestSequenceBasics:
             seq("01", q=2) + seq("01", q=3)
         assert str(seq("01") + seq("10")) == "0110"
 
-    def test_symbol_at_is_one_based(self):
-        s = seq("0123", q=4)
-        assert s.symbol_at(1) == 0
-        assert s.symbol_at(4) == 3
-        with pytest.raises(IndexError):
-            s.symbol_at(0)
-
 
 class TestHamming:
     def test_identity(self):
@@ -110,22 +105,20 @@ class TestHamming:
 
 
 class TestLevenshtein:
+    """The deletion distance n - LCS that the CLI's shift checks use."""
+
     def test_identical(self):
-        s = seq("012", q=3)
-        assert levenshtein(s, s) == 0
+        s = (0, 1, 2)
+        assert len(s) - lcs_length(s, s) == 0
 
     def test_swap_pair(self):
         # LCS("01","10") = 1, so the distance is 2 - 1 = 1
-        assert levenshtein(seq("01"), seq("10")) == 1
+        assert 2 - lcs_length((0, 1), (1, 0)) == 1
 
     def test_blocks(self):
         # brute force over all subsequences gives LCS = 2
         assert brute_lcs((0, 0, 1, 1), (1, 1, 0, 0)) == 2
-        assert levenshtein(seq("0011"), seq("1100")) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            levenshtein(seq("01"), seq("0"))
+        assert 4 - lcs_length((0, 0, 1, 1), (1, 1, 0, 0)) == 2
 
     @given(sequence_pairs(q=2, min_n=1, max_n=7))
     def test_lcs_against_brute_force(self, pair):
@@ -135,7 +128,7 @@ class TestLevenshtein:
     @given(sequence_pairs(q=3, min_n=1, max_n=7))
     def test_at_most_hamming(self, pair):
         x, y = pair
-        assert levenshtein(x, y) <= hamming(x, y)
+        assert len(x) - lcs_length(x.symbols, y.symbols) <= hamming(x, y)
 
 
 class TestDelete:
@@ -151,53 +144,6 @@ class TestDelete:
             delete(seq("01"), 3)
         with pytest.raises(IndexError):
             delete(seq("01"), 0)
-
-
-class TestPhi:
-    def test_worked_example_q3(self):
-        x = seq("10212201", q=3)
-        assert str(phi(x, 6, 3, 0)) == "1001201"
-
-    def test_worked_example_binary(self):
-        x = seq("01010111")
-        assert str(phi(x, 4, 7, 0)) == "0100101"
-
-    def test_identity_substitution_is_deletion(self):
-        x = seq("10212201", q=3)
-        for j1 in range(1, 9):
-            for j2 in range(1, 9):
-                if j1 == j2:
-                    continue
-                assert phi(x, j1, j2, x.symbol_at(j2)) == delete(x, j1)
-
-    def test_equal_positions_rejected(self):
-        with pytest.raises(ValueError):
-            phi(seq("011"), 2, 2, 0)
-
-    def test_symbol_out_of_range(self):
-        with pytest.raises(ValueError):
-            phi(seq("011"), 1, 2, 2)
-
-    @given(sequences(q=3, min_n=2, max_n=8), st.data())
-    @settings(max_examples=60)
-    def test_substitute_then_delete_orders_agree(self, x, data):
-        n = len(x)
-        j1 = data.draw(st.integers(1, n))
-        j2 = data.draw(st.integers(1, n).filter(lambda v: v != j1))
-        a = data.draw(st.integers(0, 2))
-        substituted = Sequence(
-            tuple(a if i == j2 else s for i, s in enumerate(x.symbols, start=1)), x.q
-        )
-        expected = delete(substituted, j1)
-        assert phi(x, j1, j2, a) == expected
-        # delete first, then substitute at the shifted coordinate
-        shifted = j2 if j2 < j1 else j2 - 1
-        deleted = delete(x, j1)
-        other = Sequence(
-            tuple(a if i == shifted else s for i, s in enumerate(deleted.symbols, start=1)),
-            x.q,
-        )
-        assert phi(x, j1, j2, a) == other
 
 
 class TestAlternating:
@@ -218,45 +164,38 @@ class TestAlternating:
 
 
 class TestRuns:
+    """Runs as ``run_last_positions`` names them: by their 1-based last
+    positions within an interval."""
+
     def test_constant_word(self):
-        assert runs(seq("000")).count == 1
+        assert run_last_positions((0, 0, 0), 1, 3) == [3]
 
     def test_worked_example(self):
-        assert runs(seq("10212201", q=3)).count == 7
-        assert runs(seq("10212201", q=3)).boundaries == (1, 2, 3, 4, 5, 7, 8)
+        assert run_last_positions(seq("10212201", q=3).symbols, 1, 8) == [1, 2, 3, 4, 6, 7, 8]
 
     def test_interval_restriction_by_direct_scan(self):
         # positions 6..8 of 01010111 hold "111": a single run
-        assert runs(seq("01010111"), (6, 8)).count == 1
-        assert runs(seq("01010111"), (1, 5)).count == 5
+        xs = seq("01010111").symbols
+        assert run_last_positions(xs, 6, 8) == [8]
+        assert len(run_last_positions(xs, 1, 5)) == 5
 
     def test_empty_interval(self):
-        assert runs(seq("0101"), (3, 2)).count == 0
-
-    def test_malformed_interval(self):
-        with pytest.raises(ValueError):
-            runs(seq("0101"), (0, 2))
-        with pytest.raises(ValueError):
-            runs(seq("0101"), (4, 2))
-        with pytest.raises(ValueError):
-            runs(seq("0101"), (2, 5))
+        assert run_last_positions(seq("0101").symbols, 3, 2) == []
 
     @given(sequences(q=3, min_n=1, max_n=10))
     def test_count_matches_boundary_formula(self, x):
-        expected = 1 + sum(
-            1 for i in range(2, len(x) + 1) if x.symbol_at(i) != x.symbol_at(i - 1)
-        )
-        decomposition = runs(x)
-        assert decomposition.count == expected
-        assert decomposition.boundaries[0] == 1
+        xs = x.symbols
+        n = len(xs)
+        lasts = run_last_positions(xs, 1, n)
+        assert len(lasts) == 1 + sum(1 for i in range(1, n) if xs[i] != xs[i - 1])
+        assert lasts[-1] == n
         # concatenating the runs reproduces the word
-        bounds = list(decomposition.boundaries) + [len(x) + 1]
         rebuilt = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            piece = x.symbols[lo - 1 : hi - 1]
+        for lo, hi in zip([0] + lasts, lasts):
+            piece = xs[lo:hi]
             assert len(set(piece)) == 1
             rebuilt.extend(piece)
-        assert tuple(rebuilt) == x.symbols
+        assert tuple(rebuilt) == xs
 
 
 class TestMismatches:
@@ -274,16 +213,6 @@ class TestMismatches:
         assert mismatch_counts(a, b) == expected
 
 
-def _loop_runs(xs, lo, hi):
-    if hi < lo:
-        return ()
-    boundaries = [lo]
-    for i in range(lo + 1, hi + 1):
-        if xs[i - 1] != xs[i - 2]:
-            boundaries.append(i)
-    return tuple(boundaries)
-
-
 def _loop_run_last_positions(xs, lo, hi):
     if hi < lo:
         return []
@@ -296,8 +225,8 @@ def _loop_run_last_positions(xs, lo, hi):
 
 
 class TestRunsAgainstLoops:
-    """runs and run_last_positions against their definitions as explicit
-    loops over adjacent symbols."""
+    """run_last_positions and run_last_table against their definitions as
+    explicit loops over adjacent symbols."""
 
     @given(sequences(q=3, min_n=0, max_n=12), st.data())
     def test_random_intervals(self, x, data):
@@ -305,7 +234,12 @@ class TestRunsAgainstLoops:
         lo = data.draw(st.integers(1, max(n, 1)))
         hi = data.draw(st.integers(lo - 1, n))  # hi == lo - 1 is empty
         xs = x.symbols
-        decomposition = runs(x, (lo, hi))
-        assert decomposition.boundaries == _loop_runs(xs, lo, hi)
-        assert decomposition.count == len(decomposition.boundaries)
         assert run_last_positions(xs, lo, hi) == _loop_run_last_positions(xs, lo, hi)
+
+    @given(word_tuples(3, 0, 12))
+    @example(())
+    @example((1,))
+    def test_run_last_table(self, xs):
+        lasts = _loop_run_last_positions(xs, 1, len(xs))
+        expected = [0] + [min(k for k in lasts if k >= i) for i in range(1, len(xs) + 1)]
+        assert run_last_table(xs) == expected
