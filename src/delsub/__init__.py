@@ -19,7 +19,6 @@ from .balls import (
     BallSpec,
     BudgetExceededError,
     DEFAULT_BUDGET,
-    SequenceSet,
     ball_intersection,
     deletion_ball,
     ds_ball,
@@ -73,7 +72,6 @@ __all__ = [
     "ReadSet",
     "ReconResult",
     "Sequence",
-    "SequenceSet",
     "VerificationReport",
     "alternating",
     "ball_intersection",

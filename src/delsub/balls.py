@@ -2,9 +2,10 @@
 
 Everything here enumerates: a ball is produced by literally applying
 every admissible combination of deletions and substitutions and
-deduplicating.  The structural fast path in :mod:`delsub.intersect` is
-always tested against these sets, so this module must stay independent
-of the mismatch machinery in :mod:`delsub.diffs`.
+deduplicating, and is returned as a frozenset of symbol tuples.  The
+structural fast path in :mod:`delsub.intersect` is always tested
+against these sets, so this module must stay independent of the
+mismatch machinery in :mod:`delsub.diffs`.
 
 Materialization refuses to run past a configurable budget, checked
 before anything is allocated: generated elements for the generic
@@ -18,15 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import FrozenSet, Set
 
 import numpy as np
 
-from .sequence import Sequence, _require_same_shape, hamming
+from .sequence import Sequence, Word, _require_same_shape, hamming
 
 DEFAULT_BUDGET = 10_000_000
-
-Word = Tuple[int, ...]
 
 
 class BudgetExceededError(RuntimeError):
@@ -44,60 +43,6 @@ class BallSpec:
     def __post_init__(self) -> None:
         if self.t < 0 or self.s < 0:
             raise ValueError("deletion and substitution counts must be non-negative")
-
-
-class SequenceSet:
-    """A deduplicated set of equal-length words over one alphabet."""
-
-    __slots__ = ("words", "length", "q")
-
-    def __init__(self, words: Iterable[Word], q: int, length: int):
-        self.words: FrozenSet[Word] = frozenset(words)
-        self.q = q
-        self.length = length
-        for w in self.words:
-            if len(w) != length:
-                raise ValueError("all members must share one length")
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self) -> Iterator[Sequence]:
-        for w in self.words:
-            yield Sequence._wrap(w, self.q)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, Sequence):
-            return item.q == self.q and item.symbols in self.words
-        return tuple(item) in self.words
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SequenceSet)
-            and self.q == other.q
-            and self.words == other.words
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.words))
-
-    def __and__(self, other: "SequenceSet") -> "SequenceSet":
-        self._check_compatible(other)
-        return SequenceSet(self.words & other.words, self.q, self.length)
-
-    def issubset(self, other: "SequenceSet") -> bool:
-        self._check_compatible(other)
-        return self.words <= other.words
-
-    def sorted(self) -> List[Sequence]:
-        return [Sequence._wrap(w, self.q) for w in sorted(self.words)]
-
-    def _check_compatible(self, other: "SequenceSet") -> None:
-        if self.q != other.q or self.length != other.length:
-            raise ValueError("sets are over different alphabets or lengths")
-
-    def __repr__(self) -> str:
-        return f"SequenceSet(<{len(self.words)} words>, q={self.q}, length={self.length})"
 
 
 def enumeration_estimate(n: int, q: int, spec: BallSpec) -> int:
@@ -121,7 +66,7 @@ def substitution_ball_size(n: int, q: int, s: int) -> int:
     return sum(math.comb(n, k) * (q - 1) ** k for k in range(min(s, n) + 1))
 
 
-def substitution_ball(x: Sequence, s: int, budget: int = DEFAULT_BUDGET) -> SequenceSet:
+def substitution_ball(x: Sequence, s: int, budget: int = DEFAULT_BUDGET) -> FrozenSet[Word]:
     """All words within Hamming distance ``s`` of ``x``, including ``x``."""
     if s < 0:
         raise ValueError("substitution budget must be non-negative")
@@ -130,20 +75,20 @@ def substitution_ball(x: Sequence, s: int, budget: int = DEFAULT_BUDGET) -> Sequ
         raise BudgetExceededError(
             f"substitution ball at n={n}, q={x.q}, s={s} exceeds budget {budget}"
         )
-    return SequenceSet(_sub_ball_t(x.symbols, s, x.q), x.q, n)
+    return frozenset(_sub_ball_t(x.symbols, s, x.q))
 
 
-def deletion_ball(x: Sequence, t: int, budget: int = DEFAULT_BUDGET) -> SequenceSet:
+def deletion_ball(x: Sequence, t: int, budget: int = DEFAULT_BUDGET) -> FrozenSet[Word]:
     """All distinct subsequences of ``x`` of length n - t."""
     n = len(x)
     if not 0 < t < n:
         raise ValueError(f"deletion count must satisfy 0 < t < n, got t={t}, n={n}")
     if math.comb(n, t) > budget:
         raise BudgetExceededError(f"deletion ball at n={n}, t={t} exceeds budget {budget}")
-    return SequenceSet(_del_ball_t(x.symbols, t), x.q, n - t)
+    return _del_ball_t(x.symbols, t)
 
 
-def ds_ball(x: Sequence, spec: BallSpec, budget: int = DEFAULT_BUDGET) -> SequenceSet:
+def ds_ball(x: Sequence, spec: BallSpec, budget: int = DEFAULT_BUDGET) -> FrozenSet[Word]:
     """All words reachable from ``x`` by exactly ``spec.t`` deletions
     followed by at most ``spec.s`` substitutions.
 
@@ -159,12 +104,12 @@ def ds_ball(x: Sequence, spec: BallSpec, budget: int = DEFAULT_BUDGET) -> Sequen
     out: Set[Word] = set()
     for deleted in _del_ball_t(x.symbols, spec.t):
         out |= _sub_ball_t(deleted, spec.s, x.q)
-    return SequenceSet(out, x.q, n - spec.t)
+    return frozenset(out)
 
 
 def ball_intersection(
     x: Sequence, y: Sequence, spec: BallSpec, budget: int = DEFAULT_BUDGET
-) -> SequenceSet:
+) -> FrozenSet[Word]:
     """Members common to the two materialized balls.
 
     This is the oracle every structural computation is checked against;
@@ -175,7 +120,7 @@ def ball_intersection(
     n = len(x)
     if spec.t + spec.s >= n:
         raise ValueError(f"need t + s < n, got t={spec.t}, s={spec.s}, n={n}")
-    if spec == BallSpec(1, 1) and x.q <= 255:
+    if spec == BallSpec(1, 1) and x.q <= 256:
         peak = _oracle_peak_bytes(n, x.q)
         if peak > budget:
             raise BudgetExceededError(
@@ -183,7 +128,7 @@ def ball_intersection(
                 f"at once, above the budget of {budget}"
             )
         common = ds11_packed(x.symbols, x.q) & ds11_packed(y.symbols, y.q)
-        return SequenceSet((tuple(w) for w in common), x.q, n - 1)
+        return frozenset(tuple(w) for w in common)
     return ds_ball(x, spec, budget) & ds_ball(y, spec, budget)
 
 
@@ -240,25 +185,9 @@ def _sub_ball_t(word: Word, s: int, q: int) -> Set[Word]:
     return out
 
 
-def _del_ball_t(word: Word, t: int) -> Set[Word]:
+def _del_ball_t(word: Word, t: int) -> FrozenSet[Word]:
     n = len(word)
-    out: Set[Word] = set()
-    for kept in combinations(range(n), n - t):
-        out.add(tuple(word[i] for i in kept))
-    return out
-
-
-_DELETION_INDEX_CACHE: dict = {}
-
-
-def _deletion_indices(n: int) -> np.ndarray:
-    idx = _DELETION_INDEX_CACHE.get(n)
-    if idx is None:
-        cols = np.arange(n - 1)[None, :]
-        rows = np.arange(n)[:, None]
-        idx = np.where(cols < rows, cols, cols + 1)
-        _DELETION_INDEX_CACHE[n] = idx
-    return idx
+    return frozenset(tuple(word[i] for i in kept) for kept in combinations(range(n), n - t))
 
 
 def ds11_packed(word: Word, q: int) -> FrozenSet[bytes]:
@@ -266,13 +195,15 @@ def ds11_packed(word: Word, q: int) -> FrozenSet[bytes]:
 
     Same enumeration as :func:`ds_ball` with spec (1, 1), vectorized so
     the oracle stays usable inside large verification sweeps.  Requires
-    q <= 255.
+    q <= 256, so that every symbol fits in one byte.
     """
     n = len(word)
     if n < 3:
         raise ValueError("(1,1)-ball needs length at least 3")
     arr = np.frombuffer(bytes(word), dtype=np.uint8)
-    deleted = arr[_deletion_indices(n)]
+    cols = np.arange(n - 1)
+    # row j is the word without its symbol at index j
+    deleted = arr[np.where(cols[None, :] < np.arange(n)[:, None], cols, cols + 1)]
     out = np.empty((n, n - 1, q, n - 1), dtype=np.uint8)
     out[:] = deleted[:, None, None, :]
     symbols = np.arange(q, dtype=np.uint8)

@@ -38,9 +38,7 @@ from .intersect import (
     verify_claims,
 )
 from .reconstruct import Codebook, ReadSet, channel_transmit, reconstruct
-from .sequence import Sequence, hamming, lcs_length
-
-Word = Tuple[int, ...]
+from .sequence import Sequence, Word, hamming, lcs_length
 
 PAIR_CAP = 4_000_000
 SCOPES = ("claims", "theorem", "lemmas", "remark5")
@@ -150,7 +148,7 @@ def _emit_error(message: str, args) -> None:
 def cmd_ball(args) -> int:
     x = Sequence.parse(args.x, args.q)
     ball = ds_ball(x, BallSpec(args.t, args.s), budget=args.budget)
-    members = [str(s) for s in ball.sorted()]
+    members = [str(Sequence._wrap(w, args.q)) for w in sorted(ball)]
     payload = {
         "command": "ball",
         "q": args.q,

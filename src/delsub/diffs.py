@@ -29,10 +29,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .sequence import (Sequence, _delete_t, _require_same_shape, mismatch_counts, mismatches,
-                       run_last_table)
+from .sequence import (Sequence, Word, _delete_t, _require_same_shape, mismatch_counts,
+                       mismatches, run_last_table)
 
-Word = Tuple[int, ...]
 PairValue = Tuple[Word, Word]
 GroupKey = Tuple[str, int, Optional[int]]
 

@@ -34,9 +34,8 @@ the CLI's ``--mode oracle`` only.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, KeysView, List, Optional, Set, Tuple
 
 from .diffs import (
@@ -47,13 +46,13 @@ from .diffs import (
     PairKey,
     PairValue,
     RawEntry,
-    Word,
     group_pairs,
     landmarks,
     pair_sets,
     scan_candidates,
 )
-from .sequence import Sequence, _require_same_shape, alternating, run_last_positions, run_last_table
+from .sequence import (Sequence, Word, _require_same_shape, alternating, run_last_positions,
+                       run_last_table)
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -453,24 +452,8 @@ class IntersectionReport:
     omega2_minus_omega0: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "d": self.d,
-            "size": self.size,
-            "method": self.method,
-            "bound": self.bound,
-            "bound_applicable": self.bound_applicable,
-            "group_sizes": dict(sorted(self.group_sizes.items())),
-            "omega0_size": self.omega0_size,
-            "omega1_size": self.omega1_size,
-            "omega2_size": self.omega2_size,
-            "omega1_minus_omega0": self.omega1_minus_omega0,
-            "omega2_minus_omega0": self.omega2_minus_omega0,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
+        # the key keeps its place among the fields; only its value is replaced
+        return {**asdict(self), "group_sizes": dict(sorted(self.group_sizes.items()))}
 
 
 def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
@@ -529,12 +512,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 # The passing group check of each group; results are immutable, so every

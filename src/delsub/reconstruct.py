@@ -18,16 +18,14 @@ word of it is a parity codeword, and no other read is left to filter it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from operator import ne
 from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .intersect import coverage_bound, intersection_size_fast, min_valid_length
-from .sequence import Sequence, _delete_t, mismatch_counts, mismatches
-
-Word = Tuple[int, ...]
+from .sequence import Sequence, Word, _delete_t, mismatch_counts, mismatches
 
 EXPLICIT_ENUM_LIMIT = 2_000_000
 
@@ -192,9 +190,6 @@ class ReadSet:
         for r in self.reads:
             yield Sequence._wrap(r, self.q)
 
-    def sorted(self) -> List[Sequence]:
-        return [Sequence._wrap(r, self.q) for r in sorted(self.reads)]
-
 
 @dataclass(frozen=True)
 class ReconResult:
@@ -231,12 +226,7 @@ class CoverageReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "pairs_checked": self.pairs_checked,
-            "exhaustive": self.exhaustive,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def channel_transmit(

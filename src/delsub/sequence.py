@@ -14,6 +14,8 @@ from itertools import accumulate, compress, count
 from operator import ne
 from typing import Iterable, Iterator, List, Optional, Sequence as PySequence, Tuple
 
+Word = Tuple[int, ...]
+
 
 class Sequence:
     """An immutable q-ary word.
@@ -37,7 +39,7 @@ class Sequence:
         object.__setattr__(self, "q", q)
 
     @classmethod
-    def _wrap(cls, symbols: Tuple[int, ...], q: int) -> "Sequence":
+    def _wrap(cls, symbols: Word, q: int) -> "Sequence":
         """Wrap an already-validated symbol tuple without re-checking."""
         obj = object.__new__(cls)
         _set_symbols(obj, symbols)
@@ -172,7 +174,7 @@ def alternating(n: int, a: int, b: int, q: Optional[int] = None) -> Sequence:
     return Sequence(((a, b)[i % 2] for i in range(n)), q)
 
 
-def run_last_positions(xs: Tuple[int, ...], lo: int, hi: int) -> list:
+def run_last_positions(xs: Word, lo: int, hi: int) -> list:
     """1-based last position of every run of ``xs`` restricted to [lo, hi].
 
     Internal helper shared with the structural intersection code; an
@@ -195,6 +197,6 @@ def run_last_table(xs: PySequence[int]) -> List[int]:
     return table
 
 
-def _delete_t(xs: Tuple[int, ...], position: int) -> Tuple[int, ...]:
+def _delete_t(xs: Word, position: int) -> Word:
     return xs[: position - 1] + xs[position:]
 

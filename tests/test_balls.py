@@ -13,12 +13,12 @@ from delsub import (
     delete,
     deletion_ball,
     ds_ball,
+    intersection_size_fast,
     lambda_enumerate,
     sub_intersection_size,
     substitution_ball,
     substitution_ball_size,
 )
-from delsub import balls
 from delsub.balls import _oracle_peak_bytes, ds11_packed
 from delsub.sequence import run_last_positions
 
@@ -57,7 +57,7 @@ class TestSubstitutionBall:
 
     def test_zero_budget(self):
         x = seq("0101")
-        assert set(substitution_ball(x, 0)) == {x}
+        assert set(substitution_ball(x, 0)) == {x.symbols}
 
     def test_radius_one_ternary(self):
         ball = substitution_ball(seq("01201", q=3), 1)
@@ -79,7 +79,7 @@ class TestDeletionBall:
         assert len(deletion_ball(Sequence((0,) * 6, 2), 1)) == 1
 
     def test_two_symbols(self):
-        assert set(deletion_ball(seq("01"), 1)) == {seq("0"), seq("1")}
+        assert set(deletion_ball(seq("01"), 1)) == {seq("0").symbols, seq("1").symbols}
 
     def test_size_equals_run_count_exhaustive(self):
         for x in all_words(2, 6):
@@ -100,7 +100,7 @@ class TestDsBall:
         x = seq("01010111")
         ball = ds_ball(x, BallSpec(1, 1))
         assert len(ball) <= 8 * (1 + 7) == 64
-        assert set(m.symbols for m in ball) == naive_ds11(x)
+        assert ball == naive_ds11(x)
 
     def test_contains_pure_deletions(self):
         x = seq("01201", q=3)
@@ -117,8 +117,8 @@ class TestDsBall:
         # the single-deletion results
         expected = set()
         for j in range(1, len(x) + 1):
-            expected |= {m.symbols for m in substitution_ball(delete(x, j), 1)}
-        assert {m.symbols for m in ds_ball(x, BallSpec(1, 1))} == expected
+            expected |= substitution_ball(delete(x, j), 1)
+        assert ds_ball(x, BallSpec(1, 1)) == expected
 
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
@@ -130,7 +130,7 @@ class TestPackedKernel:
     @settings(max_examples=40)
     def test_matches_generic_materialization(self, x):
         packed = {tuple(b) for b in ds11_packed(x.symbols, x.q)}
-        assert packed == {m.symbols for m in ds_ball(x, BallSpec(1, 1))}
+        assert packed == ds_ball(x, BallSpec(1, 1))
 
     def test_trailing_zero_symbols_kept(self):
         # a packed member ending in symbol 0 must keep its zero bytes
@@ -139,7 +139,7 @@ class TestPackedKernel:
             q, n = rng.randint(2, 5), rng.randint(3, 12)
             zeros = rng.randint(1, n - 1)
             word = tuple(rng.randrange(q) for _ in range(n - zeros)) + (0,) * zeros
-            expected = {bytes(m.symbols) for m in ds_ball(Sequence(word, q), BallSpec(1, 1))}
+            expected = {bytes(m) for m in ds_ball(Sequence(word, q), BallSpec(1, 1))}
             assert ds11_packed(word, q) == expected
 
 
@@ -150,8 +150,8 @@ class TestBallIntersection:
 
     def test_worked_example_member(self):
         inter = ball_intersection(seq("01010111"), seq("01101011"), BallSpec(1, 1))
-        assert seq("0100101") in inter
-        assert seq("0110111") in inter
+        assert seq("0100101").symbols in inter
+        assert seq("0110111").symbols in inter
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -176,7 +176,6 @@ class TestBallIntersection:
         rng = random.Random(n)
         y = Sequence(tuple(rng.randrange(q) for _ in range(n)), q)
         for a, b in ((x, x), (y, y)):
-            balls._DELETION_INDEX_CACHE.pop(n, None)
             tracemalloc.start()
             try:
                 ball_intersection(a, b, BallSpec(1, 1), budget=10**9)
@@ -184,6 +183,28 @@ class TestBallIntersection:
             finally:
                 tracemalloc.stop()
             assert peak <= _oracle_peak_bytes(n, q)
+
+    @pytest.mark.parametrize("q", [255, 256, 257])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_alphabets_at_the_byte_limit(self, q, n):
+        # symbols up to 255 fit in a byte, so q <= 256 takes the packed
+        # path, whose budget counts bytes, and q = 257 the generic one
+        top = q - 1
+        x = Sequence((top, 0, top, 1, top)[:n], q)
+        pairs = [
+            (x, x),
+            (x, Sequence((top - 1,) + x.symbols[1:], q)),
+            (x, Sequence((top - 1, 2) + x.symbols[2:], q)),
+            (x, Sequence(tuple(reversed(x.symbols)), q)),
+        ]
+        for a, b in pairs:
+            common = ball_intersection(a, b, BallSpec(1, 1))
+            assert len(common) == intersection_size_fast(a, b).size, (a, b)
+            assert type(common) is frozenset
+            assert all(type(w) is tuple and len(w) == n - 1 for w in common)
+        assert x.symbols[1:] in ball_intersection(x, x, BallSpec(1, 1))
+        with pytest.raises(BudgetExceededError, match="bytes" if q <= 256 else "elements"):
+            ball_intersection(x, x, BallSpec(1, 1), budget=1)
 
     @given(sequences(q=2, min_n=4, max_n=7))
     @settings(max_examples=30)
@@ -196,8 +217,8 @@ class TestBallIntersection:
             z = Sequence(pair[0], x.q)
             zp = Sequence(pair[1], x.q)
             common = substitution_ball(z, 1) & substitution_ball(zp, 1)
-            expected |= {m.symbols for m in common}
-        got = {m.symbols for m in ball_intersection(x, y, BallSpec(1, 1))}
+            expected |= common
+        got = ball_intersection(x, y, BallSpec(1, 1))
         assert got == expected
 
 
@@ -220,3 +241,16 @@ class TestSubIntersectionSize:
             for y in all_words(2, 5):
                 brute = len(substitution_ball(x, 1) & substitution_ball(y, 1))
                 assert sub_intersection_size(x, y) == brute
+
+
+def test_every_ball_is_a_frozenset_of_tuples():
+    x = seq("01201", q=3)
+    for ball in (
+        substitution_ball(x, 1),
+        deletion_ball(x, 1),
+        ds_ball(x, BallSpec(1, 1)),
+        ball_intersection(x, x, BallSpec(1, 1)),
+        ball_intersection(x, x, BallSpec(1, 0)),
+    ):
+        assert type(ball) is frozenset
+        assert all(type(w) is tuple for w in ball)
