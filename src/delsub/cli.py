@@ -16,6 +16,7 @@ import io
 import json
 import random
 import sys
+import time
 from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache, partial
@@ -41,6 +42,11 @@ from .reconstruct import Codebook, ReadSet, channel_transmit, reconstruct
 from .sequence import Sequence, Word, hamming, lcs_length
 
 PAIR_CAP = 4_000_000
+# pairs per verify task: each worker samples (or receives) and checks a
+# chunk and sends back one reduced result
+CHUNK = 256
+# violation details kept in the verify report
+SAMPLE_LIMIT = 10
 SCOPES = ("claims", "theorem", "lemmas", "remark5")
 
 
@@ -216,23 +222,55 @@ def cmd_intersect(args) -> int:
 # verify
 
 
-def _check_pair(q: int, scope: str, pair: Tuple[Word, Word]):
-    """Returns (violation_detail | None, size | None)."""
-    xs, ys = pair
-    x = Sequence._wrap(xs, q)
-    y = Sequence._wrap(ys, q)
-    if scope in ("claims", "lemmas"):
-        report = verify_claims(x, y)
-        checks = report.group_checks if scope == "claims" else report.fact_checks
-        failed = [c.name for c in checks if c.applicable and not c.passed]
-        if failed:
-            return {"x": str(x), "y": str(y), "failed": failed}, None
-        return None, None
-    size = intersection_size_fast(x, y).size
-    limit = coverage_bound(len(x), q) if scope == "theorem" else constant_regime_bound(q)
-    if size > limit:
-        return {"x": str(x), "y": str(y), "size": size, "limit": limit}, size
-    return None, size
+def _check_chunk(
+    q: int, scope: str, limit: Optional[int], pairs: List[Tuple[Word, Word]]
+):
+    """Checks one chunk's pairs in order against ``limit`` (the size bound
+    of ``theorem`` and ``remark5``; None for the claims scopes) and reduces
+    them to (pairs checked, the first SAMPLE_LIMIT violation details,
+    violation count, failed-check counts, max size | None, first pair
+    reaching it | None), so a worker sends back one small result per
+    chunk."""
+    details: List[dict] = []
+    violations = 0
+    failed: Counter = Counter()
+    max_size: Optional[int] = None
+    witness: Optional[Tuple[Word, Word]] = None
+    for xs, ys in pairs:
+        x = Sequence._wrap(xs, q)
+        y = Sequence._wrap(ys, q)
+        if limit is not None:
+            size = intersection_size_fast(x, y).size
+            if max_size is None or size > max_size:
+                max_size, witness = size, (xs, ys)
+            if size <= limit:
+                continue
+            detail = {"x": str(x), "y": str(y), "size": size, "limit": limit}
+        else:
+            report = verify_claims(x, y)
+            checks = report.group_checks if scope == "claims" else report.fact_checks
+            names = [c.name for c in checks if c.applicable and not c.passed]
+            if not names:
+                continue
+            failed.update(names)
+            detail = {"x": str(x), "y": str(y), "failed": names}
+        violations += 1
+        if len(details) < SAMPLE_LIMIT:
+            details.append(detail)
+    return len(pairs), details, violations, failed, max_size, witness
+
+
+def _sample_and_check(
+    q: int, n: int, scope: str, limit: Optional[int], seed: int, min_d: int,
+    task: Tuple[int, int],
+):
+    """Draws chunk k's ``count`` pairs from its own stream, seeded with the
+    string ``f"{seed}:{k}"`` (hashed with sha512, so independent of
+    PYTHONHASHSEED and of the other chunks), and checks them."""
+    k, count = task
+    rng = random.Random(f"{seed}:{k}")
+    pairs = _sampled_pairs(rng, q, n, count, min_d, scope == "remark5")
+    return _check_chunk(q, scope, limit, pairs)
 
 
 def _exhaustive_pairs(q: int, n: int, min_d: int) -> List[Tuple[Word, Word]]:
@@ -258,9 +296,10 @@ def _sampled_pairs(
     (random substitution patterns), all meeting the minimum Hamming
     distance; ``need_shift`` additionally requires that the words share
     no length n-1 subsequence (the constant-regime hypothesis)."""
+    symbols = tuple(range(q))  # indexed faster than a range by rng.choices
     pairs: List[Tuple[Word, Word]] = []
     while len(pairs) < count:
-        xs = tuple(rng.randrange(q) for _ in range(n))
+        xs = tuple(rng.choices(symbols, k=n))
         if rng.random() < 0.5:
             k = rng.randint(min_d, min(n, min_d + 4))
             positions = rng.sample(range(n), k)
@@ -269,7 +308,7 @@ def _sampled_pairs(
                 ys_list[p] = (xs[p] + 1 + rng.randrange(q - 1)) % q
             ys = tuple(ys_list)
         else:
-            ys = tuple(rng.randrange(q) for _ in range(n))
+            ys = tuple(rng.choices(symbols, k=n))
             if sum(map(ne, xs, ys)) < min_d:
                 continue
         if need_shift and n - lcs_length(xs, ys) < 2:
@@ -297,37 +336,49 @@ def cmd_verify(args) -> int:
         # the only way the pair set can be empty; checked before sampling,
         # which could never meet the distance
         raise ValueError(f"no pair of length-{n} words lies at Hamming distance >= {min_d}")
-    if args.exhaustive:
-        pairs = _exhaustive_pairs(q, n, min_d)
-        if scope == "remark5":
-            pairs = [p for p in pairs if n - lcs_length(p[0], p[1]) >= 2]
-        mode = "exhaustive"
-    else:
-        rng = random.Random(args.seed)
-        pairs = _sampled_pairs(rng, q, n, args.samples, min_d, scope == "remark5")
-        mode = "sampled"
-
-    violations: List[dict] = []
-    max_size: Optional[int] = None
-    checked = 0
-    step = max(1, len(pairs) // 20)
-    check = partial(_check_pair, q, scope)
-    with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
-        results = map(check, pairs) if pool is None else pool.imap(check, pairs, chunksize=256)
-        for detail, size in results:
-            checked += 1
-            if detail is not None:
-                violations.append(detail)
-            if size is not None and (max_size is None or size > max_size):
-                max_size = size
-            if args.progress and checked % step == 0:
-                print(f"checked {checked}/{len(pairs)}", file=sys.stderr)
-
     limit = (
         coverage_bound(n, q) if scope == "theorem"
         else constant_regime_bound(q) if scope == "remark5"
         else None
     )
+    start = time.perf_counter()
+    # a sweep is a run of tasks of up to CHUNK pairs, which the workers
+    # build or receive, check and reduce; the parent merges one result per
+    # task, in task order, so the output is the same for every --jobs
+    if args.exhaustive:
+        pairs = _exhaustive_pairs(q, n, min_d)
+        if scope == "remark5":
+            pairs = [p for p in pairs if n - lcs_length(p[0], p[1]) >= 2]
+        total = len(pairs)
+        tasks = (pairs[i:i + CHUNK] for i in range(0, total, CHUNK))
+        work = partial(_check_chunk, q, scope, limit)
+        mode = "exhaustive"
+    else:
+        total = args.samples
+        tasks = ((k, min(CHUNK, total - i)) for k, i in enumerate(range(0, total, CHUNK)))
+        work = partial(_sample_and_check, q, n, scope, limit, args.seed, min_d)
+        mode = "sampled"
+
+    samples: List[dict] = []
+    violations = checked = 0
+    failed_checks: Counter = Counter()
+    max_size: Optional[int] = None
+    witness: Optional[Tuple[Word, Word]] = None
+    step = -(-total // 20)
+    with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        results = map(work, tasks) if pool is None else pool.imap(work, tasks)
+        for count, details, found, failed, size, pair in results:
+            previous, checked = checked, checked + count
+            violations += found
+            samples += details[:SAMPLE_LIMIT - len(samples)]
+            failed_checks.update(failed)
+            if size is not None and (max_size is None or size > max_size):
+                max_size, witness = size, pair
+            if args.progress and (checked // step > previous // step or checked == total):
+                elapsed = time.perf_counter() - start
+                print(f"checked {checked}/{total} {elapsed:.2f}s "
+                      f"{checked / elapsed:.0f} pairs/s", file=sys.stderr)
+
     payload = {
         "command": "verify",
         "scope": scope,
@@ -336,10 +387,14 @@ def cmd_verify(args) -> int:
         "mode": mode,
         "seed": args.seed,
         "pairs_checked": checked,
-        "violations": len(violations),
+        "violations": violations,
+        "failed_checks": dict(sorted(failed_checks.items())),
         "max_size": max_size,
+        "max_witness": None if witness is None else {
+            "x": str(Sequence._wrap(witness[0], q)), "y": str(Sequence._wrap(witness[1], q))
+        },
         "bound": limit,
-        "violation_samples": violations[:10],
+        "violation_samples": samples,
     }
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -349,10 +404,10 @@ def cmd_verify(args) -> int:
     else:
         print(
             f"verify {scope}: q={q} n={n} {mode} pairs={checked} "
-            f"violations={len(violations)}"
+            f"violations={violations}"
             + (f" max_size={max_size} bound={limit}" if limit is not None else "")
         )
-        for v in violations[:10]:
+        for v in samples:
             print(f"  violation: {v}")
     return 1 if violations else 0
 

@@ -511,9 +511,6 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # The passing group check of each group; results are immutable, so every
 # report shares these.
@@ -552,15 +549,6 @@ class VerificationReport:
 
     def failures(self) -> List[CheckResult]:
         return [c for c in self.group_checks + self.fact_checks if c.applicable and not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "x": str(self.x),
-            "y": str(self.y),
-            "all_passed": self.all_passed,
-            "group_checks": [c.to_dict() for c in self.group_checks],
-            "fact_checks": [c.to_dict() for c in self.fact_checks],
-        }
 
 
 def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:

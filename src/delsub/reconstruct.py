@@ -18,7 +18,7 @@ word of it is a parity codeword, and no other read is left to filter it.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations, product
 from operator import ne
 from pathlib import Path
@@ -205,14 +205,6 @@ class ReconResult:
     def codeword(self) -> Optional[Sequence]:
         return self.candidates[0] if self.outcome == "unique" else None
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "candidates": [str(c) for c in self.candidates],
-            "distinct_reads": self.distinct_reads,
-            "raw_reads": self.raw_reads,
-        }
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -224,9 +216,6 @@ class CoverageReport:
     pairs_checked: int
     exhaustive: bool
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def channel_transmit(

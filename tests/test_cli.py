@@ -1,10 +1,14 @@
 import json
+import re
 from importlib import resources
+from itertools import product
 
 import jsonschema
 import pytest
 
 from delsub.cli import main
+from delsub.intersect import CheckResult, VerificationReport, intersection_size_fast
+from delsub.sequence import Sequence
 
 
 def load_schema(name: str) -> dict:
@@ -154,6 +158,8 @@ class TestVerifyCommand:
         payload = json.loads(out)
         jsonschema.validate(payload, load_schema("verify"))
         assert payload["violations"] == 0
+        assert payload["failed_checks"] == {}
+        assert payload["max_size"] is None and payload["max_witness"] is None
 
     def test_exhaustive_lemmas_clean(self, capsys):
         code, out, _ = run_cli(
@@ -175,6 +181,10 @@ class TestVerifyCommand:
         payload = json.loads(out1)
         jsonschema.validate(payload, load_schema("verify"))
         assert payload["max_size"] <= payload["bound"]
+        assert payload["failed_checks"] == {}
+        witness = payload["max_witness"]
+        x, y = (Sequence.parse(witness[k], 3) for k in ("x", "y"))
+        assert intersection_size_fast(x, y).size == payload["max_size"]
 
     def test_sampled_remark5(self, capsys):
         code, out, _ = run_cli(
@@ -186,14 +196,80 @@ class TestVerifyCommand:
         assert payload["max_size"] <= 40
         assert payload["bound"] == 40
 
-    def test_jobs_do_not_change_output(self, capsys):
-        argv = [
-            "verify", "--scope", "claims", "--q", "2", "--n", "4",
-            "--exhaustive", "--format", "json",
-        ]
-        _, out1, _ = run_cli(capsys, *argv)
-        _, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
-        assert out1 == out2
+    @pytest.mark.parametrize("argv", [
+        ["--scope", "claims", "--q", "2", "--n", "4", "--exhaustive"],
+        ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "2000", "--seed", "7"],
+        ["--scope", "remark5", "--q", "2", "--n", "29", "--samples", "600", "--seed", "7"],
+        ["--scope", "lemmas", "--q", "2", "--n", "5", "--exhaustive"],
+    ], ids=["claims-exhaustive", "theorem-sampled", "remark5-sampled", "lemmas-exhaustive"])
+    def test_jobs_do_not_change_output(self, capsys, argv):
+        outs = [run_cli(capsys, "verify", *argv, "--format", "json", "--jobs", jobs)[1]
+                for jobs in ("1", "2", "3")]
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["pairs_checked"] > 0
+
+    @pytest.mark.parametrize("samples", [100, 256, 300])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_partial_chunks_check_every_requested_pair(self, capsys, samples, jobs):
+        # fewer pairs than one chunk, exactly one chunk, and a sweep
+        # that ends mid-chunk
+        code, out, _ = run_cli(
+            capsys, "verify", "--scope", "theorem", "--q", "2", "--n", "29",
+            "--samples", str(samples), "--seed", "3", "--jobs", jobs, "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["pairs_checked"] == samples
+
+    @pytest.mark.parametrize("argv", [
+        ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "6000", "--seed", "5"],
+        ["--scope", "lemmas", "--q", "2", "--n", "5", "--exhaustive"],
+    ])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_lines_survive_chunking(self, capsys, argv, jobs):
+        code, out, err = run_cli(
+            capsys, "verify", *argv, "--jobs", jobs, "--progress", "--format", "json",
+        )
+        assert code == 0
+        total = json.loads(out)["pairs_checked"]
+        lines = err.splitlines()
+        assert 1 <= len(lines) <= 20
+        counts = []
+        for line in lines:
+            m = re.fullmatch(r"checked (\d+)/(\d+) (\d+\.\d\d)s (\d+) pairs/s", line)
+            assert m, line
+            assert int(m.group(2)) == total
+            counts.append(int(m.group(1)))
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+        assert counts[-1] == total
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_checks_count_every_violation(self, capsys, monkeypatch, jobs):
+        # a stand-in for verify_claims that fails one check on pairs whose
+        # x starts with 0 and another on pairs whose y ends with 1
+        import delsub.cli as cli_module
+
+        def faulty(x, y):
+            checks = (CheckResult("head", True, x.symbols[0] == 1),
+                      CheckResult("tail", True, y.symbols[-1] == 0),
+                      CheckResult("skipped", False, False))
+            return VerificationReport(x, y, checks, ())
+
+        monkeypatch.setattr(cli_module, "verify_claims", faulty)
+        code, out, _ = run_cli(
+            capsys, "verify", "--scope", "claims", "--q", "2", "--n", "4",
+            "--exhaustive", "--jobs", jobs, "--format", "json",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        jsonschema.validate(payload, load_schema("verify"))
+        words = list(product((0, 1), repeat=4))
+        pairs = [(x, y) for x in words for y in words if sum(a != b for a, b in zip(x, y)) >= 2]
+        heads = sum(x[0] == 0 for x, _ in pairs)
+        tails = sum(y[-1] == 1 for _, y in pairs)
+        assert payload["failed_checks"] == {"head": heads, "tail": tails}
+        assert payload["violations"] == sum(x[0] == 0 or y[-1] == 1 for x, y in pairs)
+        assert len(payload["violation_samples"]) == 10
+        assert payload["max_size"] is None and payload["max_witness"] is None
 
     def test_samples_require_seed(self, capsys):
         code, _, err = run_cli(
