@@ -28,9 +28,7 @@ from .balls import (
 )
 from .diffs import (
     DiffProfile,
-    Landmarks,
     lambda_enumerate,
-    landmarks,
 )
 from .intersect import (
     CheckResult,
@@ -68,7 +66,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DiffProfile",
     "IntersectionReport",
-    "Landmarks",
     "ReadSet",
     "ReconResult",
     "Sequence",
@@ -88,7 +85,6 @@ __all__ = [
     "hamming",
     "intersection_size_fast",
     "lambda_enumerate",
-    "landmarks",
     "min_valid_length",
     "read_coverage",
     "reconstruct",

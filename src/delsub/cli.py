@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -93,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true", help="all ordered pairs")
     mode.add_argument("--samples", type=int, help="number of sampled pairs")
     p_ver.add_argument("--seed", type=int, help="required with --samples")
-    p_ver.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_ver.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per core")
     p_ver.add_argument("--progress", action="store_true", help="progress lines on stderr")
     _add_format(p_ver)
     p_ver.set_defaults(func=cmd_verify)
@@ -249,7 +251,7 @@ def _check_chunk(
         else:
             report = verify_claims(x, y)
             checks = report.group_checks if scope == "claims" else report.fact_checks
-            names = [c.name for c in checks if c.applicable and not c.passed]
+            names = [c.name for c in checks if not c.passed]
             if not names:
                 continue
             failed.update(names)
@@ -365,7 +367,9 @@ def cmd_verify(args) -> int:
     max_size: Optional[int] = None
     witness: Optional[Tuple[Word, Word]] = None
     step = -(-total // 20)
-    with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    # more workers than cores only add start-up cost and memory
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         results = map(work, tasks) if pool is None else pool.imap(work, tasks)
         for count, details, found, failed, size, pair in results:
             previous, checked = checked, checked + count

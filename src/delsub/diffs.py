@@ -11,14 +11,15 @@ constant time: deleting position j from x and j' >= j from x' leaves
 exactly the mismatches counted by ``|S  [1, j-1]| + |TL  [j+1, j']| +
 |S  [j'+1, n]|`` (and the ``TR`` variant when the later position is
 deleted from x instead).  Everything in this module is bookkeeping on
-top of that identity: prefix tables for the counts, the extremal
-"landmark" elements of TL/TR around the first and last mismatch, and
-the exhaustive scan that collects every deleted pair at Hamming
-distance at most 2, classified by which of the three terms carry it,
-and :func:`group_pairs`, which reduces scan entries to each group's
-distinct pairs without building them: deleting two positions of one
-word gives the same word exactly when both lie in one run, so a deleted
-pair is named by the run ends of its two deleted positions.
+top of that identity: prefix tables for the counts, the exhaustive scan
+that collects every deleted pair at Hamming distance at most 2,
+classified by which of the three terms carry it, and
+:func:`group_pairs`, which reduces scan entries (or the direct
+construction's, whose landmark indices :mod:`delsub.intersect` reads
+off TL/TR itself) to each group's distinct pairs without building them:
+deleting two positions of one word gives the same word exactly when
+both lie in one run, so a deleted pair is named by the run ends of its
+two deleted positions.
 
 All positions are 1-based.
 """
@@ -26,7 +27,6 @@ All positions are 1-based.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .sequence import (Sequence, Word, _delete_t, _require_same_shape, mismatch_counts,
@@ -99,52 +99,6 @@ class DiffProfile:
 
 def _bad_side(side: str):
     raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-
-
-@dataclass(frozen=True)
-class Landmarks:
-    """Extremal TL/TR elements around the first and last mismatch.
-
-    The k-family reads TL, the m-family TR.  ``k1``/``k1p`` are the
-    nearest elements below i_1 and above i_d (maximum and minimum
-    respectively), ``k2``/``k2p`` the second nearest; each is None when
-    the set has too few elements there.
-    """
-
-    k1: Optional[int]
-    k1p: Optional[int]
-    k2: Optional[int]
-    k2p: Optional[int]
-    m1: Optional[int]
-    m1p: Optional[int]
-    m2: Optional[int]
-    m2p: Optional[int]
-
-
-def landmarks(profile: DiffProfile) -> Landmarks:
-    """Landmark indices of a profile with at least one mismatch."""
-    if profile.d == 0:
-        raise ValueError("landmarks are undefined for identical words")
-    i1, idd = profile.s[0], profile.s[-1]
-    k1, k2 = _below(profile.tl, i1)
-    k1p, k2p = _above(profile.tl, idd)
-    m1, m2 = _below(profile.tr, i1)
-    m1p, m2p = _above(profile.tr, idd)
-    return Landmarks(k1=k1, k1p=k1p, k2=k2, k2p=k2p, m1=m1, m1p=m1p, m2=m2, m2p=m2p)
-
-
-def _below(positions: Tuple[int, ...], bound: int):
-    """Largest and second largest elements <= bound (None-padded)."""
-    idx = bisect_right(positions, bound)
-    padded = (None, None) + positions[max(0, idx - 2) : idx]
-    return padded[-1], padded[-2]
-
-
-def _above(positions: Tuple[int, ...], bound: int):
-    """Smallest and second smallest elements > bound (None-padded)."""
-    idx = bisect_right(positions, bound)
-    padded = positions[idx : idx + 2] + (None, None)
-    return padded[0], padded[1]
 
 
 RawEntry = Tuple[str, int, Optional[int], int, int]

@@ -21,11 +21,13 @@ Two constructions of the deleted-pair family coexist:
 
 * :func:`delsub.diffs.lambda_enumerate` scans all position pairs, and
 * :func:`claims_lambda` builds each group directly from interval counts
-  and landmark indices, without scanning.
+  and landmark indices (the elements of TL or TR nearest the mismatch
+  window, read off each side's set here), without scanning.
 
 They must agree groupwise; :func:`verify_claims` checks that, together
-with the per-group cardinality and absorption facts that the coverage
-bound 2qn - 3q - 2 - [q == 2] rests on, from one profile and one scan.
+with the cardinality and absorption facts that the coverage bound
+2qn - 3q - 2 - [q == 2] rests on and that apply to the pair's branch,
+from one profile and one scan.
 
 Every pair, at any Hamming distance, goes through the same structural
 path; the materialized oracle of :mod:`delsub.balls` is for tests and
@@ -47,7 +49,6 @@ from .diffs import (
     PairValue,
     RawEntry,
     group_pairs,
-    landmarks,
     pair_sets,
     scan_candidates,
 )
@@ -289,26 +290,25 @@ def claims_lambda(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[PairValu
 def _claims_raw(p: DiffProfile, xs: Word, ys: Word) -> List[RawEntry]:
     """Both sides' groups from one profile.  The reversed pair (y, x) has
     TL equal to this pair's TR, so side R is side L of that pair read
-    off TR and the m-landmarks."""
+    off TR."""
     if p.d < 2:
         raise ValueError("direct construction needs Hamming distance >= 2")
-    m = landmarks(p)
-    left = _claims_one_side(p, "L", xs, (m.k1, m.k1p, m.k2, m.k2p))
-    return left + _claims_one_side(p, "R", ys, (m.m1, m.m1p, m.m2, m.m2p))
+    return _claims_one_side(p, "L", xs) + _claims_one_side(p, "R", ys)
 
 
-def _claims_one_side(
-    p: DiffProfile, side: str, xs: Word, marks: Tuple[Optional[int], ...]
-) -> List[RawEntry]:
+def _claims_one_side(p: DiffProfile, side: str, xs: Word) -> List[RawEntry]:
     """One side's groups: ``xs`` is the word that loses position j (x on
-    side L, y on side R) and ``marks`` the (k1, k1', k2, k2') landmarks
-    of that side's shifted set."""
+    side L, y on side R).  The landmarks are the elements of that side's
+    shifted set t nearest the mismatch window [i1, id]: k1 and k2 the
+    largest and second largest at most i1, k1' and k2' the smallest and
+    second smallest above id, each None when t has too few there."""
     s = p.s
     d = p.d
     n = p.n
     t = p.tl if side == "L" else p.tr
     i1, i2, id1, idd = s[0], s[1], s[-2], s[-1]
-    k1, k1p, k2, k2p = marks
+    k1, k2 = _below(t, i1)
+    k1p, k2p = _above(t, idd)
     out: List[RawEntry] = []
 
     ps, pt = p._ps, p._table(side)
@@ -404,6 +404,20 @@ def _claims_one_side(
         if j1 is not None:
             emit_validated(2, 6, j1 - 1, idd)
     return out
+
+
+def _below(positions: Tuple[int, ...], bound: int):
+    """Largest and second largest elements <= bound (None-padded)."""
+    idx = bisect_right(positions, bound)
+    padded = (None, None) + positions[max(0, idx - 2) : idx]
+    return padded[-1], padded[-2]
+
+
+def _above(positions: Tuple[int, ...], bound: int):
+    """Smallest and second smallest elements > bound (None-padded)."""
+    idx = bisect_right(positions, bound)
+    padded = positions[idx : idx + 2] + (None, None)
+    return padded[0], padded[1]
 
 
 def _interval_min(positions: Tuple[int, ...], lo: int, hi: int) -> Optional[int]:
@@ -507,7 +521,6 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    applicable: bool
     passed: bool
     detail: str = ""
 
@@ -515,28 +528,18 @@ class CheckResult:
 # The passing group check of each group; results are immutable, so every
 # report shares these.
 _GROUP_PASSED: Dict[GroupKey, CheckResult] = {
-    key: CheckResult(label, True, True) for key, label in GROUP_LABELS.items()
+    key: CheckResult(label, True) for key, label in GROUP_LABELS.items()
 }
 
 # The group checks of a pair whose scanned and direct families agree.
 _ALL_GROUPS_PASSED: Tuple[CheckResult, ...] = tuple(_GROUP_PASSED.values())
 
-# The not-applicable result of each fact check, shared the same way.
-_NOT_APPLICABLE: Dict[str, CheckResult] = {
-    name: CheckResult(name, False, True)
-    for name in [
-        f"{fact}[{side}]"
-        for fact in ("dist1-absorbed", "dist1-family", "dist2-offdiag-family",
-                     "dist2-offdiag-new", "dist2-new-d3", "dist2-family-d3")
-        for side in ("L", "R")
-    ] + ["adjacent-swap-core-size", "adjacent-swap-new"]
-}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking the direct construction and the cardinality /
-    absorption facts on one pair."""
+    absorption facts on one pair: all twenty group checks, and exactly
+    the fact checks that apply to the pair's branch."""
 
     x: Sequence
     y: Sequence
@@ -545,16 +548,17 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.group_checks + self.fact_checks if c.applicable)
+        return all(c.passed for c in self.group_checks + self.fact_checks)
 
     def failures(self) -> List[CheckResult]:
-        return [c for c in self.group_checks + self.fact_checks if c.applicable and not c.passed]
+        return [c for c in self.group_checks + self.fact_checks if not c.passed]
 
 
 def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:
     """Compare the direct per-group construction against the exhaustive
-    scan, and evaluate every applicable cardinality/absorption fact used
-    by the coverage bound.  Requires Hamming distance >= 2.
+    scan, and evaluate the cardinality/absorption facts used by the
+    coverage bound that apply to the pair's branch.  Requires Hamming
+    distance >= 2.
 
     One profile serves the scan, both sides of the direct construction
     and the member expansion behind the fact checks, and the scan is
@@ -575,10 +579,7 @@ def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:
             got = direct.get(key, {}).keys()
             checks.append(
                 passed if expected == got else CheckResult(
-                    name=passed.name,
-                    applicable=True,
-                    passed=False,
-                    detail=f"direct has {len(got)} pairs, scan has {len(expected)}",
+                    passed.name, False, f"direct has {len(got)} pairs, scan has {len(expected)}"
                 )
             )
         group_checks = tuple(checks)
@@ -595,111 +596,53 @@ def _pair_keys(groups: PairGroups) -> Dict[GroupKey, KeysView[PairKey]]:
 def _fact_checks(
     profile: DiffProfile, groups: PairGroups, sets: Dict[GroupKey, Set[int]]
 ) -> List[CheckResult]:
+    """The facts of the pair's branch: per side, whether its shifted set
+    meets the window (i1, id], and whether d = 2 or d >= 3.  Each union
+    of pair keys or member ids is built only where a fact reads it."""
     n, q, d = profile.n, profile.q, profile.d
     i1, idd = profile.s[0], profile.s[-1]
-    omega: Dict[Tuple[str, int], Set[int]] = {
-        (side, ell): set() for side in ("L", "R") for ell in (0, 1, 2)
-    }
-    for (side, ell, _), members in sets.items():
-        omega[(side, ell)] |= members
-    omega_all = {ell: omega[("L", ell)] | omega[("R", ell)] for ell in (0, 1, 2)}
-
-    def family(side: str, ell: int, cases) -> Set[PairKey]:
-        out: Set[PairKey] = set()
-        for c in cases:
-            out.update(groups.get((side, ell, c), ()))
-        return out
-
-    def even_members(side: str) -> Set[int]:
-        out: Set[int] = set()
-        for c in (2, 4, 6):
-            out |= sets.get((side, 2, c), set())
-        return out
-
+    shifted = {side: profile.t_count(side, i1 + 1, idd) != 0 for side in "LR"}
     checks: List[CheckResult] = []
-    shifted = {s: profile.t_count(s, i1 + 1, idd) != 0 for s in ("L", "R")}
 
-    for side in ("L", "R"):
-        if not shifted[side]:
-            ok = omega[(side, 1)] <= omega[(side, 0)]
-            checks.append(CheckResult(f"dist1-absorbed[{side}]", True, ok))
-            checks.append(_NOT_APPLICABLE[f"dist1-family[{side}]"])
+    def union(table: dict, sides: str, ell: int, cases=(None, 1, 2, 3, 4, 5, 6)) -> set:
+        out: set = set()
+        for side in sides:
+            for case in cases:
+                out.update(table.get((side, ell, case), ()))
+        return out
+
+    def at_most(name: str, value: int, limit: int, what: str) -> None:
+        checks.append(CheckResult(name, value <= limit, f"{value} {what} vs limit {limit}"))
+
+    for side in "LR":
+        if shifted[side]:
+            count = len(union(groups, side, 1))
+            at_most(f"dist1-family[{side}]", count, 3 if d == 2 else 2, "pairs")
         else:
-            limit = 3 if d == 2 else 2
-            count = len(family(side, 1, (1, 2, 3)))
-            checks.append(_NOT_APPLICABLE[f"dist1-absorbed[{side}]"])
-            checks.append(
-                CheckResult(
-                    f"dist1-family[{side}]", True, count <= limit,
-                    f"{count} pairs vs limit {limit}",
-                )
-            )
-
+            absorbed = union(sets, side, 1) <= union(sets, side, 0)
+            checks.append(CheckResult(f"dist1-absorbed[{side}]", absorbed))
     if d == 2:
-        diag = family("L", 2, (1, 3, 5)) | family("R", 2, (1, 3, 5))
-        checks.append(
-            CheckResult(
-                "dist2-diagonal-family", True, len(diag) <= n - 2,
-                f"{len(diag)} pairs vs limit {n - 2}",
-            )
-        )
-        for side in ("L", "R"):
+        diagonal = len(union(groups, "LR", 2, (1, 3, 5)))
+        at_most("dist2-diagonal-family", diagonal, n - 2, "pairs")
+        for side in "LR":
             if shifted[side]:
-                count = len(family(side, 2, (2, 4, 6)))
-                checks.append(
-                    CheckResult(
-                        f"dist2-offdiag-family[{side}]", True, count <= 6,
-                        f"{count} pairs vs limit 6",
-                    )
-                )
-                checks.append(_NOT_APPLICABLE[f"dist2-offdiag-new[{side}]"])
+                count = len(union(groups, side, 2, (2, 4, 6)))
+                at_most(f"dist2-offdiag-family[{side}]", count, 6, "pairs")
             else:
-                fresh = len(even_members(side) - omega[(side, 0)])
-                checks.append(_NOT_APPLICABLE[f"dist2-offdiag-family[{side}]"])
-                checks.append(
-                    CheckResult(
-                        f"dist2-offdiag-new[{side}]", True, fresh <= 6,
-                        f"{fresh} new members vs limit 6",
-                    )
-                )
+                fresh = len(union(sets, side, 2, (2, 4, 6)) - union(sets, side, 0))
+                at_most(f"dist2-offdiag-new[{side}]", fresh, 6, "new members")
         if not shifted["L"] and not shifted["R"]:
-            expected_core = 2 * (1 + (q - 1) * (n - 1)) - q
-            core = len(omega_all[0])
-            checks.append(
-                CheckResult(
-                    "adjacent-swap-core-size", True, core == expected_core,
-                    f"core {core} vs expected {expected_core}",
-                )
-            )
-            fresh = len(omega_all[2] - omega_all[0])
-            limit = 2 * n - 6 - kronecker_q2(q)
-            checks.append(
-                CheckResult(
-                    "adjacent-swap-new", True, fresh <= limit,
-                    f"{fresh} new members vs limit {limit}",
-                )
-            )
-        else:
-            checks.append(_NOT_APPLICABLE["adjacent-swap-core-size"])
-            checks.append(_NOT_APPLICABLE["adjacent-swap-new"])
+            core = union(sets, "LR", 0)
+            expected = 2 * (1 + (q - 1) * (n - 1)) - q
+            checks.append(CheckResult("adjacent-swap-core-size", len(core) == expected,
+                                      f"core {len(core)} vs expected {expected}"))
+            fresh = len(union(sets, "LR", 2) - core)
+            at_most("adjacent-swap-new", fresh, 2 * n - 6 - kronecker_q2(q), "new members")
     else:
-        for side in ("L", "R"):
-            if not shifted[side]:
-                fresh = len(omega[(side, 2)] - omega[(side, 0)])
-                checks.append(
-                    CheckResult(
-                        f"dist2-new-d3[{side}]", True, fresh <= 8,
-                        f"{fresh} new members vs limit 8",
-                    )
-                )
-                checks.append(_NOT_APPLICABLE[f"dist2-family-d3[{side}]"])
+        for side in "LR":
+            if shifted[side]:
+                at_most(f"dist2-family-d3[{side}]", len(union(groups, side, 2)), 8, "pairs")
             else:
-                count = len(family(side, 2, range(1, 7)))
-                checks.append(_NOT_APPLICABLE[f"dist2-new-d3[{side}]"])
-                checks.append(
-                    CheckResult(
-                        f"dist2-family-d3[{side}]", True, count <= 8,
-                        f"{count} pairs vs limit 8",
-                    )
-                )
+                fresh = len(union(sets, side, 2) - union(sets, side, 0))
+                at_most(f"dist2-new-d3[{side}]", fresh, 8, "new members")
     return checks

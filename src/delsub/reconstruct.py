@@ -44,6 +44,7 @@ class Codebook:
         self.n = n
         self.q = q
         self.words = words
+        self.word_set = None if words is None else frozenset(words)
         self.min_distance = min_distance
 
     @classmethod
@@ -104,13 +105,8 @@ class Codebook:
         if len(symbols) != self.n or not all(s in alphabet for s in symbols):
             return False
         if self.kind == "explicit":
-            return symbols in self._word_set()
+            return symbols in self.word_set
         return sum(symbols) % self.q == 0
-
-    def _word_set(self) -> FrozenSet[Word]:
-        if not hasattr(self, "_cached_word_set"):
-            self._cached_word_set = frozenset(self.words)
-        return self._cached_word_set
 
     def iter_words(self) -> Iterator[Word]:
         """Enumerate codewords (lexicographically for parity codebooks)."""
@@ -478,7 +474,7 @@ def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
         candidates = inverse_ball_words(ordered[0], codebook.q, residue=0)
     else:
         if codebook.kind == "explicit":
-            pool, rest = codebook._word_set(), ordered
+            pool, rest = codebook.word_set, ordered
         else:
             pool = inverse_pair_words(ordered[0], ordered[1], codebook.q, residue=0)
             rest = ordered[2:]

@@ -102,7 +102,7 @@ def run_domain(q: int, n: int) -> DomainSweep:
                     if not check.passed:
                         sweep.group_mismatches.append((str(x), str(y), check.name))
                 for check in verification.fact_checks:
-                    if check.applicable and not check.passed:
+                    if not check.passed:
                         sweep.fact_failures.append(
                             (str(x), str(y), check.name, check.detail)
                         )

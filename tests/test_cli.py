@@ -208,6 +208,38 @@ class TestVerifyCommand:
         assert outs[0] == outs[1] == outs[2]
         assert json.loads(outs[0])["pairs_checked"] > 0
 
+    def test_jobs_bounded_by_cores(self, capsys, monkeypatch):
+        # a Pool stand-in records the worker count it is asked for and maps
+        # serially, so a huge --jobs starts no process even if unbounded
+        import os
+
+        import delsub.cli as cli_module
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks):
+                return map(func, tasks)
+
+        argv = ["verify", "--scope", "theorem", "--q", "2", "--n", "29",
+                "--samples", "600", "--seed", "7", "--format", "json"]
+        _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
+        monkeypatch.setattr(cli_module, "Pool", SerialPool)
+        code, out, _ = run_cli(capsys, *argv, "--jobs", "100000")
+        assert code == 0
+        assert out == serial
+        cores = os.cpu_count() or 1
+        assert sizes == ([cores] if cores > 1 else [])
+
     @pytest.mark.parametrize("samples", [100, 256, 300])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_partial_chunks_check_every_requested_pair(self, capsys, samples, jobs):
@@ -249,9 +281,8 @@ class TestVerifyCommand:
         import delsub.cli as cli_module
 
         def faulty(x, y):
-            checks = (CheckResult("head", True, x.symbols[0] == 1),
-                      CheckResult("tail", True, y.symbols[-1] == 0),
-                      CheckResult("skipped", False, False))
+            checks = (CheckResult("head", x.symbols[0] == 1),
+                      CheckResult("tail", y.symbols[-1] == 0))
             return VerificationReport(x, y, checks, ())
 
         monkeypatch.setattr(cli_module, "verify_claims", faulty)

@@ -8,9 +8,9 @@ from delsub import (
     delete,
     hamming,
     lambda_enumerate,
-    landmarks,
 )
 from delsub.diffs import group_pairs, pair_value, scan_candidates
+from delsub.intersect import _above, _below
 from delsub.sequence import run_last_positions
 
 from helpers import all_words, naive_lambda_groups, sequence_pairs
@@ -135,20 +135,26 @@ def reference_landmarks(p):
     }
 
 
-class TestLandmarks:
-    def test_requires_a_mismatch(self):
-        x = seq("0101")
-        with pytest.raises(ValueError):
-            landmarks(DiffProfile(x, x))
+def direct_landmarks(p):
+    """The landmarks as the direct construction reads them, each side's
+    four marks from its own shifted set, under the reference names."""
+    i1, idd = p.s[0], p.s[-1]
+    marks = {}
+    for prefix, t in (("k", p.tl), ("m", p.tr)):
+        marks[prefix + "1"], marks[prefix + "2"] = _below(t, i1)
+        marks[prefix + "1p"], marks[prefix + "2p"] = _above(t, idd)
+    return marks
 
+
+class TestLandmarks:
     def test_absent_when_defining_set_empty(self):
         # TL below i1 empty: k1 and k2 absent
         x, y = seq("0011"), seq("0101")
         p = DiffProfile(x, y)
         assert [v for v in p.tl if v <= p.s[0]] == []
-        marks = landmarks(p)
-        assert marks.k1 is None
-        assert marks.k2 is None
+        marks = direct_landmarks(p)
+        assert marks["k1"] is None
+        assert marks["k2"] is None
 
     @given(sequence_pairs(q=3, min_n=2, max_n=10))
     @settings(max_examples=150)
@@ -157,10 +163,7 @@ class TestLandmarks:
         if hamming(x, y) == 0:
             return
         p = DiffProfile(x, y)
-        marks = landmarks(p)
-        expected = reference_landmarks(p)
-        for name, value in expected.items():
-            assert getattr(marks, name) == value, name
+        assert direct_landmarks(p) == reference_landmarks(p)
 
     @given(sequence_pairs(q=3, min_n=2, max_n=10))
     @settings(max_examples=150)
@@ -169,20 +172,20 @@ class TestLandmarks:
         if hamming(x, y) == 0:
             return
         p = DiffProfile(x, y)
-        m = landmarks(p)
+        m = direct_landmarks(p)
         i1, idd = p.s[0], p.s[-1]
-        if m.k1 is not None:
-            assert 2 <= m.k1 <= i1
-            if m.k2 is not None:
-                assert 2 <= m.k2 < m.k1
-        if m.k1p is not None:
-            assert idd < m.k1p <= p.n
-            if m.k2p is not None:
-                assert m.k1p < m.k2p <= p.n
-        if m.m1 is not None:
-            assert 2 <= m.m1 <= i1
-        if m.m1p is not None and m.m2p is not None:
-            assert idd < m.m1p < m.m2p
+        if m["k1"] is not None:
+            assert 2 <= m["k1"] <= i1
+            if m["k2"] is not None:
+                assert 2 <= m["k2"] < m["k1"]
+        if m["k1p"] is not None:
+            assert idd < m["k1p"] <= p.n
+            if m["k2p"] is not None:
+                assert m["k1p"] < m["k2p"] <= p.n
+        if m["m1"] is not None:
+            assert 2 <= m["m1"] <= i1
+        if m["m1p"] is not None and m["m2p"] is not None:
+            assert idd < m["m1p"] < m["m2p"]
 
 
 class TestLambdaEnumerate:

@@ -487,8 +487,34 @@ class TestVerifyClaims:
         report = intersection_size_fast(x, y)
         assert report.omega0_size == 2 * (1 + (q - 1) * (n - 1)) - q
         checks = {c.name: c for c in verify_claims(x, y).fact_checks}
-        assert checks["adjacent-swap-core-size"].applicable
+        assert "adjacent-swap-core-size" in checks
         assert checks["adjacent-swap-core-size"].passed
+
+    @pytest.mark.parametrize("x, y, q, names", [
+        # d = 2, neither window shifted: the adjacent swap at positions 5, 6
+        ("201220120", "201202120", 3, [
+            "dist1-absorbed[L]", "dist1-absorbed[R]", "dist2-diagonal-family",
+            "dist2-offdiag-new[L]", "dist2-offdiag-new[R]",
+            "adjacent-swap-core-size", "adjacent-swap-new",
+        ]),
+        # d = 2, only side R shifted
+        ("000011", "000110", 2, [
+            "dist1-absorbed[L]", "dist1-family[R]", "dist2-diagonal-family",
+            "dist2-offdiag-new[L]", "dist2-offdiag-family[R]",
+        ]),
+        # d = 3, both sides shifted
+        ("000000", "000111", 2, [
+            "dist1-family[L]", "dist1-family[R]", "dist2-family-d3[L]", "dist2-family-d3[R]",
+        ]),
+        # d = 3, side L unshifted
+        ("000100", "001001", 2, [
+            "dist1-absorbed[L]", "dist1-family[R]", "dist2-new-d3[L]", "dist2-family-d3[R]",
+        ]),
+    ])
+    def test_each_branch_lists_exactly_its_facts(self, x, y, q, names):
+        report = verify_claims(seq(x, q), seq(y, q))
+        assert [c.name for c in report.fact_checks] == names
+        assert report.all_passed
 
     def test_constant_regime_bound_on_shifted_pairs(self):
         # both windows shifted and Hamming distance >= 3: size <= 4q + 32
