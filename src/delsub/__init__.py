@@ -33,7 +33,6 @@ from .diffs import (
 from .intersect import (
     CheckResult,
     IntersectionReport,
-    VerificationReport,
     bound_applicable,
     claims_lambda,
     constant_regime_bound,
@@ -42,6 +41,7 @@ from .intersect import (
     intersection_size_fast,
     min_valid_length,
     verify_claims,
+    verify_lemmas,
 )
 from .reconstruct import (
     Codebook,
@@ -69,7 +69,6 @@ __all__ = [
     "ReadSet",
     "ReconResult",
     "Sequence",
-    "VerificationReport",
     "alternating",
     "ball_intersection",
     "ball_membership",
@@ -93,4 +92,5 @@ __all__ = [
     "substitution_ball",
     "substitution_ball_size",
     "verify_claims",
+    "verify_lemmas",
 ]

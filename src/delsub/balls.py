@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import FrozenSet, Set
 
-import numpy as np
-
 from .sequence import Sequence, Word, _require_same_shape, hamming
 
 DEFAULT_BUDGET = 10_000_000
@@ -195,8 +193,11 @@ def ds11_packed(word: Word, q: int) -> FrozenSet[bytes]:
 
     Same enumeration as :func:`ds_ball` with spec (1, 1), vectorized so
     the oracle stays usable inside large verification sweeps.  Requires
-    q <= 256, so that every symbol fits in one byte.
+    q <= 256, so that every symbol fits in one byte.  numpy is imported
+    here, its only use, so importing the package does not load it.
     """
+    import numpy as np
+
     n = len(word)
     if n < 3:
         raise ValueError("(1,1)-ball needs length at least 3")

@@ -24,10 +24,11 @@ Two constructions of the deleted-pair family coexist:
   and landmark indices (the elements of TL or TR nearest the mismatch
   window, read off each side's set here), without scanning.
 
-They must agree groupwise; :func:`verify_claims` checks that, together
-with the cardinality and absorption facts that the coverage bound
+They must agree groupwise, which :func:`verify_claims` checks without
+expanding any member.  :func:`verify_lemmas` separately checks the
+cardinality and absorption facts that the coverage bound
 2qn - 3q - 2 - [q == 2] rests on and that apply to the pair's branch,
-from one profile and one scan.
+on the scanned family and its members, without the direct construction.
 
 Every pair, at any Hamming distance, goes through the same structural
 path; the materialized oracle of :mod:`delsub.balls` is for tests and
@@ -526,7 +527,7 @@ class CheckResult:
 
 
 # The passing group check of each group; results are immutable, so every
-# report shares these.
+# pair's checks share these.
 _GROUP_PASSED: Dict[GroupKey, CheckResult] = {
     key: CheckResult(label, True) for key, label in GROUP_LABELS.items()
 }
@@ -535,57 +536,51 @@ _GROUP_PASSED: Dict[GroupKey, CheckResult] = {
 _ALL_GROUPS_PASSED: Tuple[CheckResult, ...] = tuple(_GROUP_PASSED.values())
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of checking the direct construction and the cardinality /
-    absorption facts on one pair: all twenty group checks, and exactly
-    the fact checks that apply to the pair's branch."""
-
-    x: Sequence
-    y: Sequence
-    group_checks: Tuple[CheckResult, ...]
-    fact_checks: Tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.group_checks + self.fact_checks)
-
-    def failures(self) -> List[CheckResult]:
-        return [c for c in self.group_checks + self.fact_checks if not c.passed]
-
-
-def verify_claims(x: Sequence, y: Sequence) -> VerificationReport:
+def verify_claims(x: Sequence, y: Sequence) -> Tuple[CheckResult, ...]:
     """Compare the direct per-group construction against the exhaustive
-    scan, and evaluate the cardinality/absorption facts used by the
-    coverage bound that apply to the pair's branch.  Requires Hamming
-    distance >= 2.
+    scan: one check per group, in :data:`ALL_GROUP_KEYS` order.  Requires
+    Hamming distance >= 2.
 
-    One profile serves the scan, both sides of the direct construction
-    and the member expansion behind the fact checks, and the scan is
-    grouped once for the group checks, the expansion and the facts.
+    One profile serves the scan and both sides of the direct
+    construction, and each family is grouped once; no member is expanded.
     """
+    profile, scanned = _scanned_groups(x, y)
+    xs, ys = x.symbols, y.symbols
+    direct = group_pairs(xs, ys, _claims_raw(profile, xs, ys))
+    if _pair_keys(scanned) == _pair_keys(direct):
+        return _ALL_GROUPS_PASSED
+    # some group differs: name each one with its two pair counts
+    checks = []
+    for key, passed in _GROUP_PASSED.items():
+        expected = scanned.get(key, {}).keys()
+        got = direct.get(key, {}).keys()
+        checks.append(
+            passed if expected == got else CheckResult(
+                passed.name, False, f"direct has {len(got)} pairs, scan has {len(expected)}"
+            )
+        )
+    return tuple(checks)
+
+
+def verify_lemmas(x: Sequence, y: Sequence) -> Tuple[CheckResult, ...]:
+    """Evaluate the cardinality/absorption facts used by the coverage
+    bound that apply to the pair's branch, on the scanned family and its
+    member expansion.  Requires Hamming distance >= 2.
+
+    The direct construction is not run: the facts read only the scan.
+    """
+    profile, scanned = _scanned_groups(x, y)
+    sets = structural_group_sets(profile, x.symbols, y.symbols, scanned)
+    return tuple(_fact_checks(profile, scanned, sets))
+
+
+def _scanned_groups(x: Sequence, y: Sequence) -> Tuple[DiffProfile, PairGroups]:
+    """The pair's profile and its scanned family, grouped; both checks
+    need Hamming distance >= 2."""
     profile = DiffProfile(x, y)
     if profile.d < 2:
         raise ValueError("verification needs Hamming distance >= 2")
-    xs, ys = x.symbols, y.symbols
-    scanned = group_pairs(xs, ys, scan_candidates(profile))
-    direct = group_pairs(xs, ys, _claims_raw(profile, xs, ys))
-    group_checks = _ALL_GROUPS_PASSED
-    if _pair_keys(scanned) != _pair_keys(direct):
-        # some group differs: name each one with its two pair counts
-        checks = []
-        for key, passed in _GROUP_PASSED.items():
-            expected = scanned.get(key, {}).keys()
-            got = direct.get(key, {}).keys()
-            checks.append(
-                passed if expected == got else CheckResult(
-                    passed.name, False, f"direct has {len(got)} pairs, scan has {len(expected)}"
-                )
-            )
-        group_checks = tuple(checks)
-    sets = structural_group_sets(profile, xs, ys, scanned)
-    fact_checks = _fact_checks(profile, scanned, sets)
-    return VerificationReport(x, y, group_checks, tuple(fact_checks))
+    return profile, group_pairs(x.symbols, y.symbols, scan_candidates(profile))
 
 
 def _pair_keys(groups: PairGroups) -> Dict[GroupKey, KeysView[PairKey]]:

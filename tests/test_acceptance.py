@@ -31,6 +31,7 @@ from delsub import (
     sub_intersection_size,
     substitution_ball,
     verify_claims,
+    verify_lemmas,
 )
 from delsub.balls import ds11_packed
 from delsub.sequence import lcs_length
@@ -97,11 +98,10 @@ def run_domain(q: int, n: int) -> DomainSweep:
                 sweep.oracle_mismatches.append((str(x), str(y), report.size, oracle))
             if report.d >= 2:
                 sweep.d2_pairs += 1
-                verification = verify_claims(x, y)
-                for check in verification.group_checks:
+                for check in verify_claims(x, y):
                     if not check.passed:
                         sweep.group_mismatches.append((str(x), str(y), check.name))
-                for check in verification.fact_checks:
+                for check in verify_lemmas(x, y):
                     if not check.passed:
                         sweep.fact_failures.append(
                             (str(x), str(y), check.name, check.detail)

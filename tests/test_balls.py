@@ -1,5 +1,9 @@
+import json
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -254,3 +258,32 @@ def test_every_ball_is_a_frozenset_of_tuples():
     ):
         assert type(ball) is frozenset
         assert all(type(w) is tuple for w in ball)
+
+
+def test_numpy_loads_only_with_the_oracle():
+    # importing the package and its command line must not pay numpy's
+    # import; the packed oracle imports it when first called
+    import delsub
+
+    script = """
+import json, sys
+import delsub, delsub.cli, delsub.reconstruct
+before = "numpy" in sys.modules
+from delsub.balls import ds11_packed
+size = len(ds11_packed((0, 1, 1, 0), 2))
+delsub.cli.main(["intersect", "--q", "2", "--x", "01010111", "--y", "01101011",
+                 "--mode", "oracle", "--format", "json"])
+print(json.dumps({"before": before, "after": "numpy" in sys.modules, "size": size}))
+"""
+    src = str(Path(delsub.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True)
+    *cli_lines, last = done.stdout.strip().splitlines()
+    assert json.loads(last) == {
+        "before": False,
+        "after": True,
+        "size": len(ds_ball(seq("0110"), BallSpec(1, 1))),
+    }
+    oracle = json.loads("\n".join(cli_lines))
+    assert oracle["method"] == "oracle"
+    assert oracle["size"] == intersection_size_fast(seq("01010111"), seq("01101011")).size

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from importlib import resources
@@ -7,7 +8,7 @@ import jsonschema
 import pytest
 
 from delsub.cli import main
-from delsub.intersect import CheckResult, VerificationReport, intersection_size_fast
+from delsub.intersect import CheckResult, intersection_size_fast
 from delsub.sequence import Sequence
 
 
@@ -274,20 +275,19 @@ class TestVerifyCommand:
         assert all(a < b for a, b in zip(counts, counts[1:]))
         assert counts[-1] == total
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failed_checks_count_every_violation(self, capsys, monkeypatch, jobs):
-        # a stand-in for verify_claims that fails one check on pairs whose
-        # x starts with 0 and another on pairs whose y ends with 1
+    @staticmethod
+    def _count_faulty_checks(capsys, monkeypatch, scope, name, jobs):
+        # a stand-in for the scope's check function that fails one check on
+        # pairs whose x starts with 0 and another on pairs whose y ends with 1
         import delsub.cli as cli_module
 
         def faulty(x, y):
-            checks = (CheckResult("head", x.symbols[0] == 1),
-                      CheckResult("tail", y.symbols[-1] == 0))
-            return VerificationReport(x, y, checks, ())
+            return (CheckResult("head", x.symbols[0] == 1),
+                    CheckResult("tail", y.symbols[-1] == 0))
 
-        monkeypatch.setattr(cli_module, "verify_claims", faulty)
+        monkeypatch.setattr(cli_module, name, faulty)
         code, out, _ = run_cli(
-            capsys, "verify", "--scope", "claims", "--q", "2", "--n", "4",
+            capsys, "verify", "--scope", scope, "--q", "2", "--n", "4",
             "--exhaustive", "--jobs", jobs, "--format", "json",
         )
         assert code == 1
@@ -301,6 +301,51 @@ class TestVerifyCommand:
         assert payload["violations"] == sum(x[0] == 0 or y[-1] == 1 for x, y in pairs)
         assert len(payload["violation_samples"]) == 10
         assert payload["max_size"] is None and payload["max_witness"] is None
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_checks_count_every_violation(self, capsys, monkeypatch, jobs):
+        self._count_faulty_checks(capsys, monkeypatch, "claims", "verify_claims", jobs)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_lemma_checks_count_every_violation(self, capsys, monkeypatch, jobs):
+        self._count_faulty_checks(capsys, monkeypatch, "lemmas", "verify_lemmas", jobs)
+
+    @pytest.mark.parametrize("scope, skipped", [
+        # the group checks compare deleted-pair families: no member
+        # expansion, no fact check
+        ("claims", ("structural_group_sets", "_fact_checks")),
+        # the fact checks read the scan: no direct construction
+        ("lemmas", ("_claims_raw",)),
+    ], ids=["claims", "lemmas"])
+    def test_scope_runs_only_its_own_checks(self, capsys, monkeypatch, scope, skipped):
+        from delsub import intersect as intersect_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"the {scope} scope ran work it does not report")
+
+        for name in skipped:
+            monkeypatch.setattr(intersect_module, name, forbidden)
+        code, out, _ = run_cli(
+            capsys, "verify", "--scope", scope, "--q", "2", "--n", "5",
+            "--exhaustive", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["violations"] == 0
+        assert payload["pairs_checked"] > 0
+
+    # sha256 of the JSON stdout, recorded before the claims and lemmas
+    # scopes were split into separate check functions
+    @pytest.mark.parametrize("argv, digest", [
+        (["--scope", "claims", "--q", "2", "--n", "6"],
+         "47707727afd722fb090750745168217bb15d746c4e988652e116595dbd55e034"),
+        (["--scope", "lemmas", "--q", "3", "--n", "4"],
+         "154468596c1b5f95c09c567065bab6f1da81e77250a490b542e696ec651890cc"),
+    ], ids=["claims-q2n6", "lemmas-q3n4"])
+    def test_sweep_output_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--exhaustive", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_samples_require_seed(self, capsys):
         code, _, err = run_cli(

@@ -22,6 +22,7 @@ from delsub import (
     lambda_enumerate,
     min_valid_length,
     verify_claims,
+    verify_lemmas,
 )
 from delsub.balls import ds11_packed
 from delsub.diffs import group_pairs, scan_candidates
@@ -34,6 +35,15 @@ from helpers import all_words, expand_members, sequence_pairs
 
 def seq(text, q=2):
     return Sequence.parse(text, q)
+
+
+def failures(checks):
+    return [c for c in checks if not c.passed]
+
+
+def all_checks(x, y):
+    """The group checks and the fact checks of one pair."""
+    return verify_claims(x, y) + verify_lemmas(x, y)
 
 
 WORKED_X = seq("01010111")
@@ -145,8 +155,8 @@ class TestClaimsLambda:
                     x, y = Sequence(tuple(xs), q), Sequence(tuple(ys), q)
                     if hamming(x, y) < 2:
                         continue
-                    report = verify_claims(x, y)
-                    assert report.all_passed, (x, y, report.failures())
+                    failed = failures(all_checks(x, y))
+                    assert not failed, (x, y, failed)
                     assert claims_lambda(x, y) == lambda_enumerate(x, y), (x, y)
                     checked += 1
         assert checked > 900
@@ -438,13 +448,16 @@ class TestTightFamilies:
 
 class TestVerifyClaims:
     def test_needs_distance_two(self):
-        with pytest.raises(ValueError):
-            verify_claims(seq("0101"), seq("0101"))
+        for verify in (verify_claims, verify_lemmas):
+            for y in ("0101", "0100"):
+                with pytest.raises(ValueError, match="Hamming distance >= 2"):
+                    verify(seq("0101"), seq(y))
 
     def test_worked_pair_all_pass(self):
-        report = verify_claims(WORKED_X, WORKED_Y)
-        assert report.all_passed
-        assert len(report.group_checks) == len(ALL_GROUP_KEYS) == 20
+        group_checks = verify_claims(WORKED_X, WORKED_Y)
+        assert failures(group_checks) == []
+        assert failures(verify_lemmas(WORKED_X, WORKED_Y)) == []
+        assert len(group_checks) == len(ALL_GROUP_KEYS) == 20
 
     def test_group_mismatch_reported_per_group(self, monkeypatch):
         # drop one group from the direct construction: that group alone
@@ -458,21 +471,22 @@ class TestVerifyClaims:
             return [e for e in original(profile, xs, ys) if e[:3] != target]
 
         monkeypatch.setattr(intersect_module, "_claims_raw", without_target)
-        report = verify_claims(x, y)
-        assert not report.all_passed
-        assert [(c.name, c.detail) for c in report.failures()] == [
+        group_checks = verify_claims(x, y)
+        assert [(c.name, c.detail) for c in failures(group_checks)] == [
             (group_label(target), f"direct has 0 pairs, scan has {len(scanned[target])}")
         ]
-        assert len(report.group_checks) == 20
-        assert [c.name for c in report.group_checks] == [group_label(k) for k in ALL_GROUP_KEYS]
+        assert len(group_checks) == 20
+        assert [c.name for c in group_checks] == [group_label(k) for k in ALL_GROUP_KEYS]
+        # the facts read the scan only, so the broken construction leaves them passing
+        assert failures(verify_lemmas(x, y)) == []
 
     def test_exhaustive_small_domain(self):
         for x in all_words(2, 6):
             for y in all_words(2, 6):
                 if hamming(x, y) < 2:
                     continue
-                report = verify_claims(x, y)
-                assert report.all_passed, (x, y, report.failures())
+                failed = failures(all_checks(x, y))
+                assert not failed, (x, y, failed)
 
     def test_adjacent_swap_core_size(self):
         # u a b v / u b a v with no shifted mismatch in the window: the
@@ -486,7 +500,7 @@ class TestVerifyClaims:
         assert p.t_count("R", p.s[0] + 1, p.s[1]) == 0
         report = intersection_size_fast(x, y)
         assert report.omega0_size == 2 * (1 + (q - 1) * (n - 1)) - q
-        checks = {c.name: c for c in verify_claims(x, y).fact_checks}
+        checks = {c.name: c for c in verify_lemmas(x, y)}
         assert "adjacent-swap-core-size" in checks
         assert checks["adjacent-swap-core-size"].passed
 
@@ -512,9 +526,9 @@ class TestVerifyClaims:
         ]),
     ])
     def test_each_branch_lists_exactly_its_facts(self, x, y, q, names):
-        report = verify_claims(seq(x, q), seq(y, q))
-        assert [c.name for c in report.fact_checks] == names
-        assert report.all_passed
+        fact_checks = verify_lemmas(seq(x, q), seq(y, q))
+        assert [c.name for c in fact_checks] == names
+        assert failures(fact_checks + verify_claims(seq(x, q), seq(y, q))) == []
 
     def test_constant_regime_bound_on_shifted_pairs(self):
         # both windows shifted and Hamming distance >= 3: size <= 4q + 32
