@@ -16,10 +16,11 @@ that collects every deleted pair at Hamming distance at most 2,
 classified by which of the three terms carry it, and
 :func:`group_pairs`, which reduces scan entries (or the direct
 construction's, whose landmark indices :mod:`delsub.intersect` reads
-off TL/TR itself) to each group's distinct pairs without building them:
-deleting two positions of one word gives the same word exactly when
-both lie in one run, so a deleted pair is named by the run ends of its
-two deleted positions.
+off TL/TR itself) to each group's distinct pair keys without building
+a word: deleting two positions of one word gives the same word
+exactly when both lie in one run, so a deleted pair is named by the run
+ends (jx, jy) of its two deleted positions, and that key is itself a
+deletion pair giving the same two words.
 
 All positions are 1-based.
 """
@@ -32,7 +33,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .sequence import (Sequence, Word, _delete_t, _require_same_shape, mismatch_counts,
                        mismatches, run_last_table)
 
-PairValue = Tuple[Word, Word]
 GroupKey = Tuple[str, int, Optional[int]]
 
 # Case index per (prefix, middle, suffix) mismatch-count triple.
@@ -50,10 +50,11 @@ CASE_BY_TRIPLE: Dict[Tuple[int, int, int], int] = {
 
 
 class DiffProfile:
-    """Index sets S, TL, TR of an ordered pair plus prefix tables for
-    constant-time interval counts."""
+    """Index sets S, TL, TR of an ordered pair, prefix tables for
+    constant-time interval counts, and each word's run-last table, which
+    names deleted pairs."""
 
-    __slots__ = ("n", "q", "s", "tl", "tr", "d", "_ps", "_ptl", "_ptr")
+    __slots__ = ("n", "q", "s", "tl", "tr", "d", "_ps", "_ptl", "_ptr", "_words", "_run_lasts")
 
     def __init__(self, x: Sequence, y: Sequence):
         _require_same_shape(x, y)
@@ -70,6 +71,15 @@ class DiffProfile:
         self._ps = mismatch_counts(xs, ys)
         self._ptl = [0] + mismatch_counts(xs[1:], ys)
         self._ptr = [0] + mismatch_counts(xs, ys[1:])
+        self._words = xs, ys
+        self._run_lasts: Optional[Tuple[List[int], List[int]]] = None
+
+    def run_last_tables(self) -> Tuple[List[int], List[int]]:
+        """The run-last tables of x and of y, built on first use: a pair
+        with no deleted pair to name never needs them."""
+        if self._run_lasts is None:
+            self._run_lasts = run_last_table(self._words[0]), run_last_table(self._words[1])
+        return self._run_lasts
 
     def t_count(self, side: str, lo: int, hi: int) -> int:
         """|TL or TR intersected with [lo, hi]|."""
@@ -103,7 +113,6 @@ def _bad_side(side: str):
 
 RawEntry = Tuple[str, int, Optional[int], int, int]
 PairKey = Tuple[int, int]
-PairGroups = Dict[GroupKey, Dict[PairKey, Tuple[int, int]]]
 
 
 def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
@@ -145,56 +154,44 @@ def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
     return out
 
 
-def pair_value(
-    xs: Word, ys: Word, side: str, j: int, jprime: int
-) -> PairValue:
-    """The deleted pair selected by (side, j, j'): side L deletes j from
-    x and j' from y, side R deletes j' from x and j from y."""
-    if side == "L":
-        return _delete_t(xs, j), _delete_t(ys, jprime)
-    if side == "R":
-        return _delete_t(xs, jprime), _delete_t(ys, j)
-    return _bad_side(side)
+def group_pairs(
+    profile: DiffProfile, raw: List[RawEntry]
+) -> Dict[GroupKey, Dict[PairKey, None]]:
+    """Per group, the keys of the distinct deleted pairs of the raw entries.
 
+    A pair is keyed by the run-last positions (jx, jy) of the index
+    deleted from x and of the index deleted from y, which names it
+    exactly (two deletions from one word agree exactly when they fall in
+    one run) at O(1) cost.  The key is itself a deletion pair with the
+    same (z, z'): z is x minus jx and z' is y minus jy.
 
-def group_pairs(xs: Word, ys: Word, raw: List[RawEntry]) -> PairGroups:
-    """Per group, each distinct deleted pair of the raw entries mapped to
-    the first (j, j') that produced it.
-
-    A pair is keyed by the run-last positions of the index deleted from x
-    and of the index deleted from y, which names it exactly (two
-    deletions from one word agree exactly when they fall in one run) at
-    O(1) cost; :func:`pair_value` turns a key's (j, j') into the words.
+    Each group's keys are a dict with None values, a key set that keeps
+    the entries' order: member expansion fills its id sets measurably
+    faster in that order than in a set's hash order.
     """
-    groups: PairGroups = {}
+    groups: Dict[GroupKey, Dict[PairKey, None]] = {}
     if not raw:
         return groups
-    last_x, last_y = run_last_table(xs), run_last_table(ys)
+    last_x, last_y = profile.run_last_tables()
     for side, ell, case, j, jprime in raw:
         if side == "L":
             key = (last_x[j], last_y[jprime])
         else:
             key = (last_x[jprime], last_y[j])
-        groups.setdefault((side, ell, case), {}).setdefault(key, (j, jprime))
+        groups.setdefault((side, ell, case), {})[key] = None
     return groups
 
 
-def pair_sets(
-    xs: Word, ys: Word, groups: PairGroups
-) -> Dict[GroupKey, FrozenSet[PairValue]]:
-    """Each group's distinct deleted pairs (z, z') as words."""
-    return {
-        key: frozenset(pair_value(xs, ys, key[0], j, jp) for j, jp in pairs.values())
-        for key, pairs in groups.items()
-    }
-
-
-def lambda_enumerate(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[PairValue]]:
+def lambda_enumerate(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[Tuple[Word, Word]]]:
     """The distinct deleted pairs (z, z') of every group of (x, y),
     collected by the exhaustive scan.
 
     This is the reference decomposition; the direct construction in
     :mod:`delsub.intersect` is checked against it groupwise.
     """
+    profile = DiffProfile(x, y)
     xs, ys = x.symbols, y.symbols
-    return pair_sets(xs, ys, group_pairs(xs, ys, scan_candidates(DiffProfile(x, y))))
+    return {
+        key: frozenset((_delete_t(xs, jx), _delete_t(ys, jy)) for jx, jy in keys)
+        for key, keys in group_pairs(profile, scan_candidates(profile)).items()
+    }

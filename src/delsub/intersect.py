@@ -10,12 +10,13 @@ exactly 2 words (each mismatch repaired with the other word's symbol)
 at distance 2.  Generating those members straight from the deletion
 positions and residual mismatches - never by materializing and
 intersecting substitution balls - gives the exact intersection size.
-Deleted pairs are named by O(1) keys (see :func:`delsub.diffs.group_pairs`)
-and members by canonical ids computed in O(1) each from the member word
-alone (:class:`_MemberIds`), so at Hamming distance >= 2, where the direct
-construction supplies the pairs, the cost is O(n) plus the output size;
-below that the scan adds a term that grows to O(n^2) on near-constant
-words.
+Deleted pairs are named by O(1) keys, the run-last positions of their
+two deleted indices (see :func:`delsub.diffs.group_pairs`), and expanded
+straight from those positions; members are named by canonical ids
+computed in O(1) each from the member word alone (:class:`_MemberIds`).
+So at Hamming distance >= 2, where the direct construction supplies the
+pairs, the cost is O(n) plus the output size; below that the scan adds a
+term that grows to O(n^2) on near-constant words.
 
 Two constructions of the deleted-pair family coexist:
 
@@ -24,11 +25,13 @@ Two constructions of the deleted-pair family coexist:
   and landmark indices (the elements of TL or TR nearest the mismatch
   window, read off each side's set here), without scanning.
 
-They must agree groupwise, which :func:`verify_claims` checks without
-expanding any member.  :func:`verify_lemmas` separately checks the
-cardinality and absorption facts that the coverage bound
-2qn - 3q - 2 - [q == 2] rests on and that apply to the pair's branch,
-on the scanned family and its members, without the direct construction.
+Both return each group's pairs as words, the form the tests compare;
+:func:`verify_claims` compares the two families' key sets group by group,
+without building a word or expanding any member.  :func:`verify_lemmas`
+separately checks the cardinality and absorption facts that the coverage
+bound 2qn - 3q - 2 - [q == 2] rests on and that apply to the pair's
+branch, on the scanned family and its members, without the direct
+construction.
 
 Every pair, at any Hamming distance, goes through the same structural
 path; the materialized oracle of :mod:`delsub.balls` is for tests and
@@ -39,22 +42,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, KeysView, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .diffs import (
-    CASE_BY_TRIPLE,
-    DiffProfile,
-    GroupKey,
-    PairGroups,
-    PairKey,
-    PairValue,
-    RawEntry,
-    group_pairs,
-    pair_sets,
-    scan_candidates,
-)
-from .sequence import (Sequence, Word, _require_same_shape, alternating, run_last_positions,
-                       run_last_table)
+from .diffs import (CASE_BY_TRIPLE, DiffProfile, GroupKey, PairKey, RawEntry, group_pairs,
+                    scan_candidates)
+from .sequence import (Sequence, Word, _delete_t, _require_same_shape, alternating,
+                       run_last_positions, run_last_table)
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -224,10 +217,14 @@ class _MemberIds:
 
 
 def structural_group_sets(
-    profile: DiffProfile, xs: Word, ys: Word, groups: PairGroups
+    profile: DiffProfile, xs: Word, ys: Word, groups: Dict[GroupKey, Dict[PairKey, None]]
 ) -> Dict[GroupKey, Set[int]]:
-    """Expand each group's distinct deleted pairs (from
+    """Expand each group's deleted-pair keys (from
     :func:`delsub.diffs.group_pairs`) into the ids of the group's members.
+
+    A key (jx, jy) deletes jx from x and jy from y, so its residual
+    mismatches are those of the side-L pair (jx, jy) when jx <= jy and of
+    the side-R pair (jy, jx) otherwise, whatever the group's side.
 
     The members of B(z) & B(z') are z with at most one index rewritten:
     all of B(z) when z == z', every symbol at the one residual mismatch
@@ -246,15 +243,15 @@ def structural_group_sets(
     out: Dict[GroupKey, Set[int]] = {}
     mirror = xs == ys
     for key, pairs in groups.items():
-        side, ell, _ = key
-        if mirror and side == "R":
+        ell = key[1]
+        if mirror and key[0] == "R":
             continue
         members: Set[int] = set()
-        for j, jprime in pairs.values():
-            jx, jy = (j, jprime) if side == "L" else (jprime, j)
+        for jx, jy in pairs:
             if ell == 0:
                 ids.add_ball(members, jx - 1)
                 continue
+            j, jprime, side = (jx, jy, "L") if jx <= jy else (jy, jx, "R")
             for m in profile.mismatch_positions(j, jprime, side):
                 # original position m sits at index m - 1 before the
                 # first deletion and m - 2 after it, in z and in z'
@@ -275,7 +272,7 @@ def structural_group_sets(
 # Direct (claims-based) construction of the decomposition
 
 
-def claims_lambda(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[PairValue]]:
+def claims_lambda(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[Tuple[Word, Word]]]:
     """The distinct deleted pairs of every group, built directly from
     interval counts and landmarks without scanning position pairs; the
     same form as :func:`delsub.diffs.lambda_enumerate`.
@@ -284,8 +281,12 @@ def claims_lambda(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[PairValu
     candidates and validated against their defining count triple; a
     failing candidate is dropped.  Requires Hamming distance >= 2.
     """
+    profile = DiffProfile(x, y)
     xs, ys = x.symbols, y.symbols
-    return pair_sets(xs, ys, group_pairs(xs, ys, _claims_raw(DiffProfile(x, y), xs, ys)))
+    return {
+        key: frozenset((_delete_t(xs, jx), _delete_t(ys, jy)) for jx, jy in keys)
+        for key, keys in group_pairs(profile, _claims_raw(profile, xs, ys)).items()
+    }
 
 
 def _claims_raw(p: DiffProfile, xs: Word, ys: Word) -> List[RawEntry]:
@@ -487,7 +488,7 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     q, d = x.q, profile.d
     xs, ys = x.symbols, y.symbols
     raw = _claims_raw(profile, xs, ys) if d >= 2 else scan_candidates(profile)
-    sets = structural_group_sets(profile, xs, ys, group_pairs(xs, ys, raw))
+    sets = structural_group_sets(profile, xs, ys, group_pairs(profile, raw))
     group_sizes = {GROUP_LABELS[key]: len(members) for key, members in sets.items()}
     # each level grows in place in its first group's set, which is not
     # read again, so no level copies a large distance-0 group
@@ -542,18 +543,18 @@ def verify_claims(x: Sequence, y: Sequence) -> Tuple[CheckResult, ...]:
     Hamming distance >= 2.
 
     One profile serves the scan and both sides of the direct
-    construction, and each family is grouped once; no member is expanded.
+    construction, and its one pair of run-last tables groups both
+    families into key sets; no member is expanded.
     """
     profile, scanned = _scanned_groups(x, y)
-    xs, ys = x.symbols, y.symbols
-    direct = group_pairs(xs, ys, _claims_raw(profile, xs, ys))
-    if _pair_keys(scanned) == _pair_keys(direct):
+    direct = group_pairs(profile, _claims_raw(profile, x.symbols, y.symbols))
+    if scanned == direct:
         return _ALL_GROUPS_PASSED
     # some group differs: name each one with its two pair counts
     checks = []
     for key, passed in _GROUP_PASSED.items():
-        expected = scanned.get(key, {}).keys()
-        got = direct.get(key, {}).keys()
+        expected = scanned.get(key, {})
+        got = direct.get(key, {})
         checks.append(
             passed if expected == got else CheckResult(
                 passed.name, False, f"direct has {len(got)} pairs, scan has {len(expected)}"
@@ -574,22 +575,21 @@ def verify_lemmas(x: Sequence, y: Sequence) -> Tuple[CheckResult, ...]:
     return tuple(_fact_checks(profile, scanned, sets))
 
 
-def _scanned_groups(x: Sequence, y: Sequence) -> Tuple[DiffProfile, PairGroups]:
+def _scanned_groups(
+    x: Sequence, y: Sequence
+) -> Tuple[DiffProfile, Dict[GroupKey, Dict[PairKey, None]]]:
     """The pair's profile and its scanned family, grouped; both checks
     need Hamming distance >= 2."""
     profile = DiffProfile(x, y)
     if profile.d < 2:
         raise ValueError("verification needs Hamming distance >= 2")
-    return profile, group_pairs(x.symbols, y.symbols, scan_candidates(profile))
-
-
-def _pair_keys(groups: PairGroups) -> Dict[GroupKey, KeysView[PairKey]]:
-    """Each group's deleted-pair keys; groups with no pair are absent."""
-    return {key: pairs.keys() for key, pairs in groups.items()}
+    return profile, group_pairs(profile, scan_candidates(profile))
 
 
 def _fact_checks(
-    profile: DiffProfile, groups: PairGroups, sets: Dict[GroupKey, Set[int]]
+    profile: DiffProfile,
+    groups: Dict[GroupKey, Dict[PairKey, None]],
+    sets: Dict[GroupKey, Set[int]],
 ) -> List[CheckResult]:
     """The facts of the pair's branch: per side, whether its shifted set
     meets the window (i1, id], and whether d = 2 or d >= 3.  Each union

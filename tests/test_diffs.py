@@ -9,9 +9,9 @@ from delsub import (
     hamming,
     lambda_enumerate,
 )
-from delsub.diffs import group_pairs, pair_value, scan_candidates
-from delsub.intersect import _above, _below
-from delsub.sequence import run_last_positions
+from delsub.diffs import group_pairs, scan_candidates
+from delsub.intersect import _above, _below, _claims_raw
+from delsub.sequence import _delete_t, run_last_positions
 
 from helpers import all_words, naive_lambda_groups, sequence_pairs
 
@@ -209,13 +209,11 @@ class TestLambdaEnumerate:
     def test_entry_invariants(self):
         xs, ys = WORKED_X.symbols, WORKED_Y.symbols
         for side, ell, _, j, jp in scan_candidates(DiffProfile(WORKED_X, WORKED_Y)):
-            z, zp = pair_value(xs, ys, side, j, jp)
-            if side == "L":
-                assert z == delete(WORKED_X, j).symbols
-                assert zp == delete(WORKED_Y, jp).symbols
-            else:
-                assert z == delete(WORKED_X, jp).symbols
-                assert zp == delete(WORKED_Y, j).symbols
+            # side L deletes j from x and j' from y, side R j' from x and j from y
+            jx, jy = (j, jp) if side == "L" else (jp, j)
+            z, zp = _delete_t(xs, jx), _delete_t(ys, jy)
+            assert z == delete(WORKED_X, jx).symbols
+            assert zp == delete(WORKED_Y, jy).symbols
             assert hamming(Sequence(z, 2), Sequence(zp, 2)) == ell
 
     def test_adjacent_swap_diagonal_family_counts_runs(self):
@@ -276,27 +274,42 @@ class TestRunContainment:
             assert len(set(y.symbols[j1 - 1 : j2])) == 1
 
     def test_pair_view_dedup_collapses_rectangles(self):
-        # entries agreeing in value are merged in the group views, each
-        # kept under the first (j, j') that produced it
+        # entries agreeing in value are merged in the group key sets: a
+        # group holds fewer keys than entries, one key per distinct pair
         x, y = seq("000110"), seq("010100")
-        xs, ys = x.symbols, y.symbols
-        raw = scan_candidates(DiffProfile(x, y))
-        groups = group_pairs(xs, ys, raw)
+        xs, ys, n = x.symbols, y.symbols, len(x)
+        p = DiffProfile(x, y)
+        raw = scan_candidates(p)
+        groups = group_pairs(p, raw)
         enumerated = lambda_enumerate(x, y)
         assert any(
-            len(pairs) < sum(1 for e in raw if e[:3] == key) for key, pairs in groups.items()
+            len(keys) < sum(1 for e in raw if e[:3] == key) for key, keys in groups.items()
         )
-        for key, pairs in groups.items():
-            entries = [(j, jp) for side, ell, case, j, jp in raw if (side, ell, case) == key]
-            values = [pair_value(xs, ys, key[0], j, jp) for j, jp in entries]
-            firsts = [pair_value(xs, ys, key[0], j, jp) for j, jp in pairs.values()]
-            assert set(values) == set(firsts) == enumerated[key]
-            assert len(firsts) == len(set(firsts))
-            for value, first in zip(firsts, pairs.values()):
-                assert first == entries[values.index(value)]
+        for key, keys in groups.items():
+            deleted = [(j, jp) if side == "L" else (jp, j)
+                       for side, ell, case, j, jp in raw if (side, ell, case) == key]
+            values = {(_delete_t(xs, jx), _delete_t(ys, jy)) for jx, jy in deleted}
+            words = [(_delete_t(xs, kx), _delete_t(ys, ky)) for kx, ky in keys]
+            assert values == set(words) == enumerated[key]
+            assert len(words) == len(set(words))
             # each key is the run-last positions of x's and y's deleted index
-            n = len(xs)
-            for (kx, ky), value in zip(pairs, firsts):
-                assert pair_value(xs, ys, "L", kx, ky) == value
+            for kx, ky in keys:
                 assert kx == n or xs[kx - 1] != xs[kx]
                 assert ky == n or ys[ky - 1] != ys[ky]
+
+    @given(st.one_of(sequence_pairs(q=2, min_n=2, max_n=10),
+                     sequence_pairs(q=3, min_n=2, max_n=8)))
+    @settings(max_examples=150)
+    def test_keys_delete_to_group_distance(self, pair):
+        # a key (jx, jy) of the scan or of the direct family is itself a
+        # deleted pair of its group: x minus jx and y minus jy sit at the
+        # group's Hamming distance
+        x, y = pair
+        p = DiffProfile(x, y)
+        families = [scan_candidates(p)]
+        if p.d >= 2:
+            families.append(_claims_raw(p, x.symbols, y.symbols))
+        for raw in families:
+            for (_, ell, _), keys in group_pairs(p, raw).items():
+                for jx, jy in keys:
+                    assert hamming(delete(x, jx), delete(y, jy)) == ell, (x, y, jx, jy)

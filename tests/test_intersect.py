@@ -165,7 +165,7 @@ class TestClaimsLambda:
 def scanned_groups(x, y):
     """The scan's grouped pairs of (x, y) and their expanded member sets."""
     p = DiffProfile(x, y)
-    groups = group_pairs(x.symbols, y.symbols, scan_candidates(p))
+    groups = group_pairs(p, scan_candidates(p))
     return groups, structural_group_sets(p, x.symbols, y.symbols, groups)
 
 
@@ -403,7 +403,24 @@ class TestMemberIds:
                 for x, y in pairs:
                     assert intersection_size_fast(x, y).to_dict() == tuple_report(x, y), (x, y)
                     checked += 1
-        assert checked == 36
+        # near-constant words, where many (j, j') share one deleted-pair
+        # key: 0^n against itself and against 0^(n-1)1, and 0^k 1^k 0^k
+        # against a copy with one substitution in each 0-run
+        for n in (60, 100):
+            k = n // 3
+            zeros = Sequence((0,) * n, 2)
+            runs = (0,) * k + (1,) * k + (0,) * (n - 2 * k)
+            changed = list(runs)
+            changed[k // 2] = changed[n - 1 - k // 2] = 1
+            pairs = [
+                (zeros, zeros),
+                (zeros, Sequence((0,) * (n - 1) + (1,), 2)),
+                (Sequence(runs, 2), Sequence(tuple(changed), 2)),
+            ]
+            for x, y in pairs:
+                assert intersection_size_fast(x, y).to_dict() == tuple_report(x, y), (x, y)
+                checked += 1
+        assert checked == 42
 
     def test_self_intersection_matches_tuple_expansion(self):
         # x == y: the side-R groups take side L's member sets, and the
@@ -463,7 +480,8 @@ class TestVerifyClaims:
         # drop one group from the direct construction: that group alone
         # fails, with both pair counts, and the others keep passing
         x, y = WORKED_X, WORKED_Y
-        scanned = group_pairs(x.symbols, y.symbols, scan_candidates(DiffProfile(x, y)))
+        p = DiffProfile(x, y)
+        scanned = group_pairs(p, scan_candidates(p))
         target = max(scanned, key=lambda key: len(scanned[key]))
         original = intersect_module._claims_raw
 
