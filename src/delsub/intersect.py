@@ -14,6 +14,9 @@ Deleted pairs are named by O(1) keys, the run-last positions of their
 two deleted indices (see :func:`delsub.diffs.group_pairs`), and expanded
 straight from those positions; members are named by canonical ids
 computed in O(1) each from the member word alone (:class:`_MemberIds`).
+Twin groups of the two sides that hold the same keys, as the d = 2
+diagonal groups do, share one expansion, and a key deleting one index
+from both words reads its residual mismatches straight off S.
 So at Hamming distance >= 2, where the direct construction supplies the
 pairs, the cost is O(n) plus the output size; below that the scan adds a
 term that grows to O(n^2) on near-constant words.
@@ -47,7 +50,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from .diffs import (CASE_BY_TRIPLE, DiffProfile, GroupKey, PairKey, RawEntry, group_pairs,
                     scan_candidates)
 from .sequence import (Sequence, Word, _delete_t, _require_same_shape, alternating,
-                       run_last_positions, run_last_table)
+                       run_last_positions)
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -142,16 +145,17 @@ class _MemberIds:
 
     __slots__ = ("xs", "q", "nq", "prev_last", "run_last", "rewrites")
 
-    def __init__(self, xs: Word, q: int):
+    def __init__(self, xs: Word, q: int, last: List[int]):
         n = len(xs)
         self.xs = xs
         self.q = q
         self.nq = n * q
-        # last index of the run holding i
-        self.run_last = [last - 1 for last in run_last_table(xs)[1:]]
-        # last index of the run before i's, or -1: one before the first
-        # index of i's run, which the reversed word has as a run's last
-        self.prev_last = [n - 1 - last for last in reversed(run_last_table(xs[::-1])[1:])]
+        # last index of the run holding i, from x's 1-based run-last table
+        self.run_last = [p - 1 for p in last[1:]]
+        # last index of the run before i's, or -1
+        self.prev_last = prev = [-1] * n
+        for i in range(1, n):
+            prev[i] = i - 1 if xs[i] != xs[i - 1] else prev[i - 1]
         self.rewrites: Optional[Tuple[List[int], List[int]]] = None
 
     def deleted(self, j: int) -> int:
@@ -224,7 +228,8 @@ def structural_group_sets(
 
     A key (jx, jy) deletes jx from x and jy from y, so its residual
     mismatches are those of the side-L pair (jx, jy) when jx <= jy and of
-    the side-R pair (jy, jx) otherwise, whatever the group's side.
+    the side-R pair (jy, jx) otherwise, whatever the group's side; a key
+    with jx == jy deletes one index from both words and leaves S minus jx.
 
     The members of B(z) & B(z') are z with at most one index rewritten:
     all of B(z) when z == z', every symbol at the one residual mismatch
@@ -233,26 +238,46 @@ def structural_group_sets(
     shared across groups, so group sizes and unions are set algebra on
     ints.
 
-    When x == y every side-R group holds its side-L twin's deleted pairs
-    with the two words swapped, and B(z) & B(z') is symmetric, so the R
-    key maps to the L group's set object instead of a second expansion.
+    A key's members depend only on the key and its distance, so a group
+    whose keys equal those of its twin, the other side's group of the
+    same distance and case, maps to the twin's set object instead of a
+    second expansion, whichever of the two comes first.  At d = 2 the
+    diagonal groups 2.1, 2.3 and 2.5 of the two sides always hold the
+    same keys.  When x == y every side-R group holds its side-L twin's
+    deleted pairs with the two words swapped, and B(z) & B(z') is
+    symmetric, so every R key maps to the L group's set object.
+
+    So one set can belong to two groups: :func:`intersection_size_fast`
+    reads every group's size before it grows each level's first set in
+    place, and :func:`_fact_checks` only builds new unions.
     """
     if not groups:
         return {}
-    ids = _MemberIds(xs, profile.q)
+    ids = _MemberIds(xs, profile.q, profile.run_last_tables()[0])
+    s = profile.s
     out: Dict[GroupKey, Set[int]] = {}
     mirror = xs == ys
     for key, pairs in groups.items():
-        ell = key[1]
-        if mirror and key[0] == "R":
+        side, ell, case = key
+        if mirror and side == "R":
+            continue
+        twin = ("R" if side == "L" else "L", ell, case)
+        if twin in out and groups[twin] == pairs:
+            out[key] = out[twin]
             continue
         members: Set[int] = set()
         for jx, jy in pairs:
             if ell == 0:
                 ids.add_ball(members, jx - 1)
                 continue
-            j, jprime, side = (jx, jy, "L") if jx <= jy else (jy, jx, "R")
-            for m in profile.mismatch_positions(j, jprime, side):
+            if ell == 2 and jx == jy:
+                # each original position m sits at index m - 1 or m - 2
+                # in both deleted words, which hold y's symbol there
+                members.update([ids.edit(jx - 1, m - 1 if m < jx else m - 2, ys[m - 1])
+                                for m in s if m != jx])
+                continue
+            j, jprime, pair_side = (jx, jy, "L") if jx <= jy else (jy, jx, "R")
+            for m in profile.mismatch_positions(j, jprime, pair_side):
                 # original position m sits at index m - 1 before the
                 # first deletion and m - 2 after it, in z and in z'
                 p = m - 1 if m < j else m - 2
@@ -351,8 +376,7 @@ def _claims_one_side(p: DiffProfile, side: str, xs: Word) -> List[RawEntry]:
 
     # distance 2, case (2,0,0)
     if d == 2:
-        for j in run_last_positions(xs, i2 + 1, n):
-            emit(2, 1, j, j)
+        out.extend([(side, 2, 1, j, j) for j in run_last_positions(xs, i2 + 1, n)])
     else:
         if cnt(s[2] + 1, idd) == 0:
             emit(2, 1, s[2], idd)
@@ -373,8 +397,7 @@ def _claims_one_side(p: DiffProfile, side: str, xs: Word) -> List[RawEntry]:
             emit_validated(2, 2, i1, k2p)
     # distance 2, case (0,0,2)
     if d == 2:
-        for j in run_last_positions(xs, 1, i1 - 1):
-            emit(2, 3, j, j)
+        out.extend([(side, 2, 3, j, j) for j in run_last_positions(xs, 1, i1 - 1)])
     else:
         if cnt(i1 + 1, s[-3]) == 0:
             emit(2, 3, i1, s[-3])
@@ -390,8 +413,7 @@ def _claims_one_side(p: DiffProfile, side: str, xs: Word) -> List[RawEntry]:
             emit_validated(2, 4, i1, jp1)
     # distance 2, case (1,0,1)
     if d == 2:
-        for j in run_last_positions(xs, i1 + 1, i2 - 1):
-            emit(2, 5, j, j)
+        out.extend([(side, 2, 5, j, j) for j in run_last_positions(xs, i1 + 1, i2 - 1)])
     else:
         if cnt(i2 + 1, id1) == 0:
             emit(2, 5, i2, id1)
@@ -491,7 +513,8 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     sets = structural_group_sets(profile, xs, ys, group_pairs(profile, raw))
     group_sizes = {GROUP_LABELS[key]: len(members) for key, members in sets.items()}
     # each level grows in place in its first group's set, which is not
-    # read again, so no level copies a large distance-0 group
+    # read again (a twin holding that same set is skipped), so no level
+    # copies a large distance-0 group
     levels: Dict[int, Set[int]] = {}
     for key, members in sets.items():
         level = levels.setdefault(key[1], members)

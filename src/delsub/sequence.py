@@ -32,9 +32,9 @@ class Sequence:
         symbols = tuple(symbols)
         if q < 2:
             raise ValueError(f"alphabet size must be at least 2, got {q}")
-        for s in symbols:
-            if not 0 <= s < q:
-                raise ValueError(f"symbol {s} outside alphabet of size {q}")
+        if symbols and not (0 <= min(symbols) and max(symbols) < q):
+            bad = next(s for s in symbols if not 0 <= s < q)
+            raise ValueError(f"symbol {bad} outside alphabet of size {q}")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "q", q)
 
@@ -55,8 +55,8 @@ class Sequence:
         if not text:
             return cls((), q)
         if q <= 10:
-            return cls((int(c) for c in text), q)
-        return cls((int(part) for part in text.split(",")), q)
+            return cls(map(int, text), q)
+        return cls(map(int, text.split(",")), q)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Sequence is immutable")
@@ -92,8 +92,8 @@ class Sequence:
 
     def __str__(self) -> str:
         if self.q <= 10:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+            return "".join(map(str, self.symbols))
+        return ",".join(map(str, self.symbols))
 
     def __repr__(self) -> str:
         return f"Sequence({str(self)!r}, q={self.q})"

@@ -92,6 +92,36 @@ def expand_members(pairs: Iterable[Tuple[Word, Word]], q: int) -> Set[Word]:
     return out
 
 
+def reference_group_sets(
+    x: Sequence, y: Sequence, groups: Dict[tuple, Iterable[Tuple[int, int]]]
+) -> Dict[tuple, Set[int]]:
+    """Each group's member ids, expanded key by key into a set of its own:
+    key (jx, jy) names z = x minus jx and z' = y minus jy, whose residual
+    mismatches are found by comparing the two words, and each member id
+    comes from ``_MemberIds.add_ball``, ``add_column`` or ``edit``."""
+    from delsub.intersect import _MemberIds
+    from delsub.sequence import run_last_table
+
+    xs, ys = x.symbols, y.symbols
+    ids = _MemberIds(xs, x.q, run_last_table(xs))
+    out: Dict[tuple, Set[int]] = {}
+    for key, keys in groups.items():
+        ell = key[1]
+        members: Set[int] = set()
+        for jx, jy in keys:
+            z, zp = xs[: jx - 1] + xs[jx:], ys[: jy - 1] + ys[jy:]
+            diff = [p for p in range(len(z)) if z[p] != zp[p]]
+            assert len(diff) == ell, (key, jx, jy)
+            if ell == 0:
+                ids.add_ball(members, jx - 1)
+            elif ell == 1:
+                ids.add_column(members, jx - 1, diff[0])
+            else:
+                members.update(ids.edit(jx - 1, p, zp[p]) for p in diff)
+        out[key] = members
+    return out
+
+
 def inverse_ball_oracle(y: Word, q: int, residue: Optional[int] = None) -> Set[Word]:
     """The words of length len(y)+1 whose (1,1)-ball holds ``y`` (with
     ``residue``, only those of symbol sum ``residue`` mod q), as a set of

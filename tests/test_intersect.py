@@ -28,9 +28,9 @@ from delsub.balls import ds11_packed
 from delsub.diffs import group_pairs, scan_candidates
 from delsub import intersect as intersect_module
 from delsub.intersect import ALL_GROUP_KEYS, group_label, structural_group_sets
-from delsub.sequence import lcs_length
+from delsub.sequence import lcs_length, run_last_table
 
-from helpers import all_words, expand_members, sequence_pairs
+from helpers import all_words, expand_members, reference_group_sets, sequence_pairs
 
 
 def seq(text, q=2):
@@ -333,7 +333,7 @@ class TestMemberIds:
             for n in range(2, top + 1):
                 for x in all_words(q, n):
                     xs = x.symbols
-                    ids = intersect_module._MemberIds(xs, q)
+                    ids = intersect_module._MemberIds(xs, q, run_last_table(xs))
                     edits = [(j, p, c) for j in range(n) for p in range(n - 1) for c in range(q)]
                     rng.shuffle(edits)
                     id_of_word = {}
@@ -368,8 +368,8 @@ class TestMemberIds:
         for q, xs in words:
             n = len(xs)
             edits = [(j, p, c) for j in range(n) for p in range(n - 1) for c in range(q)]
-            forward = intersect_module._MemberIds(xs, q)
-            backward = intersect_module._MemberIds(xs, q)
+            forward = intersect_module._MemberIds(xs, q, run_last_table(xs))
+            backward = intersect_module._MemberIds(xs, q, run_last_table(xs))
             ids = [forward.edit(*e) for e in edits]
             assert ids == [backward.edit(*e) for e in reversed(edits)][::-1], xs
             assert 0 <= min(ids) and max(ids) < n * n * q, xs
@@ -443,6 +443,79 @@ class TestMemberIds:
         report = intersection_size_fast(x, Sequence(tuple(ys), 2))
         assert time.perf_counter() - start < 1.0
         assert report.size == 5
+
+
+def size_path_groups(profile, x, y):
+    """The grouped deleted pairs that intersection_size_fast expands: the
+    direct construction (side L, then side R) at d >= 2, the scan below."""
+    if profile.d >= 2:
+        raw = intersect_module._claims_raw(profile, x.symbols, y.symbols)
+    else:
+        raw = scan_candidates(profile)
+    return group_pairs(profile, raw)
+
+
+class TestTwinGroups:
+    DIAGONAL = (1, 3, 5)
+
+    def check_pair(self, x, y):
+        """Every group's set equals its key-by-key reference expansion, in
+        the size path's order (L before R), the scan's interleaved order
+        and the scan's order reversed (R before L); at d = 2 the later of
+        two diagonal twins is the earlier one's set object."""
+        profile = DiffProfile(x, y)
+        orders = [size_path_groups(profile, x, y)]
+        scanned = group_pairs(profile, scan_candidates(profile))
+        orders += [scanned, dict(reversed(scanned.items()))]
+        reference = reference_group_sets(x, y, scanned)
+        for groups in orders:
+            sets = structural_group_sets(profile, x.symbols, y.symbols, groups)
+            expected = reference if groups == scanned else reference_group_sets(x, y, groups)
+            assert sets == expected, (x, y)
+            if profile.d == 2:
+                order = list(groups)
+                for case in self.DIAGONAL:
+                    twins = [key for key in order if key[1:] == (2, case)]
+                    assert len(twins) in (0, 2), (x, y, case)
+                    if twins:
+                        first, second = twins
+                        assert sets[second] is sets[first], (x, y, case)
+
+    def test_sets_match_per_key_reference_exhaustively(self):
+        for q, n in ((2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4)):
+            words = all_words(q, n)
+            for x in words:
+                for y in words:
+                    self.check_pair(x, y)
+
+    def test_sets_match_per_key_reference_on_long_words(self):
+        rng = random.Random(37)
+        n = 400
+        for q in (2, 3):
+            x, y = extremal_pair(q, n)
+            self.check_pair(x, y)
+            xs = [rng.randrange(q) for _ in range(n)]
+            i = rng.randrange(n - 1)
+            xs[i], xs[i + 1] = 0, 1
+            ys = list(xs)
+            ys[i], ys[i + 1] = ys[i + 1], ys[i]
+            self.check_pair(Sequence(tuple(xs), q), Sequence(tuple(ys), q))
+
+    def test_diagonal_twins_hold_the_same_keys(self):
+        # at d = 2 deleting one index from both words leaves no middle
+        # term, so the two sides' diagonal groups list the same keys
+        rng = random.Random(41)
+        for q in (2, 3, 4):
+            xs = [rng.randrange(q) for _ in range(60)]
+            ys = list(xs)
+            for i in (20, 40):
+                ys[i] = (xs[i] + 1) % q
+            x, y = Sequence(tuple(xs), q), Sequence(tuple(ys), q)
+            profile = DiffProfile(x, y)
+            for groups in (size_path_groups(profile, x, y),
+                           group_pairs(profile, scan_candidates(profile))):
+                for case in self.DIAGONAL:
+                    assert groups["L", 2, case] == groups["R", 2, case], (q, case)
 
 
 class TestTightFamilies:
