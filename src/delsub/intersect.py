@@ -15,8 +15,11 @@ two deleted indices (see :func:`delsub.diffs.group_pairs`), and expanded
 straight from those positions; members are named by canonical ids
 computed in O(1) each from the member word alone (:class:`_MemberIds`).
 Twin groups of the two sides that hold the same keys, as the d = 2
-diagonal groups do, share one expansion, and a key deleting one index
-from both words reads its residual mismatches straight off S.
+diagonal groups do, share one expansion.  A key deleting one index j
+from both words has the residual mismatches S minus j, and all but the
+first few such keys above a mismatch m share one id formula for m, so
+a group's diagonal keys are expanded in bulk, one slice per m
+(:meth:`_MemberIds.add_diagonal`).
 So at Hamming distance >= 2, where the direct construction supplies the
 pairs, the cost is O(n) plus the output size; below that the scan adds a
 term that grows to O(n^2) on near-constant words.
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .diffs import (CASE_BY_TRIPLE, DiffProfile, GroupKey, PairKey, RawEntry, group_pairs,
@@ -199,10 +203,14 @@ class _MemberIds:
         xs, q = self.xs, self.q
         n = len(xs)
         if self.rewrites is None:
-            # p q + c for every c != x[p] (before j), != x[p+1] (from j on)
+            # p q + c for every c != x[p] (before j), != x[p+1] (from j on):
+            # mask row a flags each c != a, and the rows of x[:n-1] (or
+            # x[1:]) joined pick those cells out of range((n-1) q)
+            rows = [bytes(c != a for c in range(q)) for a in range(q)]
+            cells = range((n - 1) * q)
             self.rewrites = (
-                [p * q + c for p in range(n - 1) for c in range(q) if c != xs[p]],
-                [p * q + c for p in range(n - 1) for c in range(q) if c != xs[p + 1]],
+                list(compress(cells, b"".join(map(rows.__getitem__, xs[: n - 1])))),
+                list(compress(cells, b"".join(map(rows.__getitem__, xs[1:])))),
             )
         before, after = self.rewrites
         k = q - 1
@@ -219,6 +227,40 @@ class _MemberIds:
         out.update(map(add, after[j * k :]))
         out.add(self.deleted(j))
 
+    def add_diagonal(self, out: Set[int], keys: List[int], s: Tuple[int, ...], ys: Word) -> None:
+        """Add the ids of the distance-2 keys (j, j) for the ascending
+        1-based run-last positions j of ``keys``: deleting j from both
+        words leaves the residual mismatches S minus j, each repaired with
+        y's symbol.
+
+        Original position m sits at index m - 2 after a key j < m and at
+        m - 1 before a key j > m, and writing y_m there never gives x
+        minus j back.  For j < m both a1 and a2 lie before the rewrite, so
+        the id is always run_last[j-1] n q + (m-2) q + y_m.  For j > m it
+        is run_last[j-1] n q + (m-1) q + y_m once a2 (so a1 too) lies past
+        m - 1; a2 never falls as j grows, so only the first few keys above
+        m go through :meth:`edit`, and each m adds the rest in one slice.
+        """
+        q, nq, prev = self.q, self.nq, self.prev_last
+        bases = [self.run_last[j - 1] * nq for j in keys]
+        top = len(keys)
+        for m in s:
+            c = ys[m - 1]
+            k = bisect_left(keys, m)
+            if k:
+                out.update(map(((m - 2) * q + c).__add__, bases[:k]))
+            if k < top and keys[k] == m:
+                # the key (m, m) deletes the mismatch m itself
+                k += 1
+            while k < top:
+                a1 = prev[keys[k] - 1]
+                if a1 >= 0 and prev[a1] >= m:
+                    break
+                out.add(self.edit(keys[k] - 1, m - 1, c))
+                k += 1
+            if k < top:
+                out.update(map(((m - 1) * q + c).__add__, bases[k:]))
+
 
 def structural_group_sets(
     profile: DiffProfile, xs: Word, ys: Word, groups: Dict[GroupKey, Dict[PairKey, None]]
@@ -230,6 +272,11 @@ def structural_group_sets(
     mismatches are those of the side-L pair (jx, jy) when jx <= jy and of
     the side-R pair (jy, jx) otherwise, whatever the group's side; a key
     with jx == jy deletes one index from both words and leaves S minus jx.
+    A distance-2 group's keys with jx == jy (all of the d = 2 diagonal
+    groups 2.1, 2.3 and 2.5) are sorted and expanded together by
+    :meth:`_MemberIds.add_diagonal`, one slice per residual mismatch m:
+    only the few keys just above m whose run two before does not yet
+    lie past m - 1 take a per-key :meth:`_MemberIds.edit`.
 
     The members of B(z) & B(z') are z with at most one index rewritten:
     all of B(z) when z == z', every symbol at the one residual mismatch
@@ -266,15 +313,15 @@ def structural_group_sets(
             out[key] = out[twin]
             continue
         members: Set[int] = set()
+        # the distance-2 keys deleting one index from both words, expanded
+        # in bulk after the loop
+        diagonal: List[int] = []
         for jx, jy in pairs:
             if ell == 0:
                 ids.add_ball(members, jx - 1)
                 continue
             if ell == 2 and jx == jy:
-                # each original position m sits at index m - 1 or m - 2
-                # in both deleted words, which hold y's symbol there
-                members.update([ids.edit(jx - 1, m - 1 if m < jx else m - 2, ys[m - 1])
-                                for m in s if m != jx])
+                diagonal.append(jx)
                 continue
             j, jprime, pair_side = (jx, jy, "L") if jx <= jy else (jy, jx, "R")
             for m in profile.mismatch_positions(j, jprime, pair_side):
@@ -285,6 +332,8 @@ def structural_group_sets(
                     ids.add_column(members, jx - 1, p)
                 else:
                     members.add(ids.edit(jx - 1, p, ys[p] if p < jy - 1 else ys[p + 1]))
+        if diagonal:
+            ids.add_diagonal(members, sorted(diagonal), s, ys)
         out[key] = members
     if mirror:
         for side, ell, case in groups:

@@ -50,11 +50,21 @@ class Sequence:
     def parse(cls, text: str, q: int) -> "Sequence":
         """Parse the textual form: digits for q <= 10, comma-separated
         decimals for larger alphabets.  An empty string is the empty word.
+
+        ASCII digit text for q <= 10 is decoded by one byte translation;
+        any other text (other Unicode digits included) goes symbol by
+        symbol through ``int``, and a symbol out of range gets the
+        constructor's message either way.
         """
         text = text.strip()
         if not text:
             return cls((), q)
         if q <= 10:
+            if text.isascii() and text.isdigit():
+                symbols = tuple(text.encode().translate(_FROM_DIGITS))
+                if q >= 2 and max(symbols) < q:
+                    return cls._wrap(symbols, q)
+                return cls(symbols, q)
             return cls(map(int, text), q)
         return cls(map(int, text.split(",")), q)
 
@@ -92,7 +102,7 @@ class Sequence:
 
     def __str__(self) -> str:
         if self.q <= 10:
-            return "".join(map(str, self.symbols))
+            return bytes(self.symbols).translate(_TO_DIGITS).decode()
         return ",".join(map(str, self.symbols))
 
     def __repr__(self) -> str:
@@ -103,6 +113,10 @@ class Sequence:
 # the refusing __setattr__ and cost less per call than object.__setattr__.
 _set_symbols = Sequence.symbols.__set__
 _set_q = Sequence.q.__set__
+
+# Byte tables between ASCII digit text and symbols 0-9.
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _require_same_shape(x: Sequence, y: Sequence) -> None:

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from delsub.cli import main
-from delsub.intersect import CheckResult, intersection_size_fast
+from delsub.intersect import CheckResult, extremal_pair, intersection_size_fast
 from delsub.sequence import Sequence
 
 
@@ -140,6 +140,28 @@ class TestIntersectCommand:
         )
         assert code == 1
         assert json.loads(out)["match"] is False
+
+    @pytest.mark.parametrize("kind, q", [
+        ("extremal", 2), ("extremal", 3), ("extremal", 4), ("equal", 3), ("one-off", 4),
+    ])
+    def test_fast_json_stdout_is_the_report(self, capsys, kind, q):
+        # stdout byte for byte: the report's JSON with x and y written one
+        # digit per symbol
+        if kind == "extremal":
+            x, y = extremal_pair(q, 400)
+        else:
+            x = Sequence(tuple(i * i % q for i in range(120)), q)
+            ys = list(x.symbols)
+            if kind == "one-off":
+                ys[57] = (ys[57] + 1) % q
+            y = Sequence(tuple(ys), q)
+        text_x, text_y = "".join(map(str, x.symbols)), "".join(map(str, y.symbols))
+        code, out, _ = run_cli(capsys, "intersect", "--q", str(q), "--x", text_x, "--y", text_y,
+                               "--mode", "fast", "--format", "json")
+        assert code == 0
+        expected = {"command": "intersect", "mode": "fast", "x": text_x, "y": text_y,
+                    **intersection_size_fast(x, y).to_dict(), "oracle_size": None, "match": None}
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_length_mismatch_is_usage_error(self, capsys):
         code, _, err = run_cli(

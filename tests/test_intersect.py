@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -460,13 +461,15 @@ class TestTwinGroups:
 
     def check_pair(self, x, y):
         """Every group's set equals its key-by-key reference expansion, in
-        the size path's order (L before R), the scan's interleaved order
-        and the scan's order reversed (R before L); at d = 2 the later of
-        two diagonal twins is the earlier one's set object."""
+        the size path's order (L before R), the scan's interleaved order,
+        the scan's order reversed (R before L) and the scan's order with
+        each group's keys reversed; at d = 2 the later of two diagonal
+        twins is the earlier one's set object."""
         profile = DiffProfile(x, y)
         orders = [size_path_groups(profile, x, y)]
         scanned = group_pairs(profile, scan_candidates(profile))
-        orders += [scanned, dict(reversed(scanned.items()))]
+        orders += [scanned, dict(reversed(scanned.items())),
+                   {key: dict.fromkeys(reversed(keys)) for key, keys in scanned.items()}]
         reference = reference_group_sets(x, y, scanned)
         for groups in orders:
             sets = structural_group_sets(profile, x.symbols, y.symbols, groups)
@@ -500,6 +503,71 @@ class TestTwinGroups:
             ys = list(xs)
             ys[i], ys[i + 1] = ys[i + 1], ys[i]
             self.check_pair(Sequence(tuple(xs), q), Sequence(tuple(ys), q))
+
+    @staticmethod
+    def block_pairs(rng, q, n, words):
+        """Every d = 2 pair of each of ``words`` random words made of runs
+        of length 1-3: some run ends at i1 - 1 or i2 - 1, or two runs
+        before, so the first diagonal keys above a mismatch need a check."""
+        for _ in range(words):
+            xs = []
+            while len(xs) < n:
+                symbol = rng.choice([a for a in range(q) if not xs or a != xs[-1]])
+                xs += [symbol] * rng.randint(1, 3)
+            xs = tuple(xs[:n])
+            for i1 in range(n):
+                for i2 in range(i1 + 1, n):
+                    ys = list(xs)
+                    for i in (i1, i2):
+                        ys[i] = (xs[i] + rng.randrange(1, q)) % q
+                    yield Sequence(xs, q), Sequence(tuple(ys), q)
+
+    def test_bulk_diagonal_where_runs_end_next_to_mismatches(self):
+        rng = random.Random(43)
+        # 0^k 1 0^k 1 ... against every two substitutions, and every three
+        # (d = 3, where a diagonal key can delete a mismatch itself)
+        for k in (1, 2, 3):
+            xs = ((0,) * k + (1,)) * 4
+            for d in (2, 3):
+                for positions in combinations(range(len(xs)), d):
+                    ys = list(xs)
+                    for i in positions:
+                        ys[i] = 1 - ys[i]
+                    self.check_pair(Sequence(xs, 2), Sequence(tuple(ys), 2))
+        for q in (2, 3, 4):
+            for x, y in self.block_pairs(rng, q, 14, 3):
+                self.check_pair(x, y)
+
+    def test_bulk_diagonal_exhaustive_binary_distance_two(self):
+        words = all_words(2, 8)
+        for x in words:
+            for y in words:
+                if hamming(x, y) == 2:
+                    self.check_pair(x, y)
+
+    def test_bulk_diagonal_on_long_words(self):
+        rng = random.Random(47)
+        n = 400
+        for q in (2, 3, 4):
+            pairs = [extremal_pair(q, n)]
+            xs = tuple(rng.randrange(q) for _ in range(n))
+            blocks = next(self.block_pairs(rng, q, n, 1))[0].symbols
+            for word in (xs, blocks):
+                for _ in range(3):
+                    ys = list(word)
+                    for i in rng.sample(range(n), 2):
+                        ys[i] = (word[i] + rng.randrange(1, q)) % q
+                    pairs.append((Sequence(word, q), Sequence(tuple(ys), q)))
+            for x, y in pairs:
+                self.check_pair(x, y)
+
+    def test_bulk_diagonal_sizes_match_oracle(self):
+        rng = random.Random(53)
+        for q, n in ((2, 60), (3, 40), (4, 30)):
+            pairs = list(self.block_pairs(rng, q, n, 1))
+            for x, y in rng.sample(pairs, 25):
+                oracle = len(ball_intersection(x, y, BallSpec(1, 1)))
+                assert intersection_size_fast(x, y).size == oracle, (x, y)
 
     def test_diagonal_twins_hold_the_same_keys(self):
         # at d = 2 deleting one index from both words leaves no middle

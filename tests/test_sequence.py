@@ -62,6 +62,50 @@ class TestSequenceBasics:
         assert str(seq("01") + seq("10")) == "0110"
 
 
+def digit_texts():
+    """(q, text) with q in 2..10 and an ASCII digit string below q."""
+    return st.integers(min_value=2, max_value=10).flatmap(
+        lambda q: st.tuples(st.just(q), st.text("0123456789"[:q], min_size=1, max_size=40))
+    )
+
+
+class TestDigitText:
+    @given(digit_texts())
+    def test_ascii_digits_parse_and_print(self, case):
+        q, text = case
+        s = Sequence.parse(text, q)
+        assert s.symbols == tuple(map(int, text))
+        assert s == Sequence(tuple(map(int, text)), q)
+        assert str(s) == text
+
+    @pytest.mark.parametrize("text, q, bad", [("0132", 3, 3), ("9", 9, 9), ("0120", 2, 2)])
+    def test_out_of_alphabet_digit_keeps_message(self, text, q, bad):
+        with pytest.raises(ValueError, match=f"^symbol {bad} outside alphabet of size {q}$"):
+            Sequence.parse(text, q)
+
+    def test_alphabet_too_small_keeps_message(self):
+        with pytest.raises(ValueError, match="^alphabet size must be at least 2, got 1$"):
+            Sequence.parse("00", 1)
+
+    def test_non_ascii_digits_parse_as_before(self):
+        s = Sequence.parse("٠١٢", 3)
+        assert s.symbols == (0, 1, 2)
+        assert str(s) == "012"
+
+    @pytest.mark.parametrize("text", ["0a1", "0_1", "0 1", "0-1"])
+    def test_non_digit_text_raises(self, text):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            Sequence.parse(text, 2)
+
+    def test_large_alphabet_text_untouched(self):
+        s = Sequence.parse("0,12,3", 13)
+        assert s.symbols == (0, 12, 3)
+        assert str(s) == "0,12,3"
+        # digit text is one decimal number above q = 10
+        with pytest.raises(ValueError, match="^symbol 123 outside alphabet of size 11$"):
+            Sequence.parse("0123", 11)
+
+
 class TestHamming:
     def test_identity(self):
         s = seq("10212201", q=3)
