@@ -21,10 +21,11 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache, partial
-from itertools import product
+from itertools import islice, product
+from math import comb, log10
 from multiprocessing import Pool
 from operator import ne
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .balls import (
     BallSpec, BudgetExceededError, DEFAULT_BUDGET, ball_intersection, ds_ball,
@@ -44,8 +45,8 @@ from .reconstruct import Codebook, ReadSet, channel_transmit, reconstruct
 from .sequence import Sequence, Word, hamming, lcs_length
 
 PAIR_CAP = 4_000_000
-# pairs per verify task: each worker samples (or receives) and checks a
-# chunk and sends back one reduced result
+# pairs per verify task: each worker builds and checks a task's pairs
+# and sends back one reduced result
 CHUNK = 256
 # violation details kept in the verify report
 SAMPLE_LIMIT = 10
@@ -134,10 +135,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        _emit_error(str(exc), args)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (BudgetExceededError, ValueError, OSError) as exc:
         _emit_error(str(exc), args)
         return 2
 
@@ -225,21 +223,32 @@ def cmd_intersect(args) -> int:
 # verify
 
 
-def _check_chunk(
-    q: int, scope: str, limit: Optional[int], pairs: List[Tuple[Word, Word]]
+def _check_task(
+    q: int, n: int, scope: str, limit: Optional[int], min_d: int,
+    samples: Optional[int], seed: Optional[int], k: int,
 ):
-    """Checks one chunk's pairs in order against ``limit`` (the size bound
-    of ``theorem`` and ``remark5``; None for the claims scopes) and reduces
-    them to (pairs checked, the first SAMPLE_LIMIT violation details,
-    violation count, failed-check counts, max size | None, first pair
-    reaching it | None), so a worker sends back one small result per
-    chunk."""
+    """Builds task k's pairs, exhaustive when ``samples`` is None, else
+    drawn from the stream seeded with the string f"{seed}:{k}" (hashed with
+    sha512, so independent of PYTHONHASHSEED), and checks them in order
+    against ``limit`` (the size bound of ``theorem`` and ``remark5``; None
+    for the claims scopes).  Returns one small result:
+    (pairs checked, the first SAMPLE_LIMIT violation details, violation
+    count, failed-check counts, max size | None, first pair reaching it)."""
+    if samples is None:
+        pairs = _exhaustive_pairs(q, n, min_d, k)
+    else:
+        pairs = _sampled_pairs(random.Random(f"{seed}:{k}"), q, n,
+                               min(CHUNK, samples - k * CHUNK), min_d, scope == "remark5")
+        if n <= 128:
+            # drawn ahead, the pairs (at most 64k symbols) keep the sampler's
+            # and the checker's code each hot in the cache; long words stream
+            pairs = list(pairs)
+    checked = violations = 0
     details: List[dict] = []
-    violations = 0
     failed: Counter = Counter()
     max_size: Optional[int] = None
     witness: Optional[Tuple[Word, Word]] = None
-    for xs, ys in pairs:
+    for checked, (xs, ys) in enumerate(pairs, 1):
         x = Sequence._wrap(xs, q)
         y = Sequence._wrap(ys, q)
         if limit is not None:
@@ -261,48 +270,37 @@ def _check_chunk(
         violations += 1
         if len(details) < SAMPLE_LIMIT:
             details.append(detail)
-    return len(pairs), details, violations, failed, max_size, witness
+    return checked, details, violations, failed, max_size, witness
 
 
-def _sample_and_check(
-    q: int, n: int, scope: str, limit: Optional[int], seed: int, min_d: int,
-    task: Tuple[int, int],
-):
-    """Draws chunk k's ``count`` pairs from its own stream, seeded with the
-    string ``f"{seed}:{k}"`` (hashed with sha512, so independent of
-    PYTHONHASHSEED and of the other chunks), and checks them."""
-    k, count = task
-    rng = random.Random(f"{seed}:{k}")
-    pairs = _sampled_pairs(rng, q, n, count, min_d, scope == "remark5")
-    return _check_chunk(q, scope, limit, pairs)
+def _far_words(q: int, n: int, min_d: int) -> int:
+    """Words at Hamming distance >= min_d from any one length-n word."""
+    return sum(comb(n, d) * (q - 1) ** d for d in range(min_d, n + 1))
 
 
-def _exhaustive_pairs(q: int, n: int, min_d: int) -> List[Tuple[Word, Word]]:
-    total_words = q**n
-    if total_words * (total_words - 1) > PAIR_CAP:
-        raise ValueError(
-            f"{total_words * (total_words - 1)} ordered pairs exceed the exhaustive "
-            f"cap of {PAIR_CAP}; use --samples with --seed"
-        )
-    words = list(product(range(q), repeat=n))
-    pairs = []
-    for xs in words:
-        for ys in words:
-            if sum(map(ne, xs, ys)) >= min_d:
-                pairs.append((xs, ys))
-    return pairs
+def _exhaustive_pairs(q: int, n: int, min_d: int, k: int) -> Iterator[Tuple[Word, Word]]:
+    """Task k's pairs: sweep ordinals [k*CHUNK, (k+1)*CHUNK) of the x-major
+    product of all words, counting only pairs at distance >= min_d.  Every
+    x has the same number of such partners, so the task's first x is found
+    by division."""
+    first_x, skip = divmod(k * CHUNK, _far_words(q, n, min_d))
+    words = partial(product, range(q), repeat=n)
+    pairs = (
+        (xs, ys) for xs in islice(words(), first_x, None) for ys in words()
+        if sum(map(ne, xs, ys)) >= min_d
+    )
+    return islice(pairs, skip, skip + CHUNK)
 
 
 def _sampled_pairs(
     rng: random.Random, q: int, n: int, count: int, min_d: int, need_shift: bool
-) -> List[Tuple[Word, Word]]:
+) -> Iterator[Tuple[Word, Word]]:
     """Seeded pair sample mixing uniform pairs with small-distance pairs
     (random substitution patterns), all meeting the minimum Hamming
     distance; ``need_shift`` additionally requires that the words share
     no length n-1 subsequence (the constant-regime hypothesis)."""
     symbols = tuple(range(q))  # indexed faster than a range by rng.choices
-    pairs: List[Tuple[Word, Word]] = []
-    while len(pairs) < count:
+    while count:
         xs = tuple(rng.choices(symbols, k=n))
         if rng.random() < 0.5:
             k = rng.randint(min_d, min(n, min_d + 4))
@@ -317,8 +315,8 @@ def _sampled_pairs(
                 continue
         if need_shift and n - lcs_length(xs, ys) < 2:
             continue
-        pairs.append((xs, ys))
-    return pairs
+        count -= 1
+        yield xs, ys
 
 
 def cmd_verify(args) -> int:
@@ -345,23 +343,23 @@ def cmd_verify(args) -> int:
         else constant_regime_bound(q) if scope == "remark5"
         else None
     )
+    if args.exhaustive and (
+        n * (q.bit_length() - 1) >= 22 or q**n * (q**n - 1) > PAIR_CAP
+    ):
+        # q^n >= 2^(n (bits of q - 1)), so past 2^22 the cap is exceeded with
+        # no power built; a count of over 4000 digits is not spelled out
+        count = q**n * (q**n - 1) if 2 * n * log10(q) <= 4000 else f"{q}^{n} ({q}^{n} - 1)"
+        raise ValueError(f"{count} ordered pairs exceed the exhaustive cap of {PAIR_CAP}; "
+                         "use --samples with --seed")
+    # a sweep is a run of tasks 0, 1, ... of up to CHUNK pairs each, which
+    # the workers build, check and reduce; the parent holds no pair and
+    # merges one result per task, in task order, so the output is the same
+    # for every --jobs
+    total = q**n * _far_words(q, n, min_d) if args.exhaustive else args.samples
+    mode = "exhaustive" if args.exhaustive else "sampled"
+    tasks = range(-(-total // CHUNK))
+    work = partial(_check_task, q, n, scope, limit, min_d, args.samples, args.seed)
     start = time.perf_counter()
-    # a sweep is a run of tasks of up to CHUNK pairs, which the workers
-    # build or receive, check and reduce; the parent merges one result per
-    # task, in task order, so the output is the same for every --jobs
-    if args.exhaustive:
-        pairs = _exhaustive_pairs(q, n, min_d)
-        if scope == "remark5":
-            pairs = [p for p in pairs if n - lcs_length(p[0], p[1]) >= 2]
-        total = len(pairs)
-        tasks = (pairs[i:i + CHUNK] for i in range(0, total, CHUNK))
-        work = partial(_check_chunk, q, scope, limit)
-        mode = "exhaustive"
-    else:
-        total = args.samples
-        tasks = ((k, min(CHUNK, total - i)) for k, i in enumerate(range(0, total, CHUNK)))
-        work = partial(_sample_and_check, q, n, scope, limit, args.seed, min_d)
-        mode = "sampled"
 
     samples: List[dict] = []
     violations = checked = 0

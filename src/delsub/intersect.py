@@ -112,16 +112,15 @@ def extremal_pair(q: int, n: int) -> Tuple[Sequence, Sequence]:
     """
     if q < 2:
         raise ValueError("alphabet size must be at least 2")
+    # symbol tuples, not text, which is comma-separated for q > 10
     if q >= 3:
-        if n < 5:
-            raise ValueError("construction needs n >= 5 for q >= 3")
-        head_x, head_y = "01201", "10201"
+        head_x, head_y, alphabet = (0, 1, 2, 0, 1), (1, 0, 2, 0, 1), "q >= 3"
     else:
-        if n < 4:
-            raise ValueError("construction needs n >= 4 for q = 2")
-        head_x, head_y = "0101", "1001"
+        head_x, head_y, alphabet = (0, 1, 0, 1), (1, 0, 0, 1), "q = 2"
+    if n < len(head_x):
+        raise ValueError(f"construction needs n >= {len(head_x)} for {alphabet}")
     tail = alternating(n - len(head_x), 0, 1, q=q)
-    return Sequence.parse(head_x, q) + tail, Sequence.parse(head_y, q) + tail
+    return Sequence(head_x, q) + tail, Sequence(head_y, q) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import hashlib
 import json
 import re
+import time
 from importlib import resources
 from itertools import product
 
 import jsonschema
 import pytest
 
-from delsub.cli import main
-from delsub.intersect import CheckResult, extremal_pair, intersection_size_fast
+from delsub.cli import CHUNK, PAIR_CAP, main
+from delsub.intersect import (
+    CheckResult, extremal_pair, intersection_size_fast, min_valid_length,
+)
 from delsub.sequence import Sequence
 
 
@@ -384,11 +387,92 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_exhaustive_cap(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "verify", "--scope", "claims", "--q", "4", "--n", "8",
             "--exhaustive",
         )
         assert code == 2
+        assert err == ("error: 4294901760 ordered pairs exceed the exhaustive cap of "
+                       "4000000; use --samples with --seed\n")
+
+    def test_exhaustive_cap_needs_no_huge_integer(self, capsys):
+        # 3^n (3^n - 1) at n = 10^7 has about 9.5 million digits: too long
+        # to print, and seconds to compute
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "--scope", "claims", "--q", "3", "--n", "10000000",
+            "--exhaustive",
+        )
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert out == ""
+        assert err == ("error: 3^10000000 (3^10000000 - 1) ordered pairs exceed the "
+                       "exhaustive cap of 4000000; use --samples with --seed\n")
+
+    def test_no_exhaustive_sweep_reaches_the_bound_scopes(self):
+        # theorem and remark5 need n >= min_valid_length(q), where every
+        # exhaustive sweep is over the cap: so an exhaustive remark5 sweep
+        # never needs the LCS filter its sampler applies
+        for q in range(2, 301):
+            m = min_valid_length(q)
+            assert q**m * (q**m - 1) > PAIR_CAP, q
+
+    @pytest.mark.parametrize("q, n", [(2, 4), (2, 7), (3, 4), (4, 3)])
+    def test_exhaustive_tasks_walk_the_pairs_in_order(self, capsys, monkeypatch, q, n):
+        # the pairs the tasks build, in task order, are the nested-loop
+        # list, and the sweep size found without enumerating is its length
+        import delsub.cli as cli_module
+
+        words = list(product(range(q), repeat=n))
+        for min_d in (2, 3):
+            reference = [(x, y) for x in words for y in words
+                         if sum(a != b for a, b in zip(x, y)) >= min_d]
+            tasks = -(-len(reference) // CHUNK)
+            built = [pair for k in range(tasks)
+                     for pair in cli_module._exhaustive_pairs(q, n, min_d, k)]
+            assert built == reference, min_d
+        checked = []
+
+        def recording(x, y):
+            checked.append((x.symbols, y.symbols))
+            return ()
+
+        monkeypatch.setattr(cli_module, "verify_claims", recording)
+        code, out, err = run_cli(
+            capsys, "verify", "--scope", "claims", "--q", str(q), "--n", str(n),
+            "--exhaustive", "--progress", "--format", "json",
+        )
+        assert code == 0
+        reference = [(x, y) for x in words for y in words
+                     if sum(a != b for a, b in zip(x, y)) >= 2]
+        assert checked == reference
+        assert json.loads(out)["pairs_checked"] == len(reference)
+        assert {line.split()[1].split("/")[1] for line in err.splitlines()} == {
+            str(len(reference))}
+
+    def test_long_sampled_words_stream_one_pair_at_a_time(self, capsys, monkeypatch):
+        # with a stand-in for the size path, what a sampled task allocates
+        # at once is a few words of 10,000 symbols (80 kB each as tuples),
+        # not its 256 pairs (about 41 MB)
+        import tracemalloc
+        from types import SimpleNamespace
+
+        import delsub.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "intersection_size_fast",
+                            lambda x, y: SimpleNamespace(size=0))
+        argv = ["verify", "--scope", "theorem", "--q", "2", "--n", "10000",
+                "--seed", "1", "--jobs", "1", "--samples"]
+        run_cli(capsys, *argv, "1")
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, *argv, "256")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        word = 8 * 10000 + 64
+        assert peak < 6 * 2 * word, peak
 
     @pytest.mark.parametrize("argv", [
         ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "0", "--seed", "1"],
@@ -397,6 +481,9 @@ class TestVerifyCommand:
         ["--scope", "claims", "--q", "2", "--n", "4", "--exhaustive", "--jobs", "0"],
         ["--scope", "lemmas", "--q", "2", "--n", "1", "--exhaustive"],
         ["--scope", "claims", "--q", "2", "--n", "1", "--samples", "5", "--seed", "1"],
+        # over the exhaustive cap at the smallest n these scopes accept
+        ["--scope", "remark5", "--q", "2", "--n", "29", "--exhaustive"],
+        ["--scope", "theorem", "--q", "3", "--n", "17", "--exhaustive"],
     ])
     def test_empty_sweep_rejected_before_any_pair(self, capsys, monkeypatch, argv):
         # a sweep that would check no pair must not report "verified"

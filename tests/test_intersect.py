@@ -598,10 +598,15 @@ class TestTightFamilies:
             assert intersection_size_fast(x, y).size >= 4 * n - 9
 
     def test_bound_holds_at_and_past_threshold(self):
-        for q in (2, 3, 4):
-            for n in range(min_valid_length(q), min_valid_length(q) + 4):
+        for q in (2, 3, 4, 11, 16):
+            m = min_valid_length(q)
+            for n in range(m, m + 4):
                 x, y = extremal_pair(q, n)
                 assert intersection_size_fast(x, y).size == coverage_bound(n, q)
+            if q > 10:
+                # symbols past 9 take more than one digit in text form
+                x, y = extremal_pair(q, m)
+                assert len(ball_intersection(x, y, BallSpec(1, 1))) == coverage_bound(m, q)
 
 
 class TestVerifyClaims:
