@@ -45,8 +45,8 @@ from .reconstruct import Codebook, ReadSet, channel_transmit, reconstruct
 from .sequence import Sequence, Word, hamming, lcs_length
 
 PAIR_CAP = 4_000_000
-# pairs per verify task: each worker builds and checks a task's pairs
-# and sends back one reduced result
+# pairs per sampled verify task, and at most per exhaustive one (whole words
+# x) unless one x has more partners; a worker returns one result per task
 CHUNK = 256
 # violation details kept in the verify report
 SAMPLE_LIMIT = 10
@@ -239,10 +239,6 @@ def _check_task(
     else:
         pairs = _sampled_pairs(random.Random(f"{seed}:{k}"), q, n,
                                min(CHUNK, samples - k * CHUNK), min_d, scope == "remark5")
-        if n <= 128:
-            # drawn ahead, the pairs (at most 64k symbols) keep the sampler's
-            # and the checker's code each hot in the cache; long words stream
-            pairs = list(pairs)
     checked = violations = 0
     details: List[dict] = []
     failed: Counter = Counter()
@@ -278,18 +274,21 @@ def _far_words(q: int, n: int, min_d: int) -> int:
     return sum(comb(n, d) * (q - 1) ** d for d in range(min_d, n + 1))
 
 
+def _words_per_task(q: int, n: int, min_d: int) -> int:
+    """Words x per exhaustive task: as many as fit in CHUNK pairs, at least one."""
+    return max(1, CHUNK // _far_words(q, n, min_d))
+
+
 def _exhaustive_pairs(q: int, n: int, min_d: int, k: int) -> Iterator[Tuple[Word, Word]]:
-    """Task k's pairs: sweep ordinals [k*CHUNK, (k+1)*CHUNK) of the x-major
-    product of all words, counting only pairs at distance >= min_d.  Every
-    x has the same number of such partners, so the task's first x is found
-    by division."""
-    first_x, skip = divmod(k * CHUNK, _far_words(q, n, min_d))
+    """Task k's pairs: words k*w to (k+1)*w - 1 of the product of all
+    words (w = _words_per_task), each paired x-major with every partner at
+    distance >= min_d, so tasks 0, 1, ... walk the whole sweep in order."""
+    w = _words_per_task(q, n, min_d)
     words = partial(product, range(q), repeat=n)
-    pairs = (
-        (xs, ys) for xs in islice(words(), first_x, None) for ys in words()
+    return (
+        (xs, ys) for xs in islice(words(), k * w, (k + 1) * w) for ys in words()
         if sum(map(ne, xs, ys)) >= min_d
     )
-    return islice(pairs, skip, skip + CHUNK)
 
 
 def _sampled_pairs(
@@ -351,13 +350,16 @@ def cmd_verify(args) -> int:
         count = q**n * (q**n - 1) if 2 * n * log10(q) <= 4000 else f"{q}^{n} ({q}^{n} - 1)"
         raise ValueError(f"{count} ordered pairs exceed the exhaustive cap of {PAIR_CAP}; "
                          "use --samples with --seed")
-    # a sweep is a run of tasks 0, 1, ... of up to CHUNK pairs each, which
-    # the workers build, check and reduce; the parent holds no pair and
-    # merges one result per task, in task order, so the output is the same
-    # for every --jobs
-    total = q**n * _far_words(q, n, min_d) if args.exhaustive else args.samples
-    mode = "exhaustive" if args.exhaustive else "sampled"
-    tasks = range(-(-total // CHUNK))
+    # a sweep is a run of tasks 0, 1, ..., which the workers build, check
+    # and reduce: CHUNK sampled pairs each, or all pairs of whole words x;
+    # the parent holds no pair and merges one result per task, in task
+    # order, so the output is the same for every --jobs
+    if args.exhaustive:
+        mode, total = "exhaustive", q**n * _far_words(q, n, min_d)
+        tasks = range(-(-q**n // _words_per_task(q, n, min_d)))
+    else:
+        mode, total = "sampled", args.samples
+        tasks = range(-(-total // CHUNK))
     work = partial(_check_task, q, n, scope, limit, min_d, args.samples, args.seed)
     start = time.perf_counter()
 

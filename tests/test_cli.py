@@ -427,10 +427,14 @@ class TestVerifyCommand:
         for min_d in (2, 3):
             reference = [(x, y) for x in words for y in words
                          if sum(a != b for a, b in zip(x, y)) >= min_d]
-            tasks = -(-len(reference) // CHUNK)
-            built = [pair for k in range(tasks)
-                     for pair in cli_module._exhaustive_pairs(q, n, min_d, k)]
-            assert built == reference, min_d
+            partners = len(reference) // q**n
+            tasks = [list(cli_module._exhaustive_pairs(q, n, min_d, k))
+                     for k in range(-(-q**n // cli_module._words_per_task(q, n, min_d)))]
+            assert [pair for task in tasks for pair in task] == reference, min_d
+            # whole words x per task, as many as fit in CHUNK pairs
+            assert all(len(task) % partners == 0 for task in tasks)
+            assert all(len(task) <= max(CHUNK, partners) for task in tasks)
+            assert all(len(task) + partners > CHUNK for task in tasks[:-1])
         checked = []
 
         def recording(x, y):
