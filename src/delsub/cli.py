@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
@@ -21,16 +20,17 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache, partial
-from itertools import islice, product
-from math import comb, log10
+from itertools import chain, islice, product
+from math import log10
 from multiprocessing import Pool
 from operator import ne
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .balls import (
     BallSpec, BudgetExceededError, DEFAULT_BUDGET, ball_intersection, ds_ball,
-    enumeration_estimate,
+    enumeration_estimate, substitution_ball_size,
 )
+from .diffs import DiffProfile
 from .intersect import (
     IntersectionReport,
     bound_applicable,
@@ -42,7 +42,7 @@ from .intersect import (
     verify_lemmas,
 )
 from .reconstruct import Codebook, ReadSet, channel_transmit, reconstruct
-from .sequence import Sequence, Word, hamming, lcs_length
+from .sequence import Sequence, Word, hamming
 
 PAIR_CAP = 4_000_000
 # pairs per sampled verify task, and at most per exhaustive one (whole words
@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_ver.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true", help="all ordered pairs")
     mode.add_argument("--samples", type=int, help="number of sampled pairs")
-    p_ver.add_argument("--seed", type=int, help="required with --samples")
+    p_ver.add_argument("--seed", type=int,
+                       help="required with --samples, refused with --exhaustive")
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="worker processes, at most one per core")
     p_ver.add_argument("--progress", action="store_true", help="progress lines on stderr")
@@ -165,14 +166,8 @@ def cmd_ball(args) -> int:
         "size": len(ball),
         "members": members,
     }
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.fmt == "csv":
-        _print_csv(["member"], [[m] for m in members])
-    else:
-        print(f"ball of {x} with t={args.t}, s={args.s}: size {len(ball)}")
-        for m in members:
-            print(m)
+    _print_result(args.fmt, payload, ["member"], ([m] for m in members),
+                  chain([f"ball of {x} with t={args.t}, s={args.s}: size {len(ball)}"], members))
     return 0
 
 
@@ -199,21 +194,17 @@ def cmd_intersect(args) -> int:
         match = report.size == oracle_size
     payload = {"command": "intersect", "mode": args.mode, "x": str(x), "y": str(y),
                **report.to_dict(), "oracle_size": oracle_size, "match": match}
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.fmt == "csv":
-        cols = ["n", "q", "d", "size", "method", "bound", "bound_applicable",
-                "oracle_size", "match"]
-        _print_csv(cols, [[payload[c] for c in cols]])
-    else:
-        print(f"|ball({x}) & ball({y})| = {payload['size']}  (method: {payload['method']})")
-        print(f"n={payload['n']} q={payload['q']} d={payload['d']} "
-              f"bound={payload['bound']} applicable={payload['bound_applicable']}")
-        if payload["group_sizes"]:
-            groups = ", ".join(f"{k}={v}" for k, v in sorted(payload["group_sizes"].items()))
-            print(f"group sizes: {groups}")
-        if args.mode == "both":
-            print(f"oracle size: {oracle_size}  match: {match}")
+    cols = ["n", "q", "d", "size", "method", "bound", "bound_applicable",
+            "oracle_size", "match"]
+    lines = [f"|ball({x}) & ball({y})| = {payload['size']}  (method: {payload['method']})",
+             f"n={payload['n']} q={payload['q']} d={payload['d']} "
+             f"bound={payload['bound']} applicable={payload['bound_applicable']}"]
+    if payload["group_sizes"]:
+        groups = ", ".join(f"{k}={v}" for k, v in sorted(payload["group_sizes"].items()))
+        lines.append(f"group sizes: {groups}")
+    if args.mode == "both":
+        lines.append(f"oracle size: {oracle_size}  match: {match}")
+    _print_result(args.fmt, payload, cols, [[payload[c] for c in cols]], lines)
     if match is False:
         return 1
     return 0
@@ -271,7 +262,7 @@ def _check_task(
 
 def _far_words(q: int, n: int, min_d: int) -> int:
     """Words at Hamming distance >= min_d from any one length-n word."""
-    return sum(comb(n, d) * (q - 1) ** d for d in range(min_d, n + 1))
+    return q**n - substitution_ball_size(n, q, min_d - 1)
 
 
 def _words_per_task(q: int, n: int, min_d: int) -> int:
@@ -297,7 +288,9 @@ def _sampled_pairs(
     """Seeded pair sample mixing uniform pairs with small-distance pairs
     (random substitution patterns), all meeting the minimum Hamming
     distance; ``need_shift`` additionally requires that the words share
-    no length n-1 subsequence (the constant-regime hypothesis)."""
+    no length n-1 subsequence (the constant-regime hypothesis), which
+    holds exactly when both sides' shifted sets meet the mismatch window
+    (:meth:`DiffProfile.shifts`)."""
     symbols = tuple(range(q))  # indexed faster than a range by rng.choices
     while count:
         xs = tuple(rng.choices(symbols, k=n))
@@ -312,8 +305,10 @@ def _sampled_pairs(
             ys = tuple(rng.choices(symbols, k=n))
             if sum(map(ne, xs, ys)) < min_d:
                 continue
-        if need_shift and n - lcs_length(xs, ys) < 2:
-            continue
+        if need_shift:
+            profile = DiffProfile(Sequence._wrap(xs, q), Sequence._wrap(ys, q))
+            if not (profile.shifts("L") and profile.shifts("R")):
+                continue
         count -= 1
         yield xs, ys
 
@@ -321,6 +316,8 @@ def _sampled_pairs(
 def cmd_verify(args) -> int:
     if args.samples is not None and args.seed is None:
         raise ValueError("--samples requires --seed")
+    if args.exhaustive and args.seed is not None:
+        raise ValueError("--exhaustive draws no pair, so it takes no --seed")
     if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be positive")
     if args.jobs < 1:
@@ -402,19 +399,11 @@ def cmd_verify(args) -> int:
         "bound": limit,
         "violation_samples": samples,
     }
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.fmt == "csv":
-        cols = ["scope", "q", "n", "mode", "pairs_checked", "violations", "max_size", "bound"]
-        _print_csv(cols, [[payload[c] for c in cols]])
-    else:
-        print(
-            f"verify {scope}: q={q} n={n} {mode} pairs={checked} "
-            f"violations={violations}"
-            + (f" max_size={max_size} bound={limit}" if limit is not None else "")
-        )
-        for v in samples:
-            print(f"  violation: {v}")
+    cols = ["scope", "q", "n", "mode", "pairs_checked", "violations", "max_size", "bound"]
+    summary = (f"verify {scope}: q={q} n={n} {mode} pairs={checked} violations={violations}"
+               + (f" max_size={max_size} bound={limit}" if limit is not None else ""))
+    _print_result(args.fmt, payload, cols, [[payload[c] for c in cols]],
+                  [summary, *(f"  violation: {v}" for v in samples)])
     return 1 if violations else 0
 
 
@@ -427,6 +416,8 @@ def cmd_simulate(args) -> int:
         if args.n is None:
             raise ValueError("--parity requires --n")
         codebook = Codebook.parity(args.n, args.q)
+    elif args.n is not None:
+        raise ValueError("--codebook sets the length, so it takes no --n")
     else:
         codebook = Codebook.load(args.codebook, args.q, min_distance=2)
     read_counts = [int(part) for part in args.reads.split(",")]
@@ -490,27 +481,30 @@ def cmd_simulate(args) -> int:
         "substitution_probability": args.sub_prob,
         "rows": rows,
     }
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.fmt == "csv":
-        cols = ["reads_requested", "trials", "successes", "rate"]
-        _print_csv(cols, [[row[c] for c in cols] for row in rows])
-    else:
-        print(f"simulate: q={codebook.q} n={codebook.n} trials={args.trials} seed={args.seed}")
-        for row in rows:
-            print(
-                f"  reads={row['reads_requested']:>6}  successes={row['successes']}/"
-                f"{row['trials']}  rate={row['rate']:.4f}"
-            )
+    cols = ["reads_requested", "trials", "successes", "rate"]
+    lines = [f"simulate: q={codebook.q} n={codebook.n} trials={args.trials} seed={args.seed}"]
+    lines += [f"  reads={row['reads_requested']:>6}  successes={row['successes']}/"
+              f"{row['trials']}  rate={row['rate']:.4f}" for row in rows]
+    _print_result(args.fmt, payload, cols, [[row[c] for c in cols] for row in rows], lines)
     return 0
 
 
-def _print_csv(header: List[str], rows: List[List[object]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _print_result(
+    fmt: str, payload: dict, header: List[str], rows: Iterable[list], lines: Iterable[str]
+) -> None:
+    """Print a command's result in its format: ``payload`` as indented
+    JSON, ``header`` and ``rows`` as CSV, or ``lines`` as plain text.
+    ``rows`` and ``lines`` may be lazy, so a large ball builds only the
+    form it prints."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 if __name__ == "__main__":

@@ -88,6 +88,16 @@ class DiffProfile:
         lo, hi = max(lo, 1), min(hi, self.n)
         return table[hi] - table[lo - 1] if lo <= hi else 0
 
+    def shifts(self, side: str) -> bool:
+        """Whether TL (side L) or TR (side R) meets the mismatch window
+        (i1, id]; needs d >= 1.
+
+        Deleting j from x and j' >= j from y leaves no mismatch only when
+        j <= i1, j' >= id and TL misses (i1, id], and then (i1, id) is such
+        a pair; side R is the same with TR.  So x != y share a length n-1
+        subsequence exactly when one side does not shift."""
+        return self.t_count(side, self.s[0] + 1, self.s[-1]) != 0
+
     def mismatch_positions(self, j: int, jprime: int, side: str) -> Tuple[int, ...]:
         """The 1-based original positions carrying the residual mismatches
         of the deleted pair selected by (j, j', side)."""
@@ -190,8 +200,15 @@ def lambda_enumerate(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[Tuple
     :mod:`delsub.intersect` is checked against it groupwise.
     """
     profile = DiffProfile(x, y)
-    xs, ys = x.symbols, y.symbols
+    return group_words(profile, scan_candidates(profile))
+
+
+def group_words(
+    profile: DiffProfile, raw: List[RawEntry]
+) -> Dict[GroupKey, FrozenSet[Tuple[Word, Word]]]:
+    """Each group's distinct deleted pairs of the raw entries, as words."""
+    xs, ys = profile._words
     return {
         key: frozenset((_delete_t(xs, jx), _delete_t(ys, jy)) for jx, jy in keys)
-        for key, keys in group_pairs(profile, scan_candidates(profile)).items()
+        for key, keys in group_pairs(profile, raw).items()
     }

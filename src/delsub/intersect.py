@@ -52,9 +52,8 @@ from itertools import compress
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .diffs import (CASE_BY_TRIPLE, DiffProfile, GroupKey, PairKey, RawEntry, group_pairs,
-                    scan_candidates)
-from .sequence import (Sequence, Word, _delete_t, _require_same_shape, alternating,
-                       run_last_positions)
+                    group_words, scan_candidates)
+from .sequence import Sequence, Word, _require_same_shape, alternating, run_last_positions
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -97,9 +96,8 @@ def bound_applicable(n: int, q: int, d: int) -> bool:
 
 def constant_regime_bound(q: int) -> int:
     """Size bound 4q + 32, independent of n, for pairs with Hamming
-    distance >= 3 whose mismatch windows shift on both sides (in
-    particular whenever the two words do not share a length n-1
-    subsequence)."""
+    distance >= 3 whose mismatch windows shift on both sides (exactly
+    when the two words do not share a length n-1 subsequence)."""
     return 4 * q + 32
 
 
@@ -355,11 +353,7 @@ def claims_lambda(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[Tuple[Wo
     failing candidate is dropped.  Requires Hamming distance >= 2.
     """
     profile = DiffProfile(x, y)
-    xs, ys = x.symbols, y.symbols
-    return {
-        key: frozenset((_delete_t(xs, jx), _delete_t(ys, jy)) for jx, jy in keys)
-        for key, keys in group_pairs(profile, _claims_raw(profile, xs, ys)).items()
-    }
+    return group_words(profile, _claims_raw(profile, x.symbols, y.symbols))
 
 
 def _claims_raw(p: DiffProfile, xs: Word, ys: Word) -> List[RawEntry]:
@@ -666,8 +660,7 @@ def _fact_checks(
     meets the window (i1, id], and whether d = 2 or d >= 3.  Each union
     of pair keys or member ids is built only where a fact reads it."""
     n, q, d = profile.n, profile.q, profile.d
-    i1, idd = profile.s[0], profile.s[-1]
-    shifted = {side: profile.t_count(side, i1 + 1, idd) != 0 for side in "LR"}
+    shifted = {side: profile.shifts(side) for side in "LR"}
     checks: List[CheckResult] = []
 
     def union(table: dict, sides: str, ell: int, cases=(None, 1, 2, 3, 4, 5, 6)) -> set:

@@ -1,6 +1,6 @@
 """q-ary sequence primitives: words over {0,...,q-1}, Hamming distance,
-longest common subsequences, run-last positions and tables, deletion, and
-the mismatch primitive the other modules share.
+run-last positions and tables, deletion, and the mismatch primitive the
+other modules share.
 
 Positions handed to the operations in this module are 1-based, matching
 the interval conventions used throughout the package ([l, r] closed
@@ -142,27 +142,6 @@ def hamming(x: Sequence, y: Sequence) -> int:
     """Number of positions where two equal-length words differ."""
     _require_same_shape(x, y)
     return sum(map(ne, x.symbols, y.symbols))
-
-
-def lcs_length(xs: PySequence[int], ys: PySequence[int]) -> int:
-    """Longest-common-subsequence length by the standard two-row dynamic
-    program."""
-    if not xs or not ys:
-        return 0
-    prev = [0] * (len(ys) + 1)
-    for a in xs:
-        cur = [0]
-        best = 0
-        for j, b in enumerate(ys, start=1):
-            if a == b:
-                best = prev[j - 1] + 1
-            elif prev[j] > cur[j - 1]:
-                best = prev[j]
-            else:
-                best = cur[j - 1]
-            cur.append(best)
-        prev = cur
-    return prev[-1]
 
 
 def delete(x: Sequence, position: int) -> Sequence:

@@ -27,6 +27,29 @@ def subsequences(word: Word, length: int) -> FrozenSet[Word]:
     )
 
 
+def lcs_length(xs: Word, ys: Word) -> int:
+    """Longest-common-subsequence length by the standard two-row dynamic
+    program: the reference that the O(n) shift test of
+    ``DiffProfile.shifts`` is checked against (two words of length n
+    share a length n-1 subsequence exactly when n - LCS <= 1)."""
+    if not xs or not ys:
+        return 0
+    prev = [0] * (len(ys) + 1)
+    for a in xs:
+        cur = [0]
+        best = 0
+        for j, b in enumerate(ys, start=1):
+            if a == b:
+                best = prev[j - 1] + 1
+            elif prev[j] > cur[j - 1]:
+                best = prev[j]
+            else:
+                best = cur[j - 1]
+            cur.append(best)
+        prev = cur
+    return prev[-1]
+
+
 def brute_lcs(a: Word, b: Word) -> int:
     """Longest common subsequence by enumerating all subsequences of the
     shorter word, longest first."""

@@ -34,9 +34,9 @@ from delsub import (
     verify_lemmas,
 )
 from delsub.balls import ds11_packed
-from delsub.sequence import lcs_length
 
 from conftest import record_criterion
+from helpers import lcs_length
 
 Word = Tuple[int, ...]
 

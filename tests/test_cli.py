@@ -412,7 +412,7 @@ class TestVerifyCommand:
     def test_no_exhaustive_sweep_reaches_the_bound_scopes(self):
         # theorem and remark5 need n >= min_valid_length(q), where every
         # exhaustive sweep is over the cap: so an exhaustive remark5 sweep
-        # never needs the LCS filter its sampler applies
+        # never needs the shift filter its sampler applies
         for q in range(2, 301):
             m = min_valid_length(q)
             assert q**m * (q**m - 1) > PAIR_CAP, q
@@ -488,6 +488,8 @@ class TestVerifyCommand:
         # over the exhaustive cap at the smallest n these scopes accept
         ["--scope", "remark5", "--q", "2", "--n", "29", "--exhaustive"],
         ["--scope", "theorem", "--q", "3", "--n", "17", "--exhaustive"],
+        # an exhaustive sweep draws nothing, so a seed would have no effect
+        ["--scope", "claims", "--q", "2", "--n", "4", "--exhaustive", "--seed", "5"],
     ])
     def test_empty_sweep_rejected_before_any_pair(self, capsys, monkeypatch, argv):
         # a sweep that would check no pair must not report "verified"
@@ -595,6 +597,23 @@ class TestSimulateCommand:
         assert payload["rows"][0]["mean_distinct_reads"] == 1.0
         assert payload["rows"][1]["mean_distinct_reads"] <= 5
         assert "6/6 trials at reads=8" in err
+
+    def test_codebook_takes_no_n(self, capsys, monkeypatch):
+        # the file sets the length, so --n would be ignored: refused before
+        # the file is read
+        import delsub.cli as cli_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("codebook loaded")
+
+        monkeypatch.setattr(cli_module.Codebook, "load", forbidden)
+        code, out, err = run_cli(
+            capsys, "simulate", "--q", "2", "--codebook", "book.txt", "--n", "9",
+            "--reads", "1", "--trials", "2", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--n" in err
 
     def test_parity_requires_n(self, capsys):
         code, _, _ = run_cli(

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from delsub.diffs import group_pairs, scan_candidates
 from delsub.intersect import _above, _below, _claims_raw
 from delsub.sequence import _delete_t, run_last_positions
 
-from helpers import all_words, naive_lambda_groups, sequence_pairs
+from helpers import all_words, lcs_length, naive_lambda_groups, sequence_pairs
 
 
 def seq(text, q=2):
@@ -61,6 +64,51 @@ class TestDiffProfile:
             for hi in range(lo - 1, n + 4):
                 assert p.t_count("L", lo, hi) == sum(1 for v in p.tl if lo <= v <= hi)
                 assert p.t_count("R", lo, hi) == sum(1 for v in p.tr if lo <= v <= hi)
+
+    @pytest.mark.parametrize("q, n", [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 6)]
+                             + [(4, n) for n in range(2, 5)] + [(q, None) for q in range(2, 6)])
+    def test_shifts_decide_shared_subsequences(self, q, n):
+        # x != y share a length n-1 subsequence exactly when one side's
+        # shifted set misses (i1, id]; n None takes the seeded pairs
+        pairs = (seeded_shift_pairs(q) if n is None else
+                 ((x, y) for x in product(range(q), repeat=n)
+                  for y in product(range(q), repeat=n) if x != y))
+        outcomes = set()
+        for xs, ys in pairs:
+            p = DiffProfile(Sequence._wrap(xs, q), Sequence._wrap(ys, q))
+            shared = len(xs) - lcs_length(xs, ys) < 2
+            assert (not (p.shifts("L") and p.shifts("R"))) == shared, (xs, ys)
+            outcomes.add((p.d, shared))
+        if n is None:
+            assert outcomes == {(1, True)} | {(d, s) for d in range(2, 7) for s in (True, False)}
+
+
+def seeded_shift_pairs(q):
+    """Seeded pairs at Hamming distance d = 1..6 and n up to 200: d
+    substitutions packed in a window of width d to d + 2, and a segment
+    shifted one place (x minus a is y minus b), which shares a length
+    n-1 subsequence at every d."""
+    rng = random.Random(q)
+    for n in (9, 29, 60, 200):
+        for d in range(1, 7):
+            for _ in range(10):
+                xs = tuple(rng.choices(range(q), k=n))
+                width = d + rng.randrange(3)
+                start = rng.randrange(n - width + 1)
+                ys = list(xs)
+                for p in rng.sample(range(start, start + width), d):
+                    ys[p] = (xs[p] + rng.randrange(1, q)) % q
+                yield xs, tuple(ys)
+                # y_i = x_{i+1} from a until d - 1 of them differ from x_i,
+                # then a new symbol at b
+                a = b = rng.randrange(n)
+                moved = 0
+                while b < n - 1 and moved < d - 1:
+                    moved += xs[b] != xs[b + 1]
+                    b += 1
+                if moved == d - 1:
+                    c = (xs[b] + rng.randrange(1, q)) % q
+                    yield xs, xs[:a] + xs[a + 1 : b + 1] + (c,) + xs[b + 1 :]
 
 
 def deleted_mismatches(x, y, j, jp, side):

@@ -29,9 +29,9 @@ from delsub.balls import ds11_packed
 from delsub.diffs import group_pairs, scan_candidates
 from delsub import intersect as intersect_module
 from delsub.intersect import ALL_GROUP_KEYS, group_label, structural_group_sets
-from delsub.sequence import lcs_length, run_last_table
+from delsub.sequence import run_last_table
 
-from helpers import all_words, expand_members, reference_group_sets, sequence_pairs
+from helpers import all_words, expand_members, lcs_length, reference_group_sets, sequence_pairs
 
 
 def seq(text, q=2):

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from delsub import Sequence, alternating, delete, hamming
 from delsub.sequence import (
-    lcs_length, mismatch_counts, mismatches, run_last_positions, run_last_table,
+    mismatch_counts, mismatches, run_last_positions, run_last_table,
 )
 
-from helpers import brute_lcs, sequence_pairs, sequences, word_tuples
+from helpers import brute_lcs, lcs_length, sequence_pairs, sequences, word_tuples
 
 
 def seq(text, q=2):
