@@ -20,7 +20,6 @@ from .balls import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     ball_intersection,
-    deletion_ball,
     ds_ball,
     sub_intersection_size,
     substitution_ball,
@@ -45,12 +44,9 @@ from .intersect import (
 )
 from .reconstruct import (
     Codebook,
-    CoverageReport,
     ReadSet,
     ReconResult,
-    ball_membership,
     channel_transmit,
-    read_coverage,
     reconstruct,
     required_reads,
 )
@@ -62,7 +58,6 @@ __all__ = [
     "BudgetExceededError",
     "CheckResult",
     "Codebook",
-    "CoverageReport",
     "DEFAULT_BUDGET",
     "DiffProfile",
     "IntersectionReport",
@@ -71,21 +66,18 @@ __all__ = [
     "Sequence",
     "alternating",
     "ball_intersection",
-    "ball_membership",
     "bound_applicable",
     "channel_transmit",
     "claims_lambda",
     "constant_regime_bound",
     "coverage_bound",
     "delete",
-    "deletion_ball",
     "ds_ball",
     "extremal_pair",
     "hamming",
     "intersection_size_fast",
     "lambda_enumerate",
     "min_valid_length",
-    "read_coverage",
     "reconstruct",
     "required_reads",
     "sub_intersection_size",

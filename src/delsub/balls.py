@@ -7,11 +7,11 @@ structural fast path in :mod:`delsub.intersect` is always tested
 against these sets, so this module must stay independent of the
 mismatch machinery in :mod:`delsub.diffs`.
 
-Materialization refuses to run past a configurable budget, checked
-before anything is allocated: generated elements for the generic
-enumeration, bytes held at once for the vectorized (1,1) path.
-The enumeration here is meant for desk-scale verification, not
-production workloads.
+Materialization refuses to run past a configurable budget of bytes
+held at once, bounded from the word length, the alphabet size and the
+error counts and checked before anything is allocated.  The
+enumeration here is meant for desk-scale verification, not production
+workloads.
 """
 
 from __future__ import annotations
@@ -43,20 +43,39 @@ class BallSpec:
             raise ValueError("deletion and substitution counts must be non-negative")
 
 
-def enumeration_estimate(n: int, q: int, spec: BallSpec) -> int:
-    """Upper bound on the number of elements generated when materializing
-    a ball: deletion positions with repetition times the substitution-ball
-    size of the shortened word."""
-    return n**spec.t * (1 + (q - 1) * (n - spec.t)) ** spec.s
-
-
-def _check_budget(n: int, q: int, spec: BallSpec, budget: int) -> None:
-    estimate = enumeration_estimate(n, q, spec)
-    if estimate > budget:
+def _check_budget(what: str, peak: int, budget: int) -> None:
+    if peak > budget:
         raise BudgetExceededError(
-            f"materializing a ({spec.t},{spec.s})-ball at n={n}, q={q} may generate "
-            f"{estimate} elements, above the budget of {budget}"
+            f"{what} may hold {peak} bytes at once, above the budget of {budget}"
         )
+
+
+def _table_bytes(keys: int) -> int:
+    """Bytes of a CPython set's hash table holding at most ``keys`` keys:
+    16-byte entries, at most 2^bit_length(4 keys) of them."""
+    return 16 << (4 * keys).bit_length()
+
+
+def _ball_peak_bytes(n: int, q: int, spec: BallSpec) -> int:
+    """Upper bound on the bytes :func:`ds_ball` holds at once, as CPython
+    allocates them, from n, q, t and s alone.
+
+    With t deletions it holds the deletion results (at most C(n, t) words
+    of length m = n - t), the members found so far (at most C(n, t) times
+    the size S of a radius-s substitution ball at length m), the one
+    substitution ball being built, and at the end the members' frozenset
+    copy; with no deletion, only that one ball and its copy.  Each word
+    is a tuple of 40 + 8m bytes.  Each substitution ball also holds, per
+    position, a list of the q - 1 other symbols, which above 256 are int
+    objects of their own; 1 KiB covers the set objects and iterators.
+    """
+    m = n - spec.t
+    subs = substitution_ball_size(m, q, spec.s)
+    kept = math.comb(n, spec.t) if spec.t else 0
+    members = max(kept, 1) * subs
+    words = members + kept + (subs if spec.t else 0)
+    tables = 2 * _table_bytes(members) + 3 * _table_bytes(subs) // 2 + _table_bytes(kept)
+    return words * (40 + 8 * m) + tables + m * (128 + 40 * q) + 1024
 
 
 def substitution_ball_size(n: int, q: int, s: int) -> int:
@@ -69,21 +88,9 @@ def substitution_ball(x: Sequence, s: int, budget: int = DEFAULT_BUDGET) -> Froz
     if s < 0:
         raise ValueError("substitution budget must be non-negative")
     n = len(x)
-    if substitution_ball_size(n, x.q, s) > budget:
-        raise BudgetExceededError(
-            f"substitution ball at n={n}, q={x.q}, s={s} exceeds budget {budget}"
-        )
+    _check_budget(f"the radius-{s} substitution ball at n={n}, q={x.q}",
+                  _ball_peak_bytes(n, x.q, BallSpec(0, s)), budget)
     return frozenset(_sub_ball_t(x.symbols, s, x.q))
-
-
-def deletion_ball(x: Sequence, t: int, budget: int = DEFAULT_BUDGET) -> FrozenSet[Word]:
-    """All distinct subsequences of ``x`` of length n - t."""
-    n = len(x)
-    if not 0 < t < n:
-        raise ValueError(f"deletion count must satisfy 0 < t < n, got t={t}, n={n}")
-    if math.comb(n, t) > budget:
-        raise BudgetExceededError(f"deletion ball at n={n}, t={t} exceeds budget {budget}")
-    return _del_ball_t(x.symbols, t)
 
 
 def ds_ball(x: Sequence, spec: BallSpec, budget: int = DEFAULT_BUDGET) -> FrozenSet[Word]:
@@ -98,7 +105,8 @@ def ds_ball(x: Sequence, spec: BallSpec, budget: int = DEFAULT_BUDGET) -> Frozen
         raise ValueError(f"need t + s < n, got t={spec.t}, s={spec.s}, n={n}")
     if spec.t == 0:
         return substitution_ball(x, spec.s, budget)
-    _check_budget(n, x.q, spec, budget)
+    _check_budget(f"the ({spec.t},{spec.s})-ball at n={n}, q={x.q}",
+                  _ball_peak_bytes(n, x.q, spec), budget)
     out: Set[Word] = set()
     for deleted in _del_ball_t(x.symbols, spec.t):
         out |= _sub_ball_t(deleted, spec.s, x.q)
@@ -111,22 +119,21 @@ def ball_intersection(
     """Members common to the two materialized balls.
 
     This is the oracle every structural computation is checked against;
-    it never takes shortcuts.  For spec (1, 1) the budget bounds the bytes
-    held at once, as :func:`_oracle_peak_bytes` counts them.
+    it never takes shortcuts.  The budget bounds the bytes held at once:
+    as :func:`_oracle_peak_bytes` counts them for spec (1, 1) and q <= 256,
+    else two balls as :func:`_ball_peak_bytes` counts each.
     """
     _require_same_shape(x, y)
     n = len(x)
     if spec.t + spec.s >= n:
         raise ValueError(f"need t + s < n, got t={spec.t}, s={spec.s}, n={n}")
     if spec == BallSpec(1, 1) and x.q <= 256:
-        peak = _oracle_peak_bytes(n, x.q)
-        if peak > budget:
-            raise BudgetExceededError(
-                f"the (1,1)-ball oracle at n={n}, q={x.q} may hold {peak} bytes "
-                f"at once, above the budget of {budget}"
-            )
+        _check_budget(f"the (1,1)-ball oracle at n={n}, q={x.q}",
+                      _oracle_peak_bytes(n, x.q), budget)
         common = ds11_packed(x.symbols, x.q) & ds11_packed(y.symbols, y.q)
         return frozenset(tuple(w) for w in common)
+    _check_budget(f"the ({spec.t},{spec.s})-ball oracle at n={n}, q={x.q}",
+                  2 * _ball_peak_bytes(n, x.q, spec), budget)
     return ds_ball(x, spec, budget) & ds_ball(y, spec, budget)
 
 
@@ -144,7 +151,7 @@ def _oracle_peak_bytes(n: int, q: int) -> int:
     word = 33 + width  # one bytes object
     # a set of at most `members` keys: its hash table, and while it grows
     # the old table next to the new one
-    table = 16 << (4 * members).bit_length()
+    table = _table_bytes(members)
     growing = table + table // 2
     ball = members * word + table
     # array, row list and bytes objects; 18 n (n-1) for the index tables

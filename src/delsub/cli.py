@@ -3,7 +3,8 @@ verification sweeps, and channel simulation.
 
 Data goes to stdout as plain text, JSON, or CSV; progress goes to
 stderr.  Exit status: 0 clean / verified, 1 a sweep found violations
-(or a fast-vs-oracle cross-check mismatched), 2 usage or budget errors.
+(or a fast-vs-oracle cross-check mismatched), 2 usage or budget errors,
+141 when the reader closed stdout early.
 Every randomized command takes an explicit seed and is deterministic
 given its full flag set.
 """
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .balls import (
     BallSpec, BudgetExceededError, DEFAULT_BUDGET, ball_intersection, ds_ball,
-    enumeration_estimate, substitution_ball_size,
+    substitution_ball_size,
 )
 from .diffs import DiffProfile
 from .intersect import (
@@ -69,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ball.add_argument("--x", type=str, required=True, help="word (digit string)")
     p_ball.add_argument("--t", type=int, default=0, help="deletions (exact)")
     p_ball.add_argument("--s", type=int, default=0, help="substitutions (at most)")
-    p_ball.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_ball.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="bytes the materialized ball may take")
     _add_format(p_ball)
     p_ball.set_defaults(func=cmd_ball)
 
@@ -135,7 +137,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`delsub ball ... | head -1`): stop with
+        # the status of a SIGPIPE death, as cat does, and send what is left
+        # in the buffer to /dev/null so the flush at exit cannot fail
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
     except (BudgetExceededError, ValueError, OSError) as exc:
         _emit_error(str(exc), args)
         return 2
@@ -155,19 +166,22 @@ def _emit_error(message: str, args) -> None:
 
 def cmd_ball(args) -> int:
     x = Sequence.parse(args.x, args.q)
-    ball = ds_ball(x, BallSpec(args.t, args.s), budget=args.budget)
-    members = [str(Sequence._wrap(w, args.q)) for w in sorted(ball)]
+    # the ball is freed once its members are strings, before any output is
+    # built, so that the budget bounds the command's peak
+    ball = sorted(ds_ball(x, BallSpec(args.t, args.s), budget=args.budget))
+    members = [str(Sequence._wrap(w, args.q)) for w in ball]
+    del ball
     payload = {
         "command": "ball",
         "q": args.q,
         "x": str(x),
         "t": args.t,
         "s": args.s,
-        "size": len(ball),
+        "size": len(members),
         "members": members,
     }
     _print_result(args.fmt, payload, ["member"], ([m] for m in members),
-                  chain([f"ball of {x} with t={args.t}, s={args.s}: size {len(ball)}"], members))
+                  chain([f"ball of {x} with t={args.t}, s={args.s}: size {len(members)}"], members))
     return 0
 
 
@@ -419,13 +433,13 @@ def cmd_simulate(args) -> int:
     elif args.n is not None:
         raise ValueError("--codebook sets the length, so it takes no --n")
     else:
-        codebook = Codebook.load(args.codebook, args.q, min_distance=2)
+        codebook = Codebook.load(args.codebook, args.q)
     read_counts = [int(part) for part in args.reads.split(",")]
     if any(r < 1 for r in read_counts):
         raise ValueError("read counts must be positive")
     if args.trials < 1 or args.max_draws < 1:
         raise ValueError("--trials and --max-draws must be positive")
-    ball_cap = enumeration_estimate(codebook.n, codebook.q, BallSpec(1, 1))
+    ball_cap = codebook.n * (1 + (codebook.q - 1) * (codebook.n - 1))
     if max(read_counts) > ball_cap:
         raise ValueError(
             f"{max(read_counts)} distinct reads requested, but a (1,1)-ball at "

@@ -1,4 +1,4 @@
-"""Channel simulation, read coverage, and the reconstruction decoder.
+"""Channel simulation and the reconstruction decoder.
 
 A transmitted word of length n passes through a channel that deletes
 exactly one symbol and substitutes at most one of the remaining ones,
@@ -19,37 +19,32 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
-from operator import ne
 from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .intersect import coverage_bound, intersection_size_fast, min_valid_length
+from .intersect import coverage_bound, min_valid_length
 from .sequence import Sequence, Word, _delete_t, mismatch_counts, mismatches
-
-EXPLICIT_ENUM_LIMIT = 2_000_000
 
 
 class Codebook:
     """A set of equal-length codewords, either listed explicitly or given
     implicitly as the single parity-check code {x : sum(x) = 0 mod q}.
 
-    The parity-check code has minimum Hamming distance exactly 2 for
-    n >= 2, which is what the read-coverage bound asks of the codebook.
+    Either way the minimum Hamming distance is at least 2, which is what
+    the read-coverage bound asks of the codebook: the parity-check code
+    has exactly 2 for n >= 2, and an explicit codebook with two words at
+    distance 1 is refused.
     """
 
-    def __init__(self, kind: str, n: int, q: int, words: Optional[Tuple[Word, ...]] = None,
-                 min_distance: Optional[int] = None):
+    def __init__(self, kind: str, n: int, q: int, words: Optional[Tuple[Word, ...]] = None):
         self.kind = kind
         self.n = n
         self.q = q
         self.words = words
         self.word_set = None if words is None else frozenset(words)
-        self.min_distance = min_distance
 
     @classmethod
-    def explicit(cls, sequences: Iterable[Sequence],
-                 min_distance: Optional[int] = None) -> "Codebook":
+    def explicit(cls, sequences: Iterable[Sequence]) -> "Codebook":
         seqs = list(sequences)
         if not seqs:
             raise ValueError("explicit codebook cannot be empty")
@@ -60,16 +55,20 @@ class Codebook:
         for s in seqs:
             if s.q != q or len(s) != n:
                 raise ValueError("codewords must share one length and alphabet")
-            if s.symbols in seen:
+            w = s.symbols
+            if w in seen:
                 raise ValueError(f"duplicate codeword {s}")
-            seen.add(s.symbols)
-            words.append(s.symbols)
-        if min_distance is not None and min_distance > 1:
-            close = _closer_pair(words, q, min_distance)
-            if close is not None:
-                a, b = (str(Sequence._wrap(w, q)) for w in close)
-                raise ValueError(f"codewords {a} and {b} are closer than {min_distance}")
-        return cls("explicit", n, q, tuple(words), min_distance)
+            # each word at Hamming distance 1 from w among the earlier
+            # codewords: O(n q) lookups per word
+            for p in range(n):
+                for a in range(q):
+                    near = w[:p] + (a,) + w[p + 1 :]
+                    if near in seen:
+                        near = Sequence._wrap(near, q)
+                        raise ValueError(f"codewords {near} and {s} are closer than 2")
+            seen.add(w)
+            words.append(w)
+        return cls("explicit", n, q, tuple(words))
 
     @classmethod
     def parity(cls, n: int, q: int) -> "Codebook":
@@ -77,45 +76,22 @@ class Codebook:
             raise ValueError("parity codebook needs n >= 2")
         if q < 2:
             raise ValueError("alphabet size must be at least 2")
-        return cls("parity", n, q, None, min_distance=2)
+        return cls("parity", n, q)
 
     @classmethod
-    def load(cls, path, q: int, min_distance: Optional[int] = None) -> "Codebook":
+    def load(cls, path, q: int) -> "Codebook":
         """Explicit codebook from a newline-delimited text file of words;
         blank lines and lines starting with '#' are skipped."""
-        seqs = _read_sequence_file(path, q)
-        return cls.explicit(seqs, min_distance)
+        lines = (line.strip() for line in Path(path).read_text().splitlines())
+        seqs = [Sequence.parse(line, q) for line in lines if line and not line.startswith("#")]
+        if not seqs:
+            raise ValueError(f"no sequences found in {path}")
+        return cls.explicit(seqs)
 
     def size(self) -> int:
         if self.kind == "explicit":
             return len(self.words)
         return self.q ** (self.n - 1)
-
-    def __contains__(self, x) -> bool:
-        """Whether ``x`` (a Sequence or a symbol iterable) is a codeword: a
-        Sequence must share the codebook's alphabet, and every symbol
-        must lie in 0..q-1."""
-        if isinstance(x, Sequence):
-            if x.q != self.q:
-                return False
-            symbols = x.symbols
-        else:
-            symbols = tuple(x)
-        alphabet = range(self.q)
-        if len(symbols) != self.n or not all(s in alphabet for s in symbols):
-            return False
-        if self.kind == "explicit":
-            return symbols in self.word_set
-        return sum(symbols) % self.q == 0
-
-    def iter_words(self) -> Iterator[Word]:
-        """Enumerate codewords (lexicographically for parity codebooks)."""
-        if self.kind == "explicit":
-            return iter(self.words)
-        return (
-            prefix + ((-sum(prefix)) % self.q,)
-            for prefix in product(range(self.q), repeat=self.n - 1)
-        )
 
     def sample_word(self, rng: random.Random) -> Sequence:
         """Uniformly random codeword."""
@@ -126,26 +102,6 @@ class Codebook:
 
     def __repr__(self) -> str:
         return f"Codebook(kind={self.kind}, n={self.n}, q={self.q}, size={self.size()})"
-
-
-def _closer_pair(
-    words: List[Word], q: int, min_distance: int
-) -> Optional[Tuple[Word, Word]]:
-    """Two codewords at Hamming distance below ``min_distance``, or None.
-    A claim of 2 costs O(|C| n q) distance-1 neighbour lookups; larger
-    claims compare all pairs."""
-    if min_distance == 2:
-        book = set(words)
-        for w in words:
-            for p, sym in enumerate(w):
-                for a in range(q):
-                    if a != sym and w[:p] + (a,) + w[p + 1 :] in book:
-                        return w, w[:p] + (a,) + w[p + 1 :]
-        return None
-    for a, b in combinations(words, 2):
-        if sum(map(ne, a, b)) < min_distance:
-            return a, b
-    return None
 
 
 class ReadSet:
@@ -175,10 +131,6 @@ class ReadSet:
                 raise ValueError("reads must share one alphabet")
         return cls((s.symbols for s in seqs), q, length, raw_count=len(seqs))
 
-    @classmethod
-    def from_file(cls, path, q: int) -> "ReadSet":
-        return cls.from_sequences(_read_sequence_file(path, q))
-
     def __len__(self) -> int:
         return len(self.reads)
 
@@ -200,18 +152,6 @@ class ReconResult:
     @property
     def codeword(self) -> Optional[Sequence]:
         return self.candidates[0] if self.outcome == "unique" else None
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Read coverage of a codebook: the largest (1,1)-ball intersection
-    over the codeword pairs examined.  ``exhaustive`` records whether
-    every pair was visited or a seeded sample was used."""
-
-    value: int
-    pairs_checked: int
-    exhaustive: bool
-    note: str = ""
 
 
 def channel_transmit(
@@ -243,21 +183,10 @@ def channel_transmit(
     return Sequence._wrap(tuple(out), x.q)
 
 
-def ball_membership(y: Sequence, x: Sequence) -> bool:
-    """Whether the read ``y`` lies in the (1,1)-ball of ``x``, i.e. some
-    single deletion of ``x`` is within Hamming distance 1 of ``y``.
-
-    Runs in O(n) from the first two and the last two mismatches; the
-    ball is never materialized.
-    """
-    if x.q != y.q:
-        raise ValueError(f"alphabet mismatch: q={x.q} vs q={y.q}")
-    if len(y) != len(x) - 1:
-        raise ValueError(f"read length must be {len(x) - 1}, got {len(y)}")
-    return _membership_t(y.symbols, x.symbols)
-
-
 def _membership_t(y: Word, x: Word) -> bool:
+    """Whether the read ``y`` lies in the (1,1)-ball of ``x``: some single
+    deletion of ``x`` is within Hamming distance 1 of ``y``.  O(n), with
+    no ball built."""
     # Deleting index j of x leaves the mismatches x[k] != y[k] at k < j and
     # x[k+1] != y[k] at k >= j, so two early-stopping scans decide: the
     # first two of the former (f1 < f2, padded with n-1) and the last two
@@ -406,46 +335,6 @@ def _pair_cells(
                     out.update(w[:i] + ((w[i] + delta) % q,) + w[i + 1 :] for i in range(m + 1))
 
 
-def read_coverage(
-    codebook: Codebook,
-    pair_budget: int = 1_000_000,
-    sample_pairs: int = 200_000,
-    seed: Optional[int] = None,
-) -> CoverageReport:
-    """Largest (1,1)-ball intersection size over distinct codeword pairs.
-
-    Exhaustive when the pair count fits the budget; otherwise a seeded
-    sample of pairs is used and the result is a lower-bound estimate,
-    flagged in the report.
-    """
-    if codebook.size() < 2:
-        raise ValueError("read coverage needs at least two codewords")
-    total_pairs = codebook.size() * (codebook.size() - 1) // 2
-    q = codebook.q
-    exhaustive = total_pairs <= pair_budget and codebook.size() <= EXPLICIT_ENUM_LIMIT
-    if exhaustive:
-        pairs: Iterable[Tuple[Sequence, Sequence]] = (
-            (Sequence._wrap(a, q), Sequence._wrap(b, q))
-            for a, b in combinations(codebook.iter_words(), 2)
-        )
-    elif seed is None:
-        raise ValueError(
-            f"{total_pairs} codeword pairs exceed the budget of {pair_budget}; "
-            "supply a seed to sample"
-        )
-    else:
-        rng = random.Random(seed)
-        draws = ((codebook.sample_word(rng), codebook.sample_word(rng))
-                 for _ in range(sample_pairs))
-        pairs = ((a, b) for a, b in draws if a != b)
-    best = checked = 0
-    for a, b in pairs:
-        best = max(best, intersection_size_fast(a, b).size)
-        checked += 1
-    note = "" if exhaustive else "sampled lower bound; exhaustive pair sweep exceeded budget"
-    return CoverageReport(best, checked, exhaustive, note)
-
-
 def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
     """Codewords whose (1,1)-ball contains every read.
 
@@ -500,16 +389,3 @@ def required_reads(n: int, q: int) -> int:
             f"coverage bound needs n >= {threshold} for q = {q}, got n = {n}"
         )
     return coverage_bound(n, q) + 1
-
-
-def _read_sequence_file(path, q: int) -> List[Sequence]:
-    text = Path(path).read_text()
-    seqs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        seqs.append(Sequence.parse(line, q))
-    if not seqs:
-        raise ValueError(f"no sequences found in {path}")
-    return seqs

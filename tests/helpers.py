@@ -21,6 +21,13 @@ def all_words(q: int, n: int) -> List[Sequence]:
     return [Sequence(t, q) for t in product(range(q), repeat=n)]
 
 
+def parity_words(q: int, n: int) -> List[Sequence]:
+    """The single parity-check code {x : sum(x) = 0 mod q} in
+    lexicographic order: each prefix of length n-1 completed by the one
+    symbol that makes the sum 0."""
+    return [Sequence(p + ((-sum(p)) % q,), q) for p in product(range(q), repeat=n - 1)]
+
+
 def subsequences(word: Word, length: int) -> FrozenSet[Word]:
     return frozenset(
         tuple(word[i] for i in kept) for kept in combinations(range(len(word)), length)

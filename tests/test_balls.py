@@ -15,7 +15,6 @@ from delsub import (
     Sequence,
     ball_intersection,
     delete,
-    deletion_ball,
     ds_ball,
     intersection_size_fast,
     lambda_enumerate,
@@ -23,10 +22,10 @@ from delsub import (
     substitution_ball,
     substitution_ball_size,
 )
-from delsub.balls import _oracle_peak_bytes, ds11_packed
+from delsub.balls import _ball_peak_bytes, _oracle_peak_bytes, ds11_packed
 from delsub.sequence import run_last_positions
 
-from helpers import all_words, sequences
+from helpers import all_words, sequences, subsequences
 
 
 def seq(text, q=2):
@@ -80,25 +79,27 @@ class TestSubstitutionBall:
 
 class TestDeletionBall:
     def test_constant_word(self):
-        assert len(deletion_ball(Sequence((0,) * 6, 2), 1)) == 1
+        assert len(ds_ball(Sequence((0,) * 6, 2), BallSpec(1, 0))) == 1
 
     def test_two_symbols(self):
-        assert set(deletion_ball(seq("01"), 1)) == {seq("0").symbols, seq("1").symbols}
+        assert set(ds_ball(seq("01"), BallSpec(1, 0))) == {seq("0").symbols, seq("1").symbols}
 
     def test_size_equals_run_count_exhaustive(self):
         for x in all_words(2, 6):
-            assert len(deletion_ball(x, 1)) == len(run_last_positions(x.symbols, 1, len(x)))
+            size = len(run_last_positions(x.symbols, 1, len(x)))
+            assert len(ds_ball(x, BallSpec(1, 0))) == size
 
     def test_invalid_count(self):
+        # t = n and t > n; t = 0 is the radius-0 substitution ball
         with pytest.raises(ValueError):
-            deletion_ball(seq("01"), 2)
+            ds_ball(seq("01"), BallSpec(2, 0))
         with pytest.raises(ValueError):
-            deletion_ball(seq("01"), 0)
+            ds_ball(seq("01"), BallSpec(3, 0))
 
 
 class TestDsBall:
     def test_reduces_to_deletion_ball(self):
-        assert ds_ball(seq("01"), BallSpec(1, 0)) == deletion_ball(seq("01"), 1)
+        assert ds_ball(seq("01"), BallSpec(1, 0)) == subsequences(seq("01").symbols, 1)
 
     def test_union_cap_and_exact_enumeration(self):
         x = seq("01010111")
@@ -127,6 +128,25 @@ class TestDsBall:
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
             ds_ball(Sequence((0, 1) * 11, 2), BallSpec(2, 2), budget=100)
+
+    @pytest.mark.parametrize("q,n,t,s", [
+        (2, 40, 1, 1), (4, 30, 1, 1), (3, 14, 2, 1), (2, 12, 0, 3), (2, 12, 3, 0), (300, 6, 1, 1),
+    ])
+    def test_peak_within_counted_bytes(self, q, n, t, s):
+        # a word cycling through the alphabet has the most runs, and so the
+        # most distinct members
+        x = Sequence(tuple(i % q for i in range(n)), q)
+        spec = BallSpec(t, s)
+        bound = _ball_peak_bytes(n, q, spec)
+        tracemalloc.start()
+        try:
+            ds_ball(x, spec, budget=bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        with pytest.raises(BudgetExceededError, match="bytes"):
+            ds_ball(x, spec, budget=bound - 1)
 
 
 class TestPackedKernel:
@@ -192,7 +212,7 @@ class TestBallIntersection:
     @pytest.mark.parametrize("n", [4, 5])
     def test_alphabets_at_the_byte_limit(self, q, n):
         # symbols up to 255 fit in a byte, so q <= 256 takes the packed
-        # path, whose budget counts bytes, and q = 257 the generic one
+        # path and q = 257 the generic one; both budgets count bytes
         top = q - 1
         x = Sequence((top, 0, top, 1, top)[:n], q)
         pairs = [
@@ -207,7 +227,7 @@ class TestBallIntersection:
             assert type(common) is frozenset
             assert all(type(w) is tuple and len(w) == n - 1 for w in common)
         assert x.symbols[1:] in ball_intersection(x, x, BallSpec(1, 1))
-        with pytest.raises(BudgetExceededError, match="bytes" if q <= 256 else "elements"):
+        with pytest.raises(BudgetExceededError, match="bytes"):
             ball_intersection(x, x, BallSpec(1, 1), budget=1)
 
     @given(sequences(q=2, min_n=4, max_n=7))
@@ -251,7 +271,7 @@ def test_every_ball_is_a_frozenset_of_tuples():
     x = seq("01201", q=3)
     for ball in (
         substitution_ball(x, 1),
-        deletion_ball(x, 1),
+        ds_ball(x, BallSpec(1, 0)),
         ds_ball(x, BallSpec(1, 1)),
         ball_intersection(x, x, BallSpec(1, 1)),
         ball_intersection(x, x, BallSpec(1, 0)),

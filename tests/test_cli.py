@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
+import random
 import re
+import resource
+import subprocess
+import sys
 import time
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import delsub
 from delsub.cli import CHUNK, PAIR_CAP, main
 from delsub.intersect import (
     CheckResult, extremal_pair, intersection_size_fast, min_valid_length,
@@ -24,6 +31,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(argv, **kwargs) -> subprocess.Popen:
+    """``python -m delsub.cli`` with this checkout's package, in a child."""
+    src = str(Path(delsub.__file__).resolve().parent.parent)
+    return subprocess.Popen([sys.executable, "-m", "delsub.cli", *argv],
+                            env={"PYTHONPATH": src}, **kwargs)
 
 
 class TestBallCommand:
@@ -52,6 +66,23 @@ class TestBallCommand:
         )
         assert code == 2
         assert "error" in json.loads(out)
+
+    def test_oversized_ball_refused_before_allocating(self):
+        # 1000 symbols give about 2.2M members of 999 symbols, 24 GB as
+        # tuples; with its address space capped at 512 MiB the child must
+        # refuse with a budget error, not run out of memory
+        word = "".join(str(random.Random(5).randrange(4)) for _ in range(1000))
+        cap = 512 << 20
+        proc = cli_process(
+            ["ball", "--q", "4", "--x", word, "--t", "1", "--s", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert out == ""
+        assert err.startswith("error: ") and "bytes at once, above the budget" in err
+        assert "Traceback" not in err
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(
@@ -627,3 +658,20 @@ class TestSimulateCommand:
             main(["simulate", "--q", "2", "--parity", "--n", "8",
                   "--reads", "5", "--trials", "2"])
         assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("x,t", [("0123" * 15, 1), ("0123", 0)],
+                             ids=["while-printing", "final-flush"])
+    def test_closed_pipe_exits_141_quietly(self, fmt, x, t):
+        # the reader is gone before the first write: the 640 kB ball fails
+        # while printing, the small one only at the final flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = cli_process(["ball", "--q", "4", "--x", x, "--t", str(t), "--s", "1",
+                            "--format", fmt], stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""

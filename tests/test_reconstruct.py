@@ -11,17 +11,13 @@ from delsub import (
     Codebook,
     ReadSet,
     Sequence,
-    ball_intersection,
-    ball_membership,
     channel_transmit,
     delete,
-    deletion_ball,
     ds_ball,
     extremal_pair,
     hamming,
     intersection_size_fast,
     min_valid_length,
-    read_coverage,
     reconstruct,
     required_reads,
 )
@@ -32,7 +28,7 @@ from delsub.reconstruct import (
     inverse_pair_words,
 )
 
-from helpers import all_words, inverse_ball_oracle, sequences
+from helpers import all_words, inverse_ball_oracle, parity_words, sequences
 
 
 def seq(text, q=2):
@@ -42,29 +38,14 @@ def seq(text, q=2):
 class TestCodebook:
     def test_parity_membership(self):
         book = Codebook.parity(4, 3)
-        assert seq("0120", q=3) in book
-        assert seq("0121", q=3) not in book
-        assert book.size() == 27
-        assert book.min_distance == 2
+        assert (book.kind, book.n, book.q, book.size()) == ("parity", 4, 3, 27)
+        assert book.words is None
 
     def test_parity_minimum_distance_is_exactly_two(self):
-        book = Codebook.parity(4, 3)
-        words = [Sequence(w, 3) for w in book.iter_words()]
-        assert len(words) == 27
+        words = parity_words(3, 4)
+        assert len(words) == Codebook.parity(4, 3).size() == 27
         dmin = min(hamming(a, b) for a, b in combinations(words, 2))
         assert dmin == 2
-
-    def test_membership_needs_the_alphabet(self):
-        parity = Codebook.parity(2, 4)
-        assert (1, 3) in parity and Sequence((1, 3), 4) in parity
-        # symbol sums of 0 mod 4, but not words over 0..3
-        assert (5, 3) not in parity
-        assert (-1, 1) not in parity
-        assert Sequence((1, 3), 5) not in parity
-        explicit = Codebook.explicit([Sequence((1, 3), 4)])
-        assert (1, 3) in explicit and Sequence((1, 3), 4) in explicit
-        assert Sequence((1, 3), 5) not in explicit
-        assert (1, 3, 0) not in explicit and (1,) not in parity
 
     def test_explicit_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -77,25 +58,22 @@ class TestCodebook:
     def test_explicit_rejects_false_min_distance(self):
         words = [seq("000000"), seq("000001"), seq("111111")]
         with pytest.raises(ValueError):
-            Codebook.explicit(words, min_distance=2)
-        with pytest.raises(ValueError):
-            Codebook.explicit([seq("0000"), seq("0011")], min_distance=3)
-        assert Codebook.explicit(words[:1] + words[2:], min_distance=2).size() == 2
-        assert Codebook.explicit(words, min_distance=1).min_distance == 1
+            Codebook.explicit(words)
+        assert Codebook.explicit(words[:1] + words[2:]).size() == 2
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "book.txt"
         path.write_text("# comment\n0101\n1010\n\n0011\n")
         book = Codebook.load(path, q=2)
         assert book.size() == 3
-        assert seq("1010") in book
+        assert book.words == (seq("0101").symbols, seq("1010").symbols, seq("0011").symbols)
 
     def test_sample_word_is_member_and_deterministic(self):
         book = Codebook.parity(10, 3)
         a = book.sample_word(random.Random(3))
         b = book.sample_word(random.Random(3))
         assert a == b
-        assert a in book
+        assert len(a) == 10 and sum(a.symbols) % 3 == 0
 
 
 class TestReadSet:
@@ -103,12 +81,6 @@ class TestReadSet:
         reads = ReadSet.from_sequences([seq("010"), seq("010"), seq("001")])
         assert len(reads) == 2
         assert reads.raw_count == 3
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "reads.txt"
-        path.write_text("010\n001\n010\n")
-        reads = ReadSet.from_file(path, q=2)
-        assert len(reads) == 2
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +99,7 @@ class TestChannel:
         x = seq("0110100")
         for s in range(25):
             out = channel_transmit(x, 0.0, seed=s)
-            assert out.symbols in deletion_ball(x, 1)
+            assert out.symbols in ds_ball(x, BallSpec(1, 0))
 
     def test_output_always_in_ball(self):
         x = seq("0120120", q=3)
@@ -142,7 +114,7 @@ class TestChannel:
     def test_outputs_pass_membership(self):
         x = seq("0120120", q=3)
         for s in range(30):
-            assert ball_membership(channel_transmit(x, 0.7, seed=s), x)
+            assert _membership_t(channel_transmit(x, 0.7, seed=s).symbols, x.symbols)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -160,13 +132,13 @@ class TestChannel:
 class TestBallMembership:
     def test_pure_deletion_is_member(self):
         x = seq("011010")
-        assert ball_membership(delete(x, 1), x)
+        assert _membership_t(delete(x, 1).symbols, x.symbols)
 
     def test_exhaustive_against_materialized_ball(self):
         for x in all_words(2, 7):
             ball = ds_ball(x, BallSpec(1, 1))
             for y in all_words(2, 6):
-                assert ball_membership(y, x) == (y.symbols in ball)
+                assert _membership_t(y.symbols, x.symbols) == (y.symbols in ball)
 
     @pytest.mark.parametrize("q,n", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
     def test_exhaustive_against_materialized_ball_larger_alphabets(self, q, n):
@@ -174,7 +146,7 @@ class TestBallMembership:
         for x in all_words(q, n):
             ball = ds_ball(x, BallSpec(1, 1))
             for y in reads:
-                assert ball_membership(y, x) == (y.symbols in ball)
+                assert _membership_t(y.symbols, x.symbols) == (y.symbols in ball)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2])
@@ -187,16 +159,12 @@ class TestBallMembership:
                 expected = any(
                     hamming(Sequence(xs[:j] + xs[j + 1 :], q), y) <= 1 for j in range(n)
                 )
-                assert ball_membership(y, x) == expected
+                assert _membership_t(y.symbols, xs) == expected
 
     def test_far_read_rejected(self):
         x = Sequence((0,) * 6, 2)
         y = Sequence((1, 1, 0, 1, 1), 2)
-        assert not ball_membership(y, x)
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            ball_membership(seq("0101"), seq("0101"))
+        assert not _membership_t(y.symbols, x.symbols)
 
     @given(sequences(q=3, min_n=3, max_n=8), st.data())
     @settings(max_examples=60)
@@ -207,7 +175,7 @@ class TestBallMembership:
                 lambda t: Sequence(tuple(t), 3)
             )
         )
-        member = ball_membership(y, x)
+        member = _membership_t(y.symbols, x.symbols)
         assert member == (x.symbols in inverse_ball_words(y.symbols, x.q))
 
     @given(st.integers(2, 5).flatmap(
@@ -393,57 +361,6 @@ class TestLargeAlphabets:
                     assert max(max(c) for c in result.candidates) == q - 1
 
 
-class TestReadCoverage:
-    def test_two_word_book_equals_pair_size(self):
-        x, y = extremal_pair(3, 17)
-        report = read_coverage(Codebook.explicit([x, y]))
-        assert report.value == 91
-        assert report.exhaustive
-        assert report.pairs_checked == 1
-
-    def test_small_parity_book_matches_oracle(self):
-        book = Codebook.parity(7, 2)
-        words = [Sequence(w, 2) for w in book.iter_words()]
-        expected = max(
-            len(ball_intersection(a, b, BallSpec(1, 1)))
-            for a, b in combinations(words, 2)
-        )
-        report = read_coverage(book)
-        assert report.exhaustive
-        assert report.value == expected
-
-    def test_needs_two_codewords(self):
-        with pytest.raises(ValueError):
-            read_coverage(Codebook.explicit([seq("0101")]))
-
-    def test_budget_requires_seed(self):
-        book = Codebook.parity(20, 2)
-        with pytest.raises(ValueError):
-            read_coverage(book, pair_budget=1000)
-
-    def test_sampled_mode_deterministic(self):
-        book = Codebook.parity(20, 2)
-        a = read_coverage(book, pair_budget=1000, sample_pairs=300, seed=5)
-        b = read_coverage(book, pair_budget=1000, sample_pairs=300, seed=5)
-        assert not a.exhaustive
-        assert a.note
-        assert a.value == b.value
-
-    def test_sampled_mode_counts_only_distinct_pairs(self):
-        # 400 draws from the 4-word book; the x == y draws are skipped
-        book = Codebook.parity(3, 2)
-        report = read_coverage(book, pair_budget=1, sample_pairs=400, seed=5)
-        assert not report.exhaustive
-        assert report.pairs_checked == 307
-
-    def test_sampled_parity_coverage_within_bound(self):
-        # minimum distance 2 keeps every sampled pair within the coverage
-        # bound once n is in the valid range
-        book = Codebook.parity(17, 3)
-        report = read_coverage(book, pair_budget=1000, sample_pairs=500, seed=9)
-        assert report.value <= 91
-
-
 class TestReconstruct:
     def test_single_codeword_book(self):
         x = seq("011010")
@@ -469,7 +386,7 @@ class TestReconstruct:
         rng = random.Random(17)
         for q, n in ((2, 7), (3, 5), (4, 4)):
             parity = Codebook.parity(n, q)
-            explicit = Codebook.explicit([Sequence(w, q) for w in parity.iter_words()])
+            explicit = Codebook.explicit(parity_words(q, n))
             outcomes = set()
             for trial in range(40):
                 x = parity.sample_word(rng)
@@ -509,18 +426,18 @@ class TestCoverageCriterion:
 
     def test_adversarial_sets_at_small_length(self):
         book = Codebook.parity(7, 2)
-        words = [Sequence(w, 2) for w in book.iter_words()]
-        coverage = read_coverage(book).value
+        words = parity_words(2, 7)
         balls = {w.symbols: ds_ball(w, BallSpec(1, 1)) for w in words}
         # the hardest instances: take a worst pair and feed the decoder
-        # its full shared set plus fillers from the true ball
+        # its full shared set plus fillers from the true ball; the worst
+        # pair's shared set is the read coverage
         worst = max(
             (pair for pair in combinations(words, 2)),
             key=lambda p: len(balls[p[0].symbols] & balls[p[1].symbols]),
         )
         x, other = worst
         shared = balls[x.symbols] & balls[other.symbols]
-        assert len(shared) == coverage
+        coverage = len(shared)
         fillers = sorted(balls[x.symbols] - shared)
         reads_words = list(shared) + fillers[: coverage + 1 - len(shared)]
         assert len(reads_words) == coverage + 1
