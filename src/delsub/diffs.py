@@ -11,16 +11,15 @@ constant time: deleting position j from x and j' >= j from x' leaves
 exactly the mismatches counted by ``|S  [1, j-1]| + |TL  [j+1, j']| +
 |S  [j'+1, n]|`` (and the ``TR`` variant when the later position is
 deleted from x instead).  Everything in this module is bookkeeping on
-top of that identity: prefix tables for the counts, the exhaustive scan
-that collects every deleted pair at Hamming distance at most 2,
-classified by which of the three terms carry it, and
-:func:`group_pairs`, which reduces scan entries (or the direct
-construction's, whose landmark indices :mod:`delsub.intersect` reads
-off TL/TR itself) to each group's distinct pair keys without building
-a word: deleting two positions of one word gives the same word
-exactly when both lie in one run, so a deleted pair is named by the run
-ends (jx, jy) of its two deleted positions, and that key is itself a
-deletion pair giving the same two words.
+top of that identity: interval counts by bisection, and the reference
+that the size path of :mod:`delsub.intersect` is checked against.  That
+is the exhaustive scan (with its own prefix tables) of every deleted
+pair at Hamming distance at most 2, classified by which of the three
+terms carry it, and :func:`group_pairs`, which reduces its entries to
+each group's distinct pair keys without building a word: deleting two
+positions of one word gives the same word exactly when both lie in one
+run, so a deleted pair is named by the run ends (jx, jy) of its two
+deleted positions, itself a deletion pair giving the same two words.
 
 All positions are 1-based.
 """
@@ -31,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .sequence import (Sequence, Word, _delete_t, _require_same_shape, mismatch_counts,
-                       mismatches, run_last_table)
+                       mismatches, run_ends, run_last_table)
 
 GroupKey = Tuple[str, int, Optional[int]]
 
@@ -50,11 +49,10 @@ CASE_BY_TRIPLE: Dict[Tuple[int, int, int], int] = {
 
 
 class DiffProfile:
-    """Index sets S, TL, TR of an ordered pair, prefix tables for
-    constant-time interval counts, and each word's run-last table, which
-    names deleted pairs."""
+    """Index sets S, TL, TR of an ordered pair, with interval counts by
+    bisection, and each word's run ends, which name deleted pairs."""
 
-    __slots__ = ("n", "q", "s", "tl", "tr", "d", "_ps", "_ptl", "_ptr", "_words", "_run_lasts")
+    __slots__ = ("n", "q", "s", "tl", "tr", "d", "_words", "_ends")
 
     def __init__(self, x: Sequence, y: Sequence):
         _require_same_shape(x, y)
@@ -68,25 +66,20 @@ class DiffProfile:
         self.tl = tuple(mismatches(xs[1:], ys, 2))
         self.tr = tuple(mismatches(xs, ys[1:], 2))
         self.d = len(self.s)
-        self._ps = mismatch_counts(xs, ys)
-        self._ptl = [0] + mismatch_counts(xs[1:], ys)
-        self._ptr = [0] + mismatch_counts(xs, ys[1:])
         self._words = xs, ys
-        self._run_lasts: Optional[Tuple[List[int], List[int]]] = None
+        self._ends: Optional[Tuple[List[int], List[int]]] = None
 
-    def run_last_tables(self) -> Tuple[List[int], List[int]]:
-        """The run-last tables of x and of y, built on first use: a pair
-        with no deleted pair to name never needs them."""
-        if self._run_lasts is None:
-            self._run_lasts = run_last_table(self._words[0]), run_last_table(self._words[1])
-        return self._run_lasts
+    def run_ends(self) -> Tuple[List[int], List[int]]:
+        """The run ends of x and of y, built on first use: a pair with no
+        deleted pair to name never needs them."""
+        if self._ends is None:
+            self._ends = run_ends(self._words[0]), run_ends(self._words[1])
+        return self._ends
 
     def t_count(self, side: str, lo: int, hi: int) -> int:
         """|TL or TR intersected with [lo, hi]|."""
-        table = self._table(side)
-        # clamp into [1, n] first: a negative index would wrap around
-        lo, hi = max(lo, 1), min(hi, self.n)
-        return table[hi] - table[lo - 1] if lo <= hi else 0
+        t = self._t(side)
+        return max(0, bisect_right(t, hi) - bisect_left(t, lo))
 
     def shifts(self, side: str) -> bool:
         """Whether TL (side L) or TR (side R) meets the mismatch window
@@ -101,24 +94,17 @@ class DiffProfile:
     def mismatch_positions(self, j: int, jprime: int, side: str) -> Tuple[int, ...]:
         """The 1-based original positions carrying the residual mismatches
         of the deleted pair selected by (j, j', side)."""
-        t = self.tl if side == "L" else self.tr if side == "R" else _bad_side(side)
-        s = self.s
+        t, s = self._t(side), self.s
         return (
             s[: bisect_left(s, j)]
             + t[bisect_right(t, j) : bisect_right(t, jprime)]
             + s[bisect_right(s, jprime) :]
         )
 
-    def _table(self, side: str) -> List[int]:
-        if side == "L":
-            return self._ptl
-        if side == "R":
-            return self._ptr
-        return _bad_side(side)
-
-
-def _bad_side(side: str):
-    raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    def _t(self, side: str) -> Tuple[int, ...]:
+        if side not in ("L", "R"):
+            raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+        return self.tl if side == "L" else self.tr
 
 
 RawEntry = Tuple[str, int, Optional[int], int, int]
@@ -135,9 +121,13 @@ def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
     prefix leaves, so pairs at large Hamming distance cost little.
     """
     n = profile.n
-    ps, ptl, ptr = profile._ps, profile._ptl, profile._ptr
+    xs, ys = profile._words
+    ps = mismatch_counts(xs, ys)
+    ptl = [0] + mismatch_counts(xs[1:], ys)
+    ptr = [0] + mismatch_counts(xs, ys[1:])
     total = ps[n]
     out: List[RawEntry] = []
+    append, case_of = out.append, CASE_BY_TRIPLE.get
     for j in range(1, n + 1):
         prefix = ps[j - 1]
         if prefix > 2:
@@ -156,11 +146,9 @@ def scan_candidates(profile: DiffProfile) -> List[RawEntry]:
             if mid_l > budget and mid_r > budget:
                 break
             if mid_l <= rest:
-                case = CASE_BY_TRIPLE.get((prefix, mid_l, suffix))
-                out.append(("L", prefix + mid_l + suffix, case, j, jprime))
+                append(("L", prefix + mid_l + suffix, case_of((prefix, mid_l, suffix)), j, jprime))
             if mid_r <= rest:
-                case = CASE_BY_TRIPLE.get((prefix, mid_r, suffix))
-                out.append(("R", prefix + mid_r + suffix, case, j, jprime))
+                append(("R", prefix + mid_r + suffix, case_of((prefix, mid_r, suffix)), j, jprime))
     return out
 
 
@@ -178,11 +166,14 @@ def group_pairs(
     Each group's keys are a dict with None values, a key set that keeps
     the entries' order: member expansion fills its id sets measurably
     faster in that order than in a set's hash order.
+
+    This is the reference that the size path's direct key construction
+    (:mod:`delsub.intersect`) is checked against.
     """
     groups: Dict[GroupKey, Dict[PairKey, None]] = {}
     if not raw:
         return groups
-    last_x, last_y = profile.run_last_tables()
+    last_x, last_y = map(run_last_table, profile.run_ends())
     for side, ell, case, j, jprime in raw:
         if side == "L":
             key = (last_x[j], last_y[jprime])
@@ -200,15 +191,15 @@ def lambda_enumerate(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[Tuple
     :mod:`delsub.intersect` is checked against it groupwise.
     """
     profile = DiffProfile(x, y)
-    return group_words(profile, scan_candidates(profile))
+    return group_words(profile, group_pairs(profile, scan_candidates(profile)))
 
 
 def group_words(
-    profile: DiffProfile, raw: List[RawEntry]
+    profile: DiffProfile, groups: Dict[GroupKey, Dict[PairKey, None]]
 ) -> Dict[GroupKey, FrozenSet[Tuple[Word, Word]]]:
-    """Each group's distinct deleted pairs of the raw entries, as words."""
+    """Each group's distinct deleted pairs, as words, from its keys."""
     xs, ys = profile._words
     return {
         key: frozenset((_delete_t(xs, jx), _delete_t(ys, jy)) for jx, jy in keys)
-        for key, keys in group_pairs(profile, raw).items()
+        for key, keys in groups.items()
     }

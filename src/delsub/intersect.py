@@ -8,36 +8,26 @@ radius-1 ball of z when z == z', exactly q words (one per alphabet
 symbol written at the single residual mismatch) at distance 1, and
 exactly 2 words (each mismatch repaired with the other word's symbol)
 at distance 2.  Generating those members straight from the deletion
-positions and residual mismatches - never by materializing and
-intersecting substitution balls - gives the exact intersection size.
-Deleted pairs are named by O(1) keys, the run-last positions of their
-two deleted indices (see :func:`delsub.diffs.group_pairs`), and expanded
-straight from those positions; members are named by canonical ids
-computed in O(1) each from the member word alone (:class:`_MemberIds`).
-Twin groups of the two sides that hold the same keys, as the d = 2
-diagonal groups do, share one expansion.  A key deleting one index j
-from both words has the residual mismatches S minus j, and all but the
-first few such keys above a mismatch m share one id formula for m, so
-a group's diagonal keys are expanded in bulk, one slice per m
-(:meth:`_MemberIds.add_diagonal`).
-So at Hamming distance >= 2, where the direct construction supplies the
-pairs, the cost is O(n) plus the output size; below that the scan adds a
-term that grows to O(n^2) on near-constant words.
+positions and residual mismatches, never materializing a ball, gives the
+exact intersection size.  Deleted pairs are named by keys, the run ends
+holding their two deleted indices (see :func:`delsub.diffs.group_pairs`),
+written directly, by the direct construction at Hamming distance >= 2
+and by a walk over pairs of segments below it (:func:`_walk_keys`), and
+expanded into canonical member ids computed in O(1) each from the member
+word alone (:class:`_MemberIds`).  Twin groups holding the same keys
+share one expansion, and a group's diagonal keys (deleting one index
+from both words) are expanded one slice per mismatch
+(:meth:`_MemberIds.add_diagonal`).  So the cost is O(n) plus the output
+size at every Hamming distance, near-constant words included.
 
-Two constructions of the deleted-pair family coexist:
-
-* :func:`delsub.diffs.lambda_enumerate` scans all position pairs, and
-* :func:`claims_lambda` builds each group directly from interval counts
-  and landmark indices (the elements of TL or TR nearest the mismatch
-  window, read off each side's set here), without scanning.
-
-Both return each group's pairs as words, the form the tests compare;
-:func:`verify_claims` compares the two families' key sets group by group,
-without building a word or expanding any member.  :func:`verify_lemmas`
-separately checks the cardinality and absorption facts that the coverage
-bound 2qn - 3q - 2 - [q == 2] rests on and that apply to the pair's
-branch, on the scanned family and its members, without the direct
-construction.
+:func:`delsub.diffs.lambda_enumerate` (the scan) and :func:`claims_lambda`
+(the direct construction, from interval counts and landmark indices:
+the elements of TL or TR nearest the mismatch window) return each
+group's pairs as words, the form the tests compare; :func:`verify_claims`
+compares the two families' key sets group by group.  :func:`verify_lemmas`
+checks, on the scanned family and its members, the cardinality and
+absorption facts of the pair's branch that the coverage bound
+2qn - 3q - 2 - [q == 2] rests on.
 
 Every pair, at any Hamming distance, goes through the same structural
 path; the materialized oracle of :mod:`delsub.balls` is for tests and
@@ -47,13 +37,13 @@ the CLI's ``--mode oracle`` only.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
-from itertools import compress
+from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .diffs import (CASE_BY_TRIPLE, DiffProfile, GroupKey, PairKey, RawEntry, group_pairs,
-                    group_words, scan_candidates)
-from .sequence import Sequence, Word, _require_same_shape, alternating, run_last_positions
+from .diffs import (CASE_BY_TRIPLE, DiffProfile, GroupKey, PairKey, group_pairs, group_words,
+                    scan_candidates)
+from .sequence import Sequence, Word, _require_same_shape, alternating, run_spread
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -144,26 +134,23 @@ class _MemberIds:
     minus e; it gives back w.
     """
 
-    __slots__ = ("xs", "q", "nq", "prev_last", "run_last", "rewrites")
+    __slots__ = ("xs", "q", "nq", "run_start", "run_stop", "rewrites")
 
-    def __init__(self, xs: Word, q: int, last: List[int]):
-        n = len(xs)
+    def __init__(self, xs: Word, q: int, ends: List[int]):
         self.xs = xs
         self.q = q
-        self.nq = n * q
-        # last index of the run holding i, from x's 1-based run-last table
-        self.run_last = [p - 1 for p in last[1:]]
-        # last index of the run before i's, or -1
-        self.prev_last = prev = [-1] * n
-        for i in range(1, n):
-            prev[i] = i - 1 if xs[i] != xs[i - 1] else prev[i - 1]
+        self.nq = len(xs) * q
+        # the first index of the run holding i and one past its last: a1 = run_start[j] - 1
+        spread = run_spread(xs)
+        self.run_start = spread([0, *ends])
+        self.run_stop = spread(ends)
         self.rewrites: Optional[Tuple[List[int], List[int]]] = None
 
     def deleted(self, j: int) -> int:
         """The id of x minus index j."""
-        a1 = self.prev_last[j]
+        a1 = self.run_start[j] - 1
         if a1 < 0:
-            return self.run_last[j] * self.nq + (len(self.xs) - 1) * self.q
+            return (self.run_stop[j] - 1) * self.nq + (len(self.xs) - 1) * self.q
         return a1 * (self.nq + self.q) + self.xs[a1]
 
     def edit(self, j: int, p: int, c: int) -> int:
@@ -171,27 +158,27 @@ class _MemberIds:
         xs, q = self.xs, self.q
         if c == (xs[p] if p < j else xs[p + 1]):
             return self.deleted(j)
-        a1 = self.prev_last[j]
+        a1 = self.run_start[j] - 1
         if p == a1:
             # x minus a1 itself, or one substitution from it at a1
             if c == xs[a1 + 1]:
                 return self.deleted(a1)
             return a1 * (self.nq + q) + c
-        if p < a1 and p == self.prev_last[a1] and c == xs[p + 1]:
+        if p < a1 and p == self.run_start[a1] - 1 and c == xs[p + 1]:
             # p is a2: one substitution from x minus a2, at a1
             return p * self.nq + a1 * q + xs[a1]
         # no earlier run comes within one substitution
-        return self.run_last[j] * self.nq + p * q + c
+        return (self.run_stop[j] - 1) * self.nq + p * q + c
 
     def add_column(self, out: Set[int], j: int, p: int) -> None:
         """Add the ids of every symbol written at index p after deleting j."""
-        a1 = self.prev_last[j]
-        if p == a1 or (p < a1 and p == self.prev_last[a1]):
+        a1 = self.run_start[j] - 1
+        if p == a1 or (p < a1 and p == self.run_start[a1] - 1):
             out.update([self.edit(j, p, c) for c in range(self.q)])
             return
         xs, q = self.xs, self.q
         old = xs[p] if p < j else xs[p + 1]
-        base = self.run_last[j] * self.nq + p * q
+        base = (self.run_stop[j] - 1) * self.nq + p * q
         out.update([base + c for c in range(q) if c != old])
         out.add(self.deleted(j))
 
@@ -211,10 +198,10 @@ class _MemberIds:
             )
         before, after = self.rewrites
         k = q - 1
-        add = (self.run_last[j] * self.nq).__add__
-        a1 = self.prev_last[j]
+        add = ((self.run_stop[j] - 1) * self.nq).__add__
+        a1 = self.run_start[j] - 1
         # the rewrite indices a2 < a1 that need a check, when they exist
-        near = [a for a in (self.prev_last[a1], a1) if a >= 0] if a1 >= 0 else []
+        near = [a for a in (self.run_start[a1] - 1, a1) if a >= 0] if a1 >= 0 else []
         lo = 0
         for cut in near:
             out.update(map(add, before[lo * k : cut * k]))
@@ -233,13 +220,14 @@ class _MemberIds:
         Original position m sits at index m - 2 after a key j < m and at
         m - 1 before a key j > m, and writing y_m there never gives x
         minus j back.  For j < m both a1 and a2 lie before the rewrite, so
-        the id is always run_last[j-1] n q + (m-2) q + y_m.  For j > m it
-        is run_last[j-1] n q + (m-1) q + y_m once a2 (so a1 too) lies past
+        the id is always (j-1) n q + (m-2) q + y_m.  For j > m it
+        is (j-1) n q + (m-1) q + y_m once a2 (so a1 too) lies past
         m - 1; a2 never falls as j grows, so only the first few keys above
         m go through :meth:`edit`, and each m adds the rest in one slice.
         """
-        q, nq, prev = self.q, self.nq, self.prev_last
-        bases = [self.run_last[j - 1] * nq for j in keys]
+        q, nq, start = self.q, self.nq, self.run_start
+        # index j - 1 is the last of its run
+        bases = [(j - 1) * nq for j in keys]
         top = len(keys)
         for m in s:
             c = ys[m - 1]
@@ -250,8 +238,8 @@ class _MemberIds:
                 # the key (m, m) deletes the mismatch m itself
                 k += 1
             while k < top:
-                a1 = prev[keys[k] - 1]
-                if a1 >= 0 and prev[a1] >= m:
+                a1 = start[keys[k] - 1] - 1
+                if a1 >= 0 and start[a1] > m:
                     break
                 out.add(self.edit(keys[k] - 1, m - 1, c))
                 k += 1
@@ -262,42 +250,32 @@ class _MemberIds:
 def structural_group_sets(
     profile: DiffProfile, xs: Word, ys: Word, groups: Dict[GroupKey, Dict[PairKey, None]]
 ) -> Dict[GroupKey, Set[int]]:
-    """Expand each group's deleted-pair keys (from
-    :func:`delsub.diffs.group_pairs`) into the ids of the group's members.
+    """Expand each group's deleted-pair keys (as
+    :func:`delsub.diffs.group_pairs` gives them) into the ids of the
+    group's members.
 
     A key (jx, jy) deletes jx from x and jy from y, so its residual
     mismatches are those of the side-L pair (jx, jy) when jx <= jy and of
-    the side-R pair (jy, jx) otherwise, whatever the group's side; a key
-    with jx == jy deletes one index from both words and leaves S minus jx.
-    A distance-2 group's keys with jx == jy (all of the d = 2 diagonal
-    groups 2.1, 2.3 and 2.5) are sorted and expanded together by
-    :meth:`_MemberIds.add_diagonal`, one slice per residual mismatch m:
-    only the few keys just above m whose run two before does not yet
-    lie past m - 1 take a per-key :meth:`_MemberIds.edit`.
+    the side-R pair (jy, jx) otherwise; a key with jx == jy leaves S
+    minus jx, and a distance-2 group's such keys (all of the d = 2
+    diagonal groups 2.1, 2.3 and 2.5) are expanded together by
+    :meth:`_MemberIds.add_diagonal`.  The members of B(z) & B(z') are z
+    with at most one index rewritten: all of B(z) when z == z', every
+    symbol at the one residual mismatch at distance 1, and the symbol of
+    z' at either mismatch at distance 2.  Each is an edit of x, and ids
+    are shared across groups, so sizes and unions are set algebra on ints.
 
-    The members of B(z) & B(z') are z with at most one index rewritten:
-    all of B(z) when z == z', every symbol at the one residual mismatch
-    at distance 1, and the symbol of z' at either mismatch at distance 2.
-    z is x minus one index, so each member is an edit of x; ids are
-    shared across groups, so group sizes and unions are set algebra on
-    ints.
-
-    A key's members depend only on the key and its distance, so a group
-    whose keys equal those of its twin, the other side's group of the
-    same distance and case, maps to the twin's set object instead of a
-    second expansion, whichever of the two comes first.  At d = 2 the
-    diagonal groups 2.1, 2.3 and 2.5 of the two sides always hold the
-    same keys.  When x == y every side-R group holds its side-L twin's
-    deleted pairs with the two words swapped, and B(z) & B(z') is
-    symmetric, so every R key maps to the L group's set object.
-
-    So one set can belong to two groups: :func:`intersection_size_fast`
+    A group whose keys equal those of its twin (the other side's group of
+    the same distance and case, as the d = 2 diagonal groups always are)
+    maps to the twin's set object instead of a second expansion; so does
+    every side-R group when x == y, by the symmetry of B(z) & B(z').  So
+    one set can belong to two groups: :func:`intersection_size_fast`
     reads every group's size before it grows each level's first set in
     place, and :func:`_fact_checks` only builds new unions.
     """
     if not groups:
         return {}
-    ids = _MemberIds(xs, profile.q, profile.run_last_tables()[0])
+    ids = _MemberIds(xs, profile.q, profile.run_ends()[0])
     s = profile.s
     out: Dict[GroupKey, Set[int]] = {}
     mirror = xs == ys
@@ -345,131 +323,181 @@ def structural_group_sets(
 
 def claims_lambda(x: Sequence, y: Sequence) -> Dict[GroupKey, FrozenSet[Tuple[Word, Word]]]:
     """The distinct deleted pairs of every group, built directly from
-    interval counts and landmarks without scanning position pairs; the
-    same form as :func:`delsub.diffs.lambda_enumerate`.
-
-    Groups whose characterization is only a containment are generated as
-    candidates and validated against their defining count triple; a
-    failing candidate is dropped.  Requires Hamming distance >= 2.
-    """
+    interval counts and landmarks without scanning position pairs, in the
+    form of :func:`delsub.diffs.lambda_enumerate`.  A group characterized
+    only by a containment is generated as candidates, each kept only when
+    it has its defining count triple.  Requires Hamming distance >= 2."""
     profile = DiffProfile(x, y)
-    return group_words(profile, _claims_raw(profile, x.symbols, y.symbols))
+    return group_words(profile, _claims_keys(profile))
 
 
-def _claims_raw(p: DiffProfile, xs: Word, ys: Word) -> List[RawEntry]:
-    """Both sides' groups from one profile.  The reversed pair (y, x) has
-    TL equal to this pair's TR, so side R is side L of that pair read
-    off TR."""
+def _claims_keys(p: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
+    """Both sides' groups from one profile, keyed as
+    :func:`delsub.diffs.group_pairs` keys the scan's entries; position j
+    is deleted from x on side L and from y on side R.  The reversed pair
+    (y, x) has TL equal to this pair's TR, so side R is side L of that
+    pair read off TR.
+
+    The landmarks are the elements of the side's shifted set t nearest
+    the mismatch window [i1, id]: k1 and k2 the largest and second
+    largest at most i1, k1' and k2' the smallest and second smallest
+    above id, each None when t has too few there."""
     if p.d < 2:
         raise ValueError("direct construction needs Hamming distance >= 2")
-    return _claims_one_side(p, "L", xs) + _claims_one_side(p, "R", ys)
-
-
-def _claims_one_side(p: DiffProfile, side: str, xs: Word) -> List[RawEntry]:
-    """One side's groups: ``xs`` is the word that loses position j (x on
-    side L, y on side R).  The landmarks are the elements of that side's
-    shifted set t nearest the mismatch window [i1, id]: k1 and k2 the
-    largest and second largest at most i1, k1' and k2' the smallest and
-    second smallest above id, each None when t has too few there."""
-    s = p.s
-    d = p.d
-    n = p.n
-    t = p.tl if side == "L" else p.tr
+    s, d, n = p.s, p.d, p.n
     i1, i2, id1, idd = s[0], s[1], s[-2], s[-1]
-    k1, k2 = _below(t, i1)
-    k1p, k2p = _above(t, idd)
-    out: List[RawEntry] = []
-
-    ps, pt = p._ps, p._table(side)
+    groups: Dict[GroupKey, Dict[PairKey, None]] = {}
+    ends: List[List[int]] = []  # the run ends of x and y, read with the first key
 
     def cnt(lo: int, hi: int) -> int:
-        # every interval here has 2 <= lo and hi <= n
-        return pt[hi] - pt[lo - 1] if lo <= hi else 0
+        return bisect_right(t, hi) - bisect_left(t, lo) if lo <= hi else 0
 
     def emit(ell: int, case: Optional[int], j: int, jprime: int) -> None:
-        out.append((side, ell, case, j, jprime))
+        # keyed by the run ends of x and of y holding the deleted positions
+        if not ends:
+            ends.extend(p.run_ends())
+        jx, jy = (j, jprime) if side == "L" else (jprime, j)
+        ex, ey = ends
+        key = ex[bisect_left(ex, jx)], ey[bisect_left(ey, jy)]
+        groups.setdefault((side, ell, case), {})[key] = None
 
     def emit_validated(ell: int, case: int, j: int, jprime: int) -> None:
         if not 1 <= j <= jprime <= n:
             return
-        if (ps[j - 1], cnt(j + 1, jprime), ps[n] - ps[jprime]) == TRIPLE_BY_CASE[(ell, case)]:
+        triple = (bisect_left(s, j), cnt(j + 1, jprime), d - bisect_right(s, jprime))
+        if triple == TRIPLE_BY_CASE[(ell, case)]:
             emit(ell, case, j, jprime)
 
-    mid_all = cnt(i1 + 1, idd)
+    def emit_diagonal(case: int, lo: int, hi: int) -> None:
+        # at d = 2 the pairs (j, j) for the runs of [lo, hi], which holds no
+        # mismatch: a run of one word ending at j < hi ends at j in the other
+        # too, so only the run through hi may reach into a mismatch
+        if lo <= hi:
+            e = p.run_ends()[side == "R"]
+            inner = e[bisect_left(e, lo) : bisect_left(e, hi)]
+            groups[side, 2, case] = dict.fromkeys(zip(inner, inner))
+            emit(2, case, hi, hi)
 
-    # distance 0: one collapsed pair when nothing shifts inside [i1, id]
-    if mid_all == 0:
-        emit(0, None, i1, idd)
+    for side, t in (("L", p.tl), ("R", p.tr)):
+        k1, k2 = _below(t, i1)
+        k1p, k2p = _above(t, idd)
+        # t's elements in (i1, id], (i1, id-1] and (i2, id]
+        first, last = bisect_right(t, i1), bisect_right(t, idd)
+        mid_all, mid_front = last - first, bisect_right(t, id1) - first
+        mid_back = last - bisect_right(t, i2)
 
-    # distance 1, case (1,0,0)
-    if cnt(i2 + 1, idd) == 0:
-        emit(1, 1, i2, idd)
-    # distance 1, case (0,1,0)
-    if mid_all == 1:
-        emit(1, 2, i1, idd)
-    elif mid_all == 0:
-        if k1 is not None:
-            emit_validated(1, 2, k1 - 1, idd)
-        if k1p is not None:
-            emit_validated(1, 2, i1, k1p)
-    # distance 1, case (0,0,1)
-    if cnt(i1 + 1, id1) == 0:
-        emit(1, 3, i1, id1)
+        # distance 0: one collapsed pair when nothing shifts inside [i1, id]
+        if mid_all == 0:
+            emit(0, None, i1, idd)
 
-    # distance 2, case (2,0,0)
-    if d == 2:
-        out.extend([(side, 2, 1, j, j) for j in run_last_positions(xs, i2 + 1, n)])
-    else:
-        if cnt(s[2] + 1, idd) == 0:
+        # distance 1, case (1,0,0)
+        if mid_back == 0:
+            emit(1, 1, i2, idd)
+        # distance 1, case (0,1,0)
+        if mid_all == 1:
+            emit(1, 2, i1, idd)
+        elif mid_all == 0:
+            if k1 is not None:
+                emit_validated(1, 2, k1 - 1, idd)
+            if k1p is not None:
+                emit_validated(1, 2, i1, k1p)
+        # distance 1, case (0,0,1)
+        if mid_front == 0:
+            emit(1, 3, i1, id1)
+
+        # distance 2, case (2,0,0)
+        if d == 2:
+            emit_diagonal(1, i2 + 1, n)
+        elif cnt(s[2] + 1, idd) == 0:
             emit(2, 1, s[2], idd)
-    # distance 2, case (0,2,0)
-    if mid_all == 2:
-        emit(2, 2, i1, idd)
-    elif mid_all == 1:
-        if k1 is not None:
-            emit_validated(2, 2, k1 - 1, idd)
-        if k1p is not None:
-            emit_validated(2, 2, i1, k1p)
-    elif mid_all == 0:
-        if k2 is not None:
-            emit_validated(2, 2, k2 - 1, idd)
-        if k1 is not None and k1p is not None:
-            emit_validated(2, 2, k1 - 1, k1p)
-        if k2p is not None:
-            emit_validated(2, 2, i1, k2p)
-    # distance 2, case (0,0,2)
-    if d == 2:
-        out.extend([(side, 2, 3, j, j) for j in run_last_positions(xs, 1, i1 - 1)])
-    else:
-        if cnt(i1 + 1, s[-3]) == 0:
+        # distance 2, case (0,2,0)
+        if mid_all == 2:
+            emit(2, 2, i1, idd)
+        elif mid_all == 1:
+            if k1 is not None:
+                emit_validated(2, 2, k1 - 1, idd)
+            if k1p is not None:
+                emit_validated(2, 2, i1, k1p)
+        elif mid_all == 0:
+            if k2 is not None:
+                emit_validated(2, 2, k2 - 1, idd)
+            if k1 is not None and k1p is not None:
+                emit_validated(2, 2, k1 - 1, k1p)
+            if k2p is not None:
+                emit_validated(2, 2, i1, k2p)
+        # distance 2, case (0,0,2)
+        if d == 2:
+            emit_diagonal(3, 1, i1 - 1)
+        elif cnt(i1 + 1, s[-3]) == 0:
             emit(2, 3, i1, s[-3])
-    # distance 2, case (0,1,1)
-    mid_front = cnt(i1 + 1, id1)
-    if mid_front == 1:
-        emit(2, 4, i1, id1)
-    elif mid_front == 0:
-        if k1 is not None:
-            emit_validated(2, 4, k1 - 1, id1)
-        jp1 = _interval_min(t, id1 + 1, idd - 1)
-        if jp1 is not None:
-            emit_validated(2, 4, i1, jp1)
-    # distance 2, case (1,0,1)
-    if d == 2:
-        out.extend([(side, 2, 5, j, j) for j in run_last_positions(xs, i1 + 1, i2 - 1)])
-    else:
-        if cnt(i2 + 1, id1) == 0:
+        # distance 2, case (0,1,1)
+        if mid_front == 1:
+            emit(2, 4, i1, id1)
+        elif mid_front == 0:
+            if k1 is not None:
+                emit_validated(2, 4, k1 - 1, id1)
+            # the smallest element of t in (id1, id)
+            k = bisect_right(t, id1)
+            if k < len(t) and t[k] < idd:
+                emit_validated(2, 4, i1, t[k])
+        # distance 2, case (1,0,1)
+        if d == 2:
+            emit_diagonal(5, i1 + 1, i2 - 1)
+        elif cnt(i2 + 1, id1) == 0:
             emit(2, 5, i2, id1)
-    # distance 2, case (1,1,0)
-    mid_back = cnt(i2 + 1, idd)
-    if mid_back == 1:
-        emit(2, 6, i2, idd)
-    elif mid_back == 0:
-        if k1p is not None:
-            emit_validated(2, 6, i2, k1p)
-        j1 = _interval_max(t, i1 + 2, i2)
-        if j1 is not None:
-            emit_validated(2, 6, j1 - 1, idd)
-    return out
+        # distance 2, case (1,1,0)
+        if mid_back == 1:
+            emit(2, 6, i2, idd)
+        elif mid_back == 0:
+            if k1p is not None:
+                emit_validated(2, 6, i2, k1p)
+            # the largest element of t in (i1 + 1, i2]
+            k = bisect_right(t, i2)
+            if k and t[k - 1] > i1 + 1:
+                emit_validated(2, 6, t[k - 1] - 1, idd)
+    return groups
+
+
+def _walk_keys(p: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
+    """Both sides' groups at Hamming distance <= 1, keyed as
+    :func:`delsub.diffs.group_pairs` keys the scan's entries, from a walk
+    over pairs of segments instead of pairs of positions.
+
+    The segments cut [1, n] at each run start of x and, at d = 1, at the
+    mismatch m and at m + 1.  A run start of y and an element of TL or TR
+    is a run start of x unless it is m or m + 1, so no count and no run
+    changes inside a segment: all j <= j' with j in segment a and j' in b
+    share a's prefix count, b's suffix count, the middle count TL (or TR)
+    in (start of a, start of b], and one key.  Middle counts grow with b,
+    so each row stops a few segments on."""
+    n, s = p.n, p.s
+    ends_x, ends_y = p.run_ends()
+    cuts = [i for m in s for i in (m, m + 1) if i <= n]
+    starts = sorted({1, *[e + 1 for e in ends_x[:-1]], *cuts})
+
+    def per_segment(find, table):
+        return list(map(find, repeat(table), starts))
+
+    last_x, last_y = ([e[i] for i in per_segment(bisect_left, e)] for e in (ends_x, ends_y))
+    prefix, suffix = per_segment(bisect_left, s), [p.d - c for c in per_segment(bisect_right, s)]
+    t_l, t_r = per_segment(bisect_right, p.tl), per_segment(bisect_right, p.tr)
+    groups: Dict[GroupKey, Dict[PairKey, None]] = {}
+
+    def emit(side: str, pre: int, mid: int, suf: int, key: PairKey) -> None:
+        group = (side, pre + mid + suf, CASE_BY_TRIPLE.get((pre, mid, suf)))
+        groups.setdefault(group, {})[key] = None
+
+    for a, (pre, la, ra) in enumerate(zip(prefix, t_l, t_r)):
+        budget = 2 - pre
+        for b in range(a, len(starts)):
+            mid_l, mid_r, suf = t_l[b] - la, t_r[b] - ra, suffix[b]
+            if mid_l > budget and mid_r > budget:
+                break
+            if mid_l + suf <= budget:
+                emit("L", pre, mid_l, suf, (last_x[a], last_y[b]))
+            if mid_r + suf <= budget:
+                emit("R", pre, mid_r, suf, (last_x[b], last_y[a]))
+    return groups
 
 
 def _below(positions: Tuple[int, ...], bound: int):
@@ -484,20 +512,6 @@ def _above(positions: Tuple[int, ...], bound: int):
     idx = bisect_right(positions, bound)
     padded = positions[idx : idx + 2] + (None, None)
     return padded[0], padded[1]
-
-
-def _interval_min(positions: Tuple[int, ...], lo: int, hi: int) -> Optional[int]:
-    idx = bisect_left(positions, lo)
-    if idx < len(positions) and positions[idx] <= hi:
-        return positions[idx]
-    return None
-
-
-def _interval_max(positions: Tuple[int, ...], lo: int, hi: int) -> Optional[int]:
-    idx = bisect_right(positions, hi)
-    if idx > 0 and positions[idx - 1] >= lo:
-        return positions[idx - 1]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +546,8 @@ class IntersectionReport:
     omega2_minus_omega0: Optional[int] = None
 
     def to_dict(self) -> dict:
-        # the key keeps its place among the fields; only its value is replaced
-        return {**asdict(self), "group_sizes": dict(sorted(self.group_sizes.items()))}
+        # the fields in order; group_sizes, the one mutable field, is copied sorted
+        return {**vars(self), "group_sizes": dict(sorted(self.group_sizes.items()))}
 
 
 def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
@@ -541,9 +555,10 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     words, computed structurally at every Hamming distance (x == y
     included).
 
-    The deleted pairs come from the direct construction at Hamming
-    distance >= 2 (which :func:`verify_claims` checks against the scan)
-    and from the scan below that."""
+    Each group's deleted-pair keys are written directly: by the direct
+    construction at Hamming distance >= 2 (which :func:`verify_claims`
+    checks against the scan) and by a walk over pairs of segments below
+    that."""
     _require_same_shape(x, y)
     n = len(x)
     if n < 3:
@@ -551,8 +566,8 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     profile = DiffProfile(x, y)
     q, d = x.q, profile.d
     xs, ys = x.symbols, y.symbols
-    raw = _claims_raw(profile, xs, ys) if d >= 2 else scan_candidates(profile)
-    sets = structural_group_sets(profile, xs, ys, group_pairs(profile, raw))
+    groups = _claims_keys(profile) if d >= 2 else _walk_keys(profile)
+    sets = structural_group_sets(profile, xs, ys, groups)
     group_sizes = {GROUP_LABELS[key]: len(members) for key, members in sets.items()}
     # each level grows in place in its first group's set, which is not
     # read again (a twin holding that same set is skipped), so no level
@@ -565,19 +580,11 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     omega0, omega1, omega2 = (levels.get(ell, set()) for ell in (0, 1, 2))
     fresh1, fresh2 = omega1 - omega0, omega2 - omega0
     return IntersectionReport(
-        n=n,
-        q=q,
-        d=d,
-        size=len(omega0) + len(fresh1) + len(fresh2 - omega1),
-        method="structural",
-        bound=coverage_bound(n, q),
-        bound_applicable=bound_applicable(n, q, d),
-        group_sizes=group_sizes,
-        omega0_size=len(omega0),
-        omega1_size=len(omega1),
-        omega2_size=len(omega2),
-        omega1_minus_omega0=len(fresh1),
-        omega2_minus_omega0=len(fresh2),
+        n=n, q=q, d=d, size=len(omega0) + len(fresh1) + len(fresh2 - omega1),
+        method="structural", bound=coverage_bound(n, q),
+        bound_applicable=bound_applicable(n, q, d), group_sizes=group_sizes,
+        omega0_size=len(omega0), omega1_size=len(omega1), omega2_size=len(omega2),
+        omega1_minus_omega0=len(fresh1), omega2_minus_omega0=len(fresh2),
     )
 
 
@@ -608,11 +615,11 @@ def verify_claims(x: Sequence, y: Sequence) -> Tuple[CheckResult, ...]:
     Hamming distance >= 2.
 
     One profile serves the scan and both sides of the direct
-    construction, and its one pair of run-last tables groups both
-    families into key sets; no member is expanded.
+    construction, and its run ends key both families; no member is
+    expanded.
     """
     profile, scanned = _scanned_groups(x, y)
-    direct = group_pairs(profile, _claims_raw(profile, x.symbols, y.symbols))
+    direct = _claims_keys(profile)
     if scanned == direct:
         return _ALL_GROUPS_PASSED
     # some group differs: name each one with its two pair counts

@@ -1,6 +1,5 @@
 """q-ary sequence primitives: words over {0,...,q-1}, Hamming distance,
-run-last positions and tables, deletion, and the mismatch primitive the
-other modules share.
+run ends, deletion, and the mismatch primitive the other modules share.
 
 Positions handed to the operations in this module are 1-based, matching
 the interval conventions used throughout the package ([l, r] closed
@@ -11,8 +10,9 @@ intervals, first symbol at position 1).  Python-level indexing on a
 from __future__ import annotations
 
 from itertools import accumulate, compress, count
-from operator import ne
-from typing import Iterable, Iterator, List, Optional, Sequence as PySequence, Tuple
+from operator import itemgetter, ne
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence as PySequence,
+                    Tuple)
 
 Word = Tuple[int, ...]
 
@@ -167,27 +167,29 @@ def alternating(n: int, a: int, b: int, q: Optional[int] = None) -> Sequence:
     return Sequence(((a, b)[i % 2] for i in range(n)), q)
 
 
-def run_last_positions(xs: Word, lo: int, hi: int) -> list:
-    """1-based last position of every run of ``xs`` restricted to [lo, hi].
-
-    Internal helper shared with the structural intersection code; an
-    empty interval gives an empty list.
-    """
-    if hi < lo:
-        return []
-    # a run ends at i < hi when x_i != x_{i+1}
-    return [*mismatches(xs[lo - 1 : hi - 1], xs[lo:hi], lo), hi]
+def run_ends(xs: PySequence[int]) -> List[int]:
+    """The 1-based last position of every run of ``xs``, ascending; the
+    last one is n."""
+    # a run ends at i < n when x_i != x_{i+1}
+    return [*compress(count(1), map(ne, xs, xs[1:])), len(xs)] if xs else []
 
 
-def run_last_table(xs: PySequence[int]) -> List[int]:
-    """``table[i]`` is the 1-based last position of the run of ``xs`` that
-    holds position i, for i in [1, n]; ``table[0]`` is 0."""
-    n = len(xs)
-    table = list(range(n + 1))
-    for i in range(n - 1, 0, -1):
-        if xs[i - 1] == xs[i]:
-            table[i] = table[i + 1]
+def run_last_table(ends: List[int]) -> List[int]:
+    """The run-last table of a word from its run ends: ``table[i]`` is the
+    1-based last position of the run holding position i, for i in
+    [1, n]; ``table[0]`` is 0."""
+    table = [0]
+    for end in ends:
+        table += [end] * (end + 1 - len(table))
     return table
+
+
+def run_spread(xs: PySequence[int]) -> Callable[[PySequence[int]], Tuple[int, ...]]:
+    """For a word of length at least 2, the function that spreads a list
+    indexed by run (in order, from 0) over the positions: it returns the
+    tuple of ``values[k]`` for the run k holding each position."""
+    # the run index of a position counts the run boundaries before it
+    return itemgetter(*accumulate(map(ne, xs, xs[1:]), initial=0))
 
 
 def _delete_t(xs: Word, position: int) -> Word:

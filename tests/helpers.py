@@ -57,6 +57,15 @@ def lcs_length(xs: Word, ys: Word) -> int:
     return prev[-1]
 
 
+def run_last_positions(xs: Word, lo: int, hi: int) -> List[int]:
+    """1-based last position of every run of ``xs`` restricted to [lo, hi]
+    (an empty interval gives an empty list), one adjacent pair at a time:
+    the reference for the run ends the library computes and bisects."""
+    if hi < lo:
+        return []
+    return [i for i in range(lo, hi) if xs[i - 1] != xs[i]] + [hi]
+
+
 def brute_lcs(a: Word, b: Word) -> int:
     """Longest common subsequence by enumerating all subsequences of the
     shorter word, longest first."""
@@ -130,10 +139,10 @@ def reference_group_sets(
     mismatches are found by comparing the two words, and each member id
     comes from ``_MemberIds.add_ball``, ``add_column`` or ``edit``."""
     from delsub.intersect import _MemberIds
-    from delsub.sequence import run_last_table
+    from delsub.sequence import run_ends
 
     xs, ys = x.symbols, y.symbols
-    ids = _MemberIds(xs, x.q, run_last_table(xs))
+    ids = _MemberIds(xs, x.q, run_ends(xs))
     out: Dict[tuple, Set[int]] = {}
     for key, keys in groups.items():
         ell = key[1]

@@ -23,9 +23,7 @@ from delsub import (
     substitution_ball_size,
 )
 from delsub.balls import _ball_peak_bytes, _oracle_peak_bytes, ds11_packed
-from delsub.sequence import run_last_positions
-
-from helpers import all_words, sequences, subsequences
+from helpers import all_words, run_last_positions, sequences, subsequences
 
 
 def seq(text, q=2):

@@ -371,7 +371,7 @@ class TestVerifyCommand:
         # expansion, no fact check
         ("claims", ("structural_group_sets", "_fact_checks")),
         # the fact checks read the scan: no direct construction
-        ("lemmas", ("_claims_raw",)),
+        ("lemmas", ("_claims_keys",)),
     ], ids=["claims", "lemmas"])
     def test_scope_runs_only_its_own_checks(self, capsys, monkeypatch, scope, skipped):
         from delsub import intersect as intersect_module

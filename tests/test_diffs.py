@@ -13,10 +13,10 @@ from delsub import (
     lambda_enumerate,
 )
 from delsub.diffs import group_pairs, scan_candidates
-from delsub.intersect import _above, _below, _claims_raw
-from delsub.sequence import _delete_t, run_last_positions
+from delsub.intersect import _above, _below, _claims_keys, _walk_keys
+from delsub.sequence import _delete_t
 
-from helpers import all_words, lcs_length, naive_lambda_groups, sequence_pairs
+from helpers import all_words, lcs_length, naive_lambda_groups, run_last_positions, sequence_pairs
 
 
 def seq(text, q=2):
@@ -349,15 +349,15 @@ class TestRunContainment:
                      sequence_pairs(q=3, min_n=2, max_n=8)))
     @settings(max_examples=150)
     def test_keys_delete_to_group_distance(self, pair):
-        # a key (jx, jy) of the scan or of the direct family is itself a
-        # deleted pair of its group: x minus jx and y minus jy sit at the
+        # a key (jx, jy) of the scan or of the size path's family (the
+        # direct construction, or the segment walk below d = 2) is itself
+        # a deleted pair of its group: x minus jx and y minus jy sit at the
         # group's Hamming distance
         x, y = pair
         p = DiffProfile(x, y)
-        families = [scan_candidates(p)]
-        if p.d >= 2:
-            families.append(_claims_raw(p, x.symbols, y.symbols))
-        for raw in families:
-            for (_, ell, _), keys in group_pairs(p, raw).items():
+        families = [group_pairs(p, scan_candidates(p))]
+        families.append(_claims_keys(p) if p.d >= 2 else _walk_keys(p))
+        for groups in families:
+            for (_, ell, _), keys in groups.items():
                 for jx, jy in keys:
                     assert hamming(delete(x, jx), delete(y, jy)) == ell, (x, y, jx, jy)

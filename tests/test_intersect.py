@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -27,9 +28,10 @@ from delsub import (
 )
 from delsub.balls import ds11_packed
 from delsub.diffs import group_pairs, scan_candidates
+from delsub import diffs as diffs_module
 from delsub import intersect as intersect_module
 from delsub.intersect import ALL_GROUP_KEYS, group_label, structural_group_sets
-from delsub.sequence import run_last_table
+from delsub.sequence import run_ends
 
 from helpers import all_words, expand_members, lcs_length, reference_group_sets, sequence_pairs
 
@@ -334,7 +336,7 @@ class TestMemberIds:
             for n in range(2, top + 1):
                 for x in all_words(q, n):
                     xs = x.symbols
-                    ids = intersect_module._MemberIds(xs, q, run_last_table(xs))
+                    ids = intersect_module._MemberIds(xs, q, run_ends(xs))
                     edits = [(j, p, c) for j in range(n) for p in range(n - 1) for c in range(q)]
                     rng.shuffle(edits)
                     id_of_word = {}
@@ -369,8 +371,8 @@ class TestMemberIds:
         for q, xs in words:
             n = len(xs)
             edits = [(j, p, c) for j in range(n) for p in range(n - 1) for c in range(q)]
-            forward = intersect_module._MemberIds(xs, q, run_last_table(xs))
-            backward = intersect_module._MemberIds(xs, q, run_last_table(xs))
+            forward = intersect_module._MemberIds(xs, q, run_ends(xs))
+            backward = intersect_module._MemberIds(xs, q, run_ends(xs))
             ids = [forward.edit(*e) for e in edits]
             assert ids == [backward.edit(*e) for e in reversed(edits)][::-1], xs
             assert 0 <= min(ids) and max(ids) < n * n * q, xs
@@ -446,14 +448,13 @@ class TestMemberIds:
         assert report.size == 5
 
 
-def size_path_groups(profile, x, y):
+def size_path_groups(profile):
     """The grouped deleted pairs that intersection_size_fast expands: the
-    direct construction (side L, then side R) at d >= 2, the scan below."""
+    direct construction (side L, then side R) at d >= 2, the segment walk
+    below."""
     if profile.d >= 2:
-        raw = intersect_module._claims_raw(profile, x.symbols, y.symbols)
-    else:
-        raw = scan_candidates(profile)
-    return group_pairs(profile, raw)
+        return intersect_module._claims_keys(profile)
+    return intersect_module._walk_keys(profile)
 
 
 class TestTwinGroups:
@@ -466,7 +467,7 @@ class TestTwinGroups:
         each group's keys reversed; at d = 2 the later of two diagonal
         twins is the earlier one's set object."""
         profile = DiffProfile(x, y)
-        orders = [size_path_groups(profile, x, y)]
+        orders = [size_path_groups(profile)]
         scanned = group_pairs(profile, scan_candidates(profile))
         orders += [scanned, dict(reversed(scanned.items())),
                    {key: dict.fromkeys(reversed(keys)) for key, keys in scanned.items()}]
@@ -580,10 +581,145 @@ class TestTwinGroups:
                 ys[i] = (xs[i] + 1) % q
             x, y = Sequence(tuple(xs), q), Sequence(tuple(ys), q)
             profile = DiffProfile(x, y)
-            for groups in (size_path_groups(profile, x, y),
+            for groups in (size_path_groups(profile),
                            group_pairs(profile, scan_candidates(profile))):
                 for case in self.DIAGONAL:
                     assert groups["L", 2, case] == groups["R", 2, case], (q, case)
+
+
+def run_heavy_word(rng, q, n):
+    """A random length-n word made of runs of length 1-4."""
+    xs = []
+    while len(xs) < n:
+        symbol = rng.choice([a for a in range(q) if not xs or a != xs[-1]])
+        xs += [symbol] * rng.randint(1, 4)
+    return tuple(xs[:n])
+
+
+class TestSizePathKeys:
+    """The size path writes each group's keys itself: the segment walk
+    below Hamming distance 2 against the scan it replaces there, and the
+    whole path without the scan or its grouping."""
+
+    @staticmethod
+    def near_pairs(q, n):
+        """Every ordered pair of length-n words at Hamming distance <= 1."""
+        for x in all_words(q, n):
+            xs = x.symbols
+            yield x, x
+            for i in range(n):
+                for c in range(q):
+                    if c != xs[i]:
+                        yield x, Sequence(xs[:i] + (c,) + xs[i + 1 :], q)
+
+    @staticmethod
+    def check_walk(x, y):
+        profile = DiffProfile(x, y)
+        scanned = group_pairs(profile, scan_candidates(profile))
+        walked = intersect_module._walk_keys(profile)
+        assert walked.keys() == scanned.keys(), (x, y)
+        for key, keys in scanned.items():
+            assert walked[key] == keys, (x, y, key)
+
+    def test_walk_equals_scan_exhaustively(self):
+        for q, top in ((2, 9), (3, 6)):
+            for n in range(2, top + 1):
+                for x, y in self.near_pairs(q, n):
+                    self.check_walk(x, y)
+
+    def test_walk_equals_scan_on_long_words(self):
+        # the scan is O(n^2) on near-constant words, so n = 1000 gets two
+        rng = random.Random(59)
+        for n in (400, 1000):
+            zeros = (0,) * n
+            middle = list(zeros)
+            middle[rng.randrange(n)] = 1
+            pairs = [(zeros, zeros, 2), (zeros, tuple(middle), 2)]
+            if n == 400:
+                last = zeros[1:] + (1,)
+                pairs += [(zeros, last, 3), (last, zeros, 2), (last, last, 2)]
+            for q in (2, 3, 4):
+                runs = run_heavy_word(rng, q, n)
+                i = rng.randrange(n)
+                changed = runs[:i] + ((runs[i] + rng.randrange(1, q)) % q,) + runs[i + 1 :]
+                pairs += [(runs, runs, q), (runs, changed, q), (changed, runs, q)]
+            for xs, ys, q in pairs:
+                self.check_walk(Sequence(xs, q), Sequence(ys, q))
+
+    @pytest.mark.parametrize("last", [0, 1], ids=["equal", "last-substituted"])
+    def test_near_constant_words_are_fast(self, last):
+        n = 3000
+        x = Sequence((0,) * n, 2)
+        y = Sequence((0,) * (n - 1) + (last,), 2)
+        start = time.perf_counter()
+        report = intersection_size_fast(x, y)
+        assert time.perf_counter() - start < 1.0
+        assert report.size == n
+
+    def test_size_path_runs_neither_scan_nor_grouping(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the size path ran the reference scan or grouping")
+
+        for module in (diffs_module, intersect_module):
+            for name in ("scan_candidates", "group_pairs"):
+                monkeypatch.setattr(module, name, forbidden)
+        rng = random.Random(61)
+        for q, n in ((2, 10), (3, 7)):
+            for d in range(n + 1):
+                xs = tuple(rng.randrange(q) for _ in range(n))
+                ys = list(xs)
+                for i in rng.sample(range(n), d):
+                    ys[i] = (xs[i] + rng.randrange(1, q)) % q
+                x, y = Sequence(xs, q), Sequence(tuple(ys), q)
+                oracle = len(ball_intersection(x, y, BallSpec(1, 1)))
+                assert intersection_size_fast(x, y).size == oracle, (x, y)
+
+
+def pinned_families(n):
+    """Seeded pairs of length n, for each q in 2, 3, 4: a run-heavy word
+    against itself with 0-4 substitutions, an adjacent swap 01/10, 0^n
+    against itself, against 0^(n-1)1 both ways and against 0^n with two
+    1s, and the extremal pair."""
+    rng = random.Random(f"pinned:{n}")
+    pairs = []
+    for q in (2, 3, 4):
+        runs = run_heavy_word(rng, q, n)
+        for k in range(5):
+            ys = list(runs)
+            for i in rng.sample(range(n), k):
+                ys[i] = (ys[i] + rng.randrange(1, q)) % q
+            pairs.append((runs, tuple(ys), q))
+        xs = [rng.randrange(q) for _ in range(n)]
+        i = rng.randrange(n - 1)
+        xs[i : i + 2] = [0, 1]
+        pairs.append((tuple(xs), tuple(xs[:i] + [1, 0] + xs[i + 2 :]), q))
+        zeros, last = (0,) * n, (0,) * (n - 1) + (1,)
+        two = list(zeros)
+        for i in rng.sample(range(n), 2):
+            two[i] = 1
+        pairs += [(zeros, zeros, q), (zeros, last, q), (last, zeros, q), (zeros, tuple(two), q)]
+        pairs.append((*(w.symbols for w in extremal_pair(q, n)), q))
+    return [(Sequence(xs, q), Sequence(ys, q)) for xs, ys, q in pairs]
+
+
+class TestPinnedReports:
+    """sha256 of the JSON of every report, one line per pair in order,
+    recorded before the size path wrote its keys directly: a change that
+    alters any size, group size or overlap field on these domains fails."""
+
+    @pytest.mark.parametrize("pairs, digest", [
+        (lambda: [(x, y) for x in all_words(2, 7) for y in all_words(2, 7)],
+         "3aefd520cdb9f865fa463973110b8d6f023f6a755c773743786c51d07c5bbda0"),
+        (lambda: [(x, y) for x in all_words(3, 5) for y in all_words(3, 5)],
+         "2dceebf48f3cd52d9b7bb5d4bc9988fcc39423aa1d78912424fdacdf36433bd7"),
+        (lambda: pinned_families(60), "eda3f19368a5eff0a92d7eb4e4f4c65dabe072a66afc1e9476760168887b3db7"),
+        (lambda: pinned_families(400), "ccd19641500d3a2a49f75ec4944ec9254e989b3cdd0f893bb0140d9319294787"),
+    ], ids=["q2n7-exhaustive", "q3n5-exhaustive", "families-n60", "families-n400"])
+    def test_report_digest(self, pairs, digest):
+        h = hashlib.sha256()
+        for x, y in pairs():
+            h.update(json.dumps(intersection_size_fast(x, y).to_dict()).encode() + b"\n")
+        assert h.hexdigest() == digest
 
 
 class TestTightFamilies:
@@ -629,12 +765,12 @@ class TestVerifyClaims:
         p = DiffProfile(x, y)
         scanned = group_pairs(p, scan_candidates(p))
         target = max(scanned, key=lambda key: len(scanned[key]))
-        original = intersect_module._claims_raw
+        original = intersect_module._claims_keys
 
-        def without_target(profile, xs, ys):
-            return [e for e in original(profile, xs, ys) if e[:3] != target]
+        def without_target(profile):
+            return {key: keys for key, keys in original(profile).items() if key != target}
 
-        monkeypatch.setattr(intersect_module, "_claims_raw", without_target)
+        monkeypatch.setattr(intersect_module, "_claims_keys", without_target)
         group_checks = verify_claims(x, y)
         assert [(c.name, c.detail) for c in failures(group_checks)] == [
             (group_label(target), f"direct has 0 pairs, scan has {len(scanned[target])}")

@@ -3,11 +3,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from delsub import Sequence, alternating, delete, hamming
-from delsub.sequence import (
-    mismatch_counts, mismatches, run_last_positions, run_last_table,
-)
+from delsub.sequence import mismatch_counts, mismatches, run_ends, run_last_table, run_spread
 
-from helpers import brute_lcs, lcs_length, sequence_pairs, sequences, word_tuples
+from helpers import (
+    brute_lcs, lcs_length, run_last_positions, sequence_pairs, sequences, word_tuples,
+)
 
 
 def seq(text, q=2):
@@ -208,14 +208,16 @@ class TestAlternating:
 
 
 class TestRuns:
-    """Runs as ``run_last_positions`` names them: by their 1-based last
-    positions within an interval."""
+    """Runs as ``run_ends`` names them, and as the reference
+    ``run_last_positions`` names them within an interval: by their 1-based
+    last positions."""
 
     def test_constant_word(self):
-        assert run_last_positions((0, 0, 0), 1, 3) == [3]
+        assert run_ends((0, 0, 0)) == run_last_positions((0, 0, 0), 1, 3) == [3]
 
     def test_worked_example(self):
-        assert run_last_positions(seq("10212201", q=3).symbols, 1, 8) == [1, 2, 3, 4, 6, 7, 8]
+        xs = seq("10212201", q=3).symbols
+        assert run_ends(xs) == run_last_positions(xs, 1, 8) == [1, 2, 3, 4, 6, 7, 8]
 
     def test_interval_restriction_by_direct_scan(self):
         # positions 6..8 of 01010111 hold "111": a single run
@@ -225,12 +227,13 @@ class TestRuns:
 
     def test_empty_interval(self):
         assert run_last_positions(seq("0101").symbols, 3, 2) == []
+        assert run_ends(()) == []
 
     @given(sequences(q=3, min_n=1, max_n=10))
     def test_count_matches_boundary_formula(self, x):
         xs = x.symbols
         n = len(xs)
-        lasts = run_last_positions(xs, 1, n)
+        lasts = run_ends(xs)
         assert len(lasts) == 1 + sum(1 for i in range(1, n) if xs[i] != xs[i - 1])
         assert lasts[-1] == n
         # concatenating the runs reproduces the word
@@ -257,20 +260,11 @@ class TestMismatches:
         assert mismatch_counts(a, b) == expected
 
 
-def _loop_run_last_positions(xs, lo, hi):
-    if hi < lo:
-        return []
-    out = []
-    for i in range(lo, hi):
-        if xs[i - 1] != xs[i]:
-            out.append(i)
-    out.append(hi)
-    return out
-
-
 class TestRunsAgainstLoops:
-    """run_last_positions and run_last_table against their definitions as
-    explicit loops over adjacent symbols."""
+    """Run ends, restricted to an interval, and the run-last table built
+    from them (by ``run_last_table``, and by ``run_spread`` without the
+    leading 0), against ``run_last_positions``, their definition as a
+    loop over adjacent symbols."""
 
     @given(sequences(q=3, min_n=0, max_n=12), st.data())
     def test_random_intervals(self, x, data):
@@ -278,12 +272,15 @@ class TestRunsAgainstLoops:
         lo = data.draw(st.integers(1, max(n, 1)))
         hi = data.draw(st.integers(lo - 1, n))  # hi == lo - 1 is empty
         xs = x.symbols
-        assert run_last_positions(xs, lo, hi) == _loop_run_last_positions(xs, lo, hi)
+        inner = [e for e in run_ends(xs) if lo <= e < hi]
+        assert (inner + [hi] if lo <= hi else []) == run_last_positions(xs, lo, hi)
 
     @given(word_tuples(3, 0, 12))
     @example(())
     @example((1,))
     def test_run_last_table(self, xs):
-        lasts = _loop_run_last_positions(xs, 1, len(xs))
+        lasts = run_last_positions(xs, 1, len(xs))
         expected = [0] + [min(k for k in lasts if k >= i) for i in range(1, len(xs) + 1)]
-        assert run_last_table(xs) == expected
+        assert run_last_table(run_ends(xs)) == expected
+        if len(xs) >= 2:
+            assert [0, *run_spread(xs)(run_ends(xs))] == expected
