@@ -122,6 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-draws", type=int, default=10000,
         help="channel uses allowed per trial while collecting distinct reads",
     )
+    p_sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="bytes a one-read parity decode may take")
     _add_format(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
@@ -461,7 +463,7 @@ def cmd_simulate(args) -> int:
             shortfall += len(distinct) < requested
             distinct_total += len(distinct)
             reads = ReadSet(distinct, codebook.q, codebook.n - 1, raw_count=draws)
-            result = reconstruct(reads, codebook)
+            result = reconstruct(reads, codebook, args.budget)
             outcome = result.outcome
             if outcome == "unique":
                 outcome = "unique_correct" if result.codeword == codeword else "unique_wrong"

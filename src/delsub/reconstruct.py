@@ -1,29 +1,31 @@
 """Channel simulation and the reconstruction decoder.
 
-A transmitted word of length n passes through a channel that deletes
-exactly one symbol and substitutes at most one of the remaining ones,
-so every read is a length n-1 member of the transmitted word's
-(1,1)-ball.  Once the codebook keeps all pairwise Hamming distances at
-2 or more (one parity symbol suffices), any collection of distinct
-reads larger than the worst pairwise ball-intersection size pins the
-transmitted word down uniquely; the decoder here recovers it by
-candidate filtering.  For the parity code, the candidates are the words
-that hold both of the first two reads (``inverse_pair_words``, built
-cell by cell from the two reads without either inverse ball), or the
-whole restricted inverse ball of a single read (``inverse_ball_words``),
-which comes back sorted and is the candidate list as it stands: every
-word of it is a parity codeword, and no other read is left to filter it.
+A word of length n passes through a channel that deletes one symbol and
+substitutes at most one of the rest, so every read is a length n-1
+member of its (1,1)-ball.  With codewords at Hamming distance 2 or more
+(one parity symbol suffices), more distinct reads than the worst
+pairwise ball intersection pin the word down; the decoder finds it by
+candidate filtering.  For the parity code the candidates are the words
+holding the two smallest reads (``inverse_pair_words``, built without
+either inverse ball), filtered by the other reads (``_survivors``, a few
+big-int operations per read and candidate), or a single read's whole
+restricted inverse ball (``inverse_ball_words``), bounded in bytes
+before it is built and returned sorted as the candidate list.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat, starmap
 from pathlib import Path
+from struct import Struct, calcsize
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
+from .balls import DEFAULT_BUDGET, _check_budget, _table_bytes
 from .intersect import coverage_bound, min_valid_length
-from .sequence import Sequence, Word, _delete_t, mismatch_counts, mismatches
+from .sequence import (Sequence, Word, _delete_t, _set_q, _set_symbols, mismatch_counts,
+                       mismatches)
 
 
 class Codebook:
@@ -41,7 +43,6 @@ class Codebook:
         self.n = n
         self.q = q
         self.words = words
-        self.word_set = None if words is None else frozenset(words)
 
     @classmethod
     def explicit(cls, sequences: Iterable[Sequence]) -> "Codebook":
@@ -58,8 +59,7 @@ class Codebook:
             w = s.symbols
             if w in seen:
                 raise ValueError(f"duplicate codeword {s}")
-            # each word at Hamming distance 1 from w among the earlier
-            # codewords: O(n q) lookups per word
+            # the words at Hamming distance 1 from w: O(n q) lookups
             for p in range(n):
                 for a in range(q):
                     near = w[:p] + (a,) + w[p + 1 :]
@@ -111,12 +111,11 @@ class ReadSet:
     def __init__(self, reads: Iterable[Word], q: int, length: int, raw_count: Optional[int] = None):
         collected = list(reads)
         self.reads: FrozenSet[Word] = frozenset(collected)
-        self.q = q
-        self.length = length
+        self.q, self.length = q, length
         self.raw_count = raw_count if raw_count is not None else len(collected)
-        for r in self.reads:
-            if len(r) != length:
-                raise ValueError("all reads must share one length")
+        if not set(map(len, self.reads)) <= {length}:
+            raise ValueError("all reads must share one length")
+        # one set of every symbol: faster than min/max over map(min/max, reads)
         if not set().union(*self.reads) <= set(range(q)):
             raise ValueError(f"reads hold symbols outside the alphabet 0..{q - 1}")
 
@@ -126,9 +125,8 @@ class ReadSet:
         if not seqs:
             raise ValueError("read set cannot be empty")
         q, length = seqs[0].q, len(seqs[0])
-        for s in seqs:
-            if s.q != q:
-                raise ValueError("reads must share one alphabet")
+        if any(s.q != q for s in seqs):
+            raise ValueError("reads must share one alphabet")
         return cls((s.symbols for s in seqs), q, length, raw_count=len(seqs))
 
     def __len__(self) -> int:
@@ -183,46 +181,19 @@ def channel_transmit(
     return Sequence._wrap(tuple(out), x.q)
 
 
-def _membership_t(y: Word, x: Word) -> bool:
-    """Whether the read ``y`` lies in the (1,1)-ball of ``x``: some single
-    deletion of ``x`` is within Hamming distance 1 of ``y``.  O(n), with
-    no ball built."""
-    # Deleting index j of x leaves the mismatches x[k] != y[k] at k < j and
-    # x[k+1] != y[k] at k >= j, so two early-stopping scans decide: the
-    # first two of the former (f1 < f2, padded with n-1) and the last two
-    # of the latter (b1 > b2, padded with -1).  Some j leaves at most one
-    # mismatch iff b2 < j <= f1 or b1 < j <= f2.
-    n = len(x)
-    ahead = mismatches(x, y)
-    f1, f2 = next(ahead, n - 1), next(ahead, n - 1)
-    # read backwards and numbered from 2 - n, the scan yields -k
-    back = mismatches(reversed(x), reversed(y), 2 - n)
-    b1, b2 = -next(back, 1), -next(back, 1)
-    return b2 < f1 or b1 < f2
-
-
 def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> List[Word]:
     """All words of length n = len(y)+1 whose (1,1)-ball contains ``y``,
-    sorted and each listed once: exactly the single-symbol insertions
-    into the words within Hamming distance 1 of ``y``.
+    sorted and each listed once: the single-symbol insertions into the
+    words within Hamming distance 1 of ``y``.
 
-    With ``residue``, only the words whose symbol sum is congruent to
-    ``residue`` mod q (residue 0: the parity codewords).  Each variant v
-    then takes the one symbol (residue - sum(v)) mod q, so the pool is
-    at most n(1 + (q-1)(n-1)) insertions instead of q times that: at
-    q = 4, n = 40 that is 4720 against 18880, or about 3.5k distinct
-    words against 13.7k.  In both modes an insertion right after an
-    equal symbol is skipped, as it repeats the insertion one slot
-    earlier.
-
-    The words are built, deduplicated and sorted as ``bytes`` when
-    q <= 256, where slicing, hashing and comparison run as C-level
-    memcmp and byte order is tuple order; larger alphabets use tuples
-    throughout.  Either way each word becomes a tuple once, after the
-    sort.
-
-    The decoder uses it only for a single read, whose pool is this whole
-    ball; two or more reads take ``inverse_pair_words``.
+    With ``residue``, only the words of symbol sum ``residue`` mod q: each
+    variant v takes the one symbol (residue - sum(v)) mod q, at most
+    n(1 + (q-1)(n-1)) insertions (about 3.5k distinct words at q = 4,
+    n = 40).  An insertion right after an equal symbol repeats the one a
+    slot earlier and is skipped.  For q <= 256 the words are built,
+    deduplicated and sorted as ``bytes`` (byte order is tuple order) and
+    unpacked into tuples by one ``struct`` pass; larger alphabets use tuples.
+    The decoder calls it only for a single read.
     """
     enc = bytes if q <= 256 else tuple
     ins = [enc((a,)) for a in range(q)]
@@ -242,7 +213,22 @@ def inverse_ball_words(y: Word, q: int, *, residue: Optional[int] = None) -> Lis
             one = ins[a]
             out.add(one + v)
             out.update(v[:pos] + one + v[pos:] for pos in range(1, m + 1) if v[pos - 1] != a)
-    return [tuple(w) for w in sorted(out)]
+    words = sorted(out)
+    return words if q > 256 else list(map(Struct(f"{m + 1}B").unpack, words))
+
+
+def _one_read_peak_bytes(n: int, q: int) -> int:
+    """Upper bound on the bytes a one-read parity decode holds at once,
+    from n and q alone: the read's 1 + (q-1)(n-1) variants and at most n
+    insertions into each, counted as a set of bytes words (tuples above
+    q = 256) with its hash table and the one it outgrew, the sorted list
+    and its merge buffer, one tuple and one Sequence per word and their
+    containers, all alive together."""
+    variants = 1 + (q - 1) * (n - 1)
+    word, as_tuple = (33 + n if q <= 256 else 40 + 8 * n), 40 + 8 * n
+    table = _table_bytes(n * variants)
+    return (variants * (word + 96) + n * variants * (word + as_tuple + 80)
+            + table + table // 2 + 96 * q + 1024)
 
 
 def inverse_pair_words(r1: Word, r2: Word, q: int, *, residue: int) -> Set[Word]:
@@ -335,46 +321,78 @@ def _pair_cells(
                     out.update(w[:i] + ((w[i] + delta) % q,) + w[i + 1 :] for i in range(m + 1))
 
 
-def reconstruct(reads: ReadSet, codebook: Codebook) -> ReconResult:
-    """Codewords whose (1,1)-ball contains every read.
+def _survivors(pool: Iterable[Word], reads: Iterable[Word], q: int, n: int) -> List[Word]:
+    """The words of ``pool`` (length n) whose (1,1)-ball holds every read,
+    sorted.  Words become ints, symbol k in field k of the narrowest struct
+    field holding q symbols.  Deleting index j of x leaves the mismatches
+    x[k] != y[k] at k < j and x[k+1] != y[k] at k >= j: the nonzero fields
+    of ahead ^ y and behind ^ y, ahead = x[:n-1] and behind = x[1:].  The
+    first two of the former (f1 < f2, padded with n-1 by a sentinel field)
+    are its two lowest (``a & -a``), the last two of the latter (b1 > b2,
+    padded with -1) its two highest (``bit_length``).  Some j leaves at
+    most one mismatch iff b2 < j <= f1 or b1 < j <= f2.
+    """
+    code = next(c for c in "BHIQ" if q <= 1 << 8 * calcsize(c))
+    shift = calcsize(code).bit_length() + 2  # log2 of the field's bit width
+    width, m = 1 << shift, n - 1
+    packed = list(map(int.from_bytes, starmap(Struct(f"<{m}{code}").pack, reads),
+                      repeat("little")))
+    pack, sentinel, out = Struct(f"<{n}{code}").pack, 1 << width * m, []
+    for w in pool:
+        full = int.from_bytes(pack(*w), "little")
+        ahead, behind = full & (sentinel - 1) | sentinel, full >> width
+        for r in packed:
+            a, b = ahead ^ r, behind ^ r
+            f1 = ((a & -a).bit_length() - 1) >> shift
+            b1 = (b.bit_length() - 1) >> shift
+            if b1 < f1:
+                continue
+            v = b >> (f1 << shift)  # b's fields from f1 on; b1's is the highest
+            if ((v & -v).bit_length() - 1) >> shift == b1 - f1:
+                continue  # and the lowest: b2 < f1
+            v = a >> (f1 + 1 << shift)  # a's fields above f1; f2's is the lowest
+            if ((v & -v).bit_length() - 1) >> shift < b1 - f1:
+                break  # nor b1 < f2
+        else:
+            out.append(w)
+    return sorted(out)
 
-    An explicit codebook is filtered word by word.  For the parity code
-    the pool is the parity words holding the first two reads in sorted
-    order, generated directly by ``inverse_pair_words``, and the rest of
-    the reads filter it by O(n) membership; a single read's candidates
-    are its sorted restricted inverse ball as returned.
 
-    Returns a unique codeword, the sorted candidate list when several
-    remain, or an infeasible outcome when no codeword explains all
-    reads.  With more distinct reads than the codebook's read coverage,
-    the unique outcome is guaranteed.
+def reconstruct(reads: ReadSet, codebook: Codebook, budget: int = DEFAULT_BUDGET) -> ReconResult:
+    """Codewords whose (1,1)-ball contains every read: a unique codeword,
+    the sorted candidates when several remain, or an infeasible outcome.
+    With more distinct reads than the codebook's read coverage, the unique
+    outcome is guaranteed.
+
+    Explicit codebooks and the parity pool of the two smallest reads
+    (``inverse_pair_words``) are filtered by ``_survivors``; one read's
+    candidates are its restricted inverse ball, refused with
+    ``BudgetExceededError`` when its bound from n and q passes ``budget``.
     """
     if len(reads) == 0:
         raise ValueError("read set cannot be empty")
     if reads.length != codebook.n - 1:
-        raise ValueError(
-            f"reads have length {reads.length}, codebook needs {codebook.n - 1}"
-        )
+        raise ValueError(f"reads have length {reads.length}, codebook needs {codebook.n - 1}")
     if reads.q != codebook.q:
         raise ValueError("reads and codebook use different alphabets")
-    ordered = sorted(reads.reads)
-    if codebook.kind == "parity" and len(ordered) == 1:
+    n, q = codebook.n, codebook.q
+    if codebook.kind == "explicit":
+        candidates = _survivors(codebook.words, reads.reads, q, n)
+    elif len(reads) == 1:
+        _check_budget(f"the one-read decode at n={n}, q={q}", _one_read_peak_bytes(n, q), budget)
         # already sorted, and every word of it is a parity codeword
-        candidates = inverse_ball_words(ordered[0], codebook.q, residue=0)
+        candidates = inverse_ball_words(min(reads.reads), q, residue=0)
     else:
-        if codebook.kind == "explicit":
-            pool, rest = codebook.word_set, ordered
-        else:
-            pool = inverse_pair_words(ordered[0], ordered[1], codebook.q, residue=0)
-            rest = ordered[2:]
-        candidates = sorted(w for w in pool if all(_membership_t(r, w) for r in rest))
-    seqs = tuple(Sequence._wrap(w, codebook.q) for w in candidates)
-    if not seqs:
-        outcome = "infeasible"
-    elif len(seqs) == 1:
-        outcome = "unique"
-    else:
-        outcome = "ambiguous"
+        # the two smallest reads fix the pool; the rest filter it in any order
+        r1 = min(reads.reads)
+        r2 = min(reads.reads - {r1})
+        pool = inverse_pair_words(r1, r2, q, residue=0)
+        candidates = _survivors(pool, reads.reads - {r1, r2}, q, n)
+    # Sequence._wrap over every candidate, in C-level passes
+    seqs = tuple(map(object.__new__, repeat(Sequence, len(candidates))))
+    list(map(_set_symbols, seqs, candidates))
+    list(map(_set_q, seqs, repeat(q)))
+    outcome = {0: "infeasible", 1: "unique"}.get(len(seqs), "ambiguous")
     return ReconResult(outcome, seqs, len(reads), reads.raw_count)
 
 
@@ -385,7 +403,5 @@ def required_reads(n: int, q: int) -> int:
     lengths are reported, not clamped."""
     threshold = min_valid_length(q)
     if n < threshold:
-        raise ValueError(
-            f"coverage bound needs n >= {threshold} for q = {q}, got n = {n}"
-        )
+        raise ValueError(f"coverage bound needs n >= {threshold} for q = {q}, got n = {n}")
     return coverage_bound(n, q) + 1

@@ -13,6 +13,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from hypothesis import strategies as st
 
 from delsub import Sequence
+from delsub.sequence import mismatches
 
 Word = Tuple[int, ...]
 
@@ -55,6 +56,25 @@ def lcs_length(xs: Word, ys: Word) -> int:
             cur.append(best)
         prev = cur
     return prev[-1]
+
+
+def membership_scan(y: Word, x: Word) -> bool:
+    """Whether the read ``y`` lies in the (1,1)-ball of ``x``, by two
+    early-stopping scans over the symbols: the reference that the
+    decoder's packed filter is checked against.
+
+    Deleting index j of x leaves the mismatches x[k] != y[k] at k < j and
+    x[k+1] != y[k] at k >= j, so the first two of the former (f1 < f2,
+    padded with n-1) and the last two of the latter (b1 > b2, padded with
+    -1) decide: some j leaves at most one mismatch iff b2 < j <= f1 or
+    b1 < j <= f2."""
+    n = len(x)
+    ahead = mismatches(x, y)
+    f1, f2 = next(ahead, n - 1), next(ahead, n - 1)
+    # read backwards and numbered from 2 - n, the scan yields -k
+    back = mismatches(reversed(x), reversed(y), 2 - n)
+    b1, b2 = -next(back, 1), -next(back, 1)
+    return b2 < f1 or b1 < f2
 
 
 def run_last_positions(xs: Word, lo: int, hi: int) -> List[int]:

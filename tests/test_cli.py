@@ -629,6 +629,34 @@ class TestSimulateCommand:
         assert payload["rows"][1]["mean_distinct_reads"] <= 5
         assert "6/6 trials at reads=8" in err
 
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_oversized_one_read_decode_refused_before_allocating(self, n):
+        # one read's parity pool at q=4 holds about 0.27M words of 300
+        # symbols or 3M of 1000; with its address space capped at 512 MiB
+        # the child must refuse with a budget error, not run out of memory
+        cap = 512 << 20
+        proc = cli_process(
+            ["simulate", "--q", "4", "--parity", "--n", str(n), "--reads", "1",
+             "--trials", "1", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert out == ""
+        assert err.startswith(f"error: the one-read decode at n={n}, q=4 may hold ")
+        assert "bytes at once, above the budget of 10000000" in err
+        assert "Traceback" not in err
+
+    def test_budget_option_bounds_one_read_decode(self, capsys):
+        argv = ["simulate", "--q", "2", "--parity", "--n", "10", "--reads", "1",
+                "--trials", "2", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, "--budget", "1000")
+        assert code == 2
+        assert out == ""
+        assert "above the budget of 1000" in err
+        assert run_cli(capsys, *argv)[0] == 0
+
     def test_codebook_takes_no_n(self, capsys, monkeypatch):
         # the file sets the length, so --n would be ignored: refused before
         # the file is read

@@ -1,5 +1,8 @@
+import hashlib
+import importlib
 import random
 import time
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from delsub import (
     BallSpec,
+    BudgetExceededError,
     Codebook,
     ReadSet,
     Sequence,
@@ -23,12 +27,13 @@ from delsub import (
 )
 from delsub.reconstruct import (
     ReconResult,
-    _membership_t,
+    _one_read_peak_bytes,
+    _survivors,
     inverse_ball_words,
     inverse_pair_words,
 )
 
-from helpers import all_words, inverse_ball_oracle, parity_words, sequences
+from helpers import all_words, inverse_ball_oracle, membership_scan, parity_words, sequences
 
 
 def seq(text, q=2):
@@ -114,7 +119,7 @@ class TestChannel:
     def test_outputs_pass_membership(self):
         x = seq("0120120", q=3)
         for s in range(30):
-            assert _membership_t(channel_transmit(x, 0.7, seed=s).symbols, x.symbols)
+            assert membership_scan(channel_transmit(x, 0.7, seed=s).symbols, x.symbols)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -132,13 +137,13 @@ class TestChannel:
 class TestBallMembership:
     def test_pure_deletion_is_member(self):
         x = seq("011010")
-        assert _membership_t(delete(x, 1).symbols, x.symbols)
+        assert membership_scan(delete(x, 1).symbols, x.symbols)
 
     def test_exhaustive_against_materialized_ball(self):
         for x in all_words(2, 7):
             ball = ds_ball(x, BallSpec(1, 1))
             for y in all_words(2, 6):
-                assert _membership_t(y.symbols, x.symbols) == (y.symbols in ball)
+                assert membership_scan(y.symbols, x.symbols) == (y.symbols in ball)
 
     @pytest.mark.parametrize("q,n", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
     def test_exhaustive_against_materialized_ball_larger_alphabets(self, q, n):
@@ -146,7 +151,7 @@ class TestBallMembership:
         for x in all_words(q, n):
             ball = ds_ball(x, BallSpec(1, 1))
             for y in reads:
-                assert _membership_t(y.symbols, x.symbols) == (y.symbols in ball)
+                assert membership_scan(y.symbols, x.symbols) == (y.symbols in ball)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2])
@@ -159,12 +164,12 @@ class TestBallMembership:
                 expected = any(
                     hamming(Sequence(xs[:j] + xs[j + 1 :], q), y) <= 1 for j in range(n)
                 )
-                assert _membership_t(y.symbols, xs) == expected
+                assert membership_scan(y.symbols, xs) == expected
 
     def test_far_read_rejected(self):
         x = Sequence((0,) * 6, 2)
         y = Sequence((1, 1, 0, 1, 1), 2)
-        assert not _membership_t(y.symbols, x.symbols)
+        assert not membership_scan(y.symbols, x.symbols)
 
     @given(sequences(q=3, min_n=3, max_n=8), st.data())
     @settings(max_examples=60)
@@ -175,7 +180,7 @@ class TestBallMembership:
                 lambda t: Sequence(tuple(t), 3)
             )
         )
-        member = _membership_t(y.symbols, x.symbols)
+        member = membership_scan(y.symbols, x.symbols)
         assert member == (x.symbols in inverse_ball_words(y.symbols, x.q))
 
     @given(st.integers(2, 5).flatmap(
@@ -212,6 +217,104 @@ class TestBallMembership:
                     ), (y, residue)
 
 
+def scan_survivors(pool, reads):
+    return sorted(w for w in pool if all(membership_scan(r, w) for r in reads))
+
+
+@st.composite
+def filter_cases(draw):
+    """A pool of words near one word x and reads drawn from x by one
+    deletion and up to two substitutions, or at random, so members and
+    near misses both appear."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 256, 257, 300, 1 << 16, (1 << 16) + 1]))
+    n = draw(st.integers(1, 60))
+    symbol = st.integers(0, q - 1)
+    x = draw(st.lists(symbol, min_size=n, max_size=n))
+    pool = {tuple(x)}
+    for p, a in draw(st.lists(st.tuples(st.integers(0, n - 1), symbol), max_size=4)):
+        pool.add(tuple(x[:p] + [a] + x[p + 1 :]))
+    reads = set()
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            read = x[:]
+            del read[draw(st.integers(0, n - 1))]
+            for p, a in draw(st.lists(st.tuples(st.integers(0, n - 1), symbol), max_size=2)):
+                if p < n - 1:
+                    read[p] = a
+        else:
+            read = draw(st.lists(symbol, min_size=n - 1, max_size=n - 1))
+        reads.add(tuple(read))
+    return q, n, sorted(pool), reads
+
+
+class TestPackedFilter:
+    """The decoder's packed filter against the per-symbol scan."""
+
+    @pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (4, 4)])
+    def test_matches_scan_exhaustively(self, q, top):
+        for n in range(1, top + 1):
+            words = list(product(range(q), repeat=n))
+            for y in product(range(q), repeat=n - 1):
+                assert _survivors(words, [y], q, n) == scan_survivors(words, [y]), (q, y)
+
+    @given(filter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan_on_drawn_cases(self, case):
+        q, n, pool, reads = case
+        assert _survivors(pool, reads, q, n) == scan_survivors(pool, reads)
+
+    def test_matches_scan_at_n1000(self):
+        rng = random.Random(1000)
+        q, n = 4, 1000
+        x = tuple(rng.randrange(q) for _ in range(n))
+        pool = [x] + [x[:p] + ((x[p] + 1) % q,) + x[p + 1 :] for p in rng.sample(range(n), 20)]
+        reads = set()
+        for subs in [0] * 10 + [1] * 20 + [2] * 10:
+            # x holds every read until the first one with two substitutions
+            read = list(x)
+            del read[rng.randrange(n)]
+            for p in rng.sample(range(n - 1), subs):
+                read[p] = (read[p] + 1) % q
+            reads.add(tuple(read))
+            got = _survivors(pool, reads, q, n)
+            assert got == scan_survivors(pool, reads)
+            assert (x in got) == (subs < 2)
+
+
+class TestOneReadBudget:
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_peak_within_counted_bytes(self, q, n):
+        # a read cycling through the alphabet has the most runs, and so
+        # the largest inverse ball
+        read = tuple(i % q for i in range(n - 1))
+        book = Codebook.parity(n, q)
+        bound = _one_read_peak_bytes(n, q)
+        tracemalloc.start()
+        try:
+            result = reconstruct(ReadSet([read], q, n - 1), book, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.outcome == "ambiguous"
+        assert peak <= bound
+
+    def test_refused_before_the_pool_is_built(self, monkeypatch):
+        # the module: the attribute delsub.reconstruct is the function
+        rec = importlib.import_module("delsub.reconstruct")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inverse ball built")
+
+        monkeypatch.setattr(rec, "inverse_ball_words", forbidden)
+        reads = ReadSet([(0,) * 39], 4, 39)
+        with pytest.raises(BudgetExceededError, match="one-read decode at n=40, q=4"):
+            reconstruct(reads, Codebook.parity(40, 4), _one_read_peak_bytes(40, 4) - 1)
+        # only the one-read pool is bounded
+        two = ReadSet([(0,) * 39, (1,) + (0,) * 38], 4, 39)
+        assert reconstruct(two, Codebook.parity(40, 4), 0).outcome == "ambiguous"
+
+
 def two_ball_pool(r1, r2, q, residue):
     return set(inverse_ball_words(r1, q, residue=residue)) & set(
         inverse_ball_words(r2, q, residue=residue)
@@ -227,7 +330,7 @@ def two_ball_reconstruct(reads, codebook):
         pool = inverse_ball_oracle(ordered[0], q, 0)
     else:
         pool = two_ball_pool(ordered[0], ordered[1], q, 0)
-    words = sorted(w for w in pool if all(_membership_t(r, w) for r in ordered))
+    words = scan_survivors(pool, ordered)
     outcome = {0: "infeasible", 1: "unique"}.get(len(words), "ambiguous")
     seqs = tuple(Sequence(w, q) for w in words)
     return ReconResult(outcome, seqs, len(reads), reads.raw_count)
@@ -471,3 +574,59 @@ class TestRequiredReads:
     def test_one_more_than_two_word_coverage(self):
         x, y = extremal_pair(2, 29)
         assert required_reads(29, 2) == intersection_size_fast(x, y).size + 1
+
+
+# sha256 of repr(_seeded_decodes()), recorded on the decoder that filtered
+# with the per-symbol membership scan
+PINNED_DECODE_DIGEST = "963a21796dc9f6f4d7485403b02aadcb9eeb2e4ed726f8c54c6b11e22b7cc0f0"
+
+
+def _seeded_decodes():
+    """Seeded decodes over parity and explicit codebooks, every outcome
+    written as (outcome, candidate symbols, distinct reads, raw reads).
+
+    q = 300 runs at n = 6, below min_valid_length, where required_reads
+    is undefined; its fourth read count is 8.  Every fifth trial adds a
+    read of another codeword, which often leaves nothing feasible."""
+    rng = random.Random(2323)
+    rows = []
+    for q, n in ((2, 29), (3, 17), (4, 14), (5, 14), (300, 6)):
+        parity = Codebook.parity(n, q)
+        top = required_reads(n, q) if n >= min_valid_length(q) else 8
+        for kind in ("parity", "explicit"):
+            for wanted in (1, 2, 3, top):
+                for trial in range(6):
+                    x = parity.sample_word(rng)
+                    book = parity
+                    if kind == "explicit":
+                        # x, words two substitutions from x that keep the
+                        # parity (ambiguity), and random parity words
+                        near = []
+                        for _ in range(6):
+                            w = list(x.symbols)
+                            i, j = rng.sample(range(n), 2)
+                            a = rng.randrange(q)
+                            w[i], w[j] = (w[i] + a) % q, (w[j] - a) % q
+                            near.append(tuple(w))
+                        words = {x.symbols, *near}
+                        words.update(parity.sample_word(rng).symbols for _ in range(6))
+                        book = Codebook.explicit(Sequence(w, q) for w in sorted(words))
+                    distinct, draws = set(), 0
+                    while len(distinct) < wanted and draws < 20 * wanted:
+                        distinct.add(channel_transmit(x, 0.5, rng=rng).symbols)
+                        draws += 1
+                    if trial % 5 == 4:
+                        other = parity.sample_word(rng)
+                        distinct.add(channel_transmit(other, 0.5, rng=rng).symbols)
+                    result = reconstruct(ReadSet(distinct, q, n - 1, raw_count=draws), book)
+                    rows.append((result.outcome, [c.symbols for c in result.candidates],
+                                 result.distinct_reads, result.raw_reads))
+    return rows
+
+
+class TestPinnedDecodes:
+    def test_seeded_decodes_match_pinned_digest(self):
+        rows = _seeded_decodes()
+        assert {row[0] for row in rows} == {"unique", "ambiguous", "infeasible"}
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == PINNED_DECODE_DIGEST
