@@ -37,6 +37,7 @@ from .intersect import (
     bound_applicable,
     constant_regime_bound,
     coverage_bound,
+    _pair_size,
     intersection_size_fast,
     min_valid_length,
     verify_claims,
@@ -52,6 +53,8 @@ CHUNK = 256
 # violation details kept in the verify report
 SAMPLE_LIMIT = 10
 SCOPES = ("claims", "theorem", "lemmas", "remark5")
+# a pair of a verify task: the two words and their profile, when already built
+PairItem = Tuple[Word, Word, Optional[DiffProfile]]
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +241,10 @@ def _check_task(
     drawn from the stream seeded with the string f"{seed}:{k}" (hashed with
     sha512, so independent of PYTHONHASHSEED), and checks them in order
     against ``limit`` (the size bound of ``theorem`` and ``remark5``; None
-    for the claims scopes).  Returns one small result:
+    for the claims scopes).  A bounded scope takes each size from the
+    symbol tuples by :func:`delsub.intersect._pair_size`, reusing the
+    profile the remark5 sampler built, and wraps a pair in ``Sequence``
+    only to print it.  Returns one small result:
     (pairs checked, the first SAMPLE_LIMIT violation details, violation
     count, failed-check counts, max size | None, first pair reaching it)."""
     if samples is None:
@@ -251,17 +257,18 @@ def _check_task(
     failed: Counter = Counter()
     max_size: Optional[int] = None
     witness: Optional[Tuple[Word, Word]] = None
-    for checked, (xs, ys) in enumerate(pairs, 1):
-        x = Sequence._wrap(xs, q)
-        y = Sequence._wrap(ys, q)
+    for checked, (xs, ys, profile) in enumerate(pairs, 1):
         if limit is not None:
-            size = intersection_size_fast(x, y).size
+            size = _pair_size(xs, ys, q, profile)
             if max_size is None or size > max_size:
                 max_size, witness = size, (xs, ys)
             if size <= limit:
                 continue
-            detail = {"x": str(x), "y": str(y), "size": size, "limit": limit}
+            detail = {"x": str(Sequence._wrap(xs, q)), "y": str(Sequence._wrap(ys, q)),
+                      "size": size, "limit": limit}
         else:
+            x = Sequence._wrap(xs, q)
+            y = Sequence._wrap(ys, q)
             # looked up by name per pair, so a patched or wrapped module
             # global is the one called
             checks = verify_claims(x, y) if scope == "claims" else verify_lemmas(x, y)
@@ -286,27 +293,28 @@ def _words_per_task(q: int, n: int, min_d: int) -> int:
     return max(1, CHUNK // _far_words(q, n, min_d))
 
 
-def _exhaustive_pairs(q: int, n: int, min_d: int, k: int) -> Iterator[Tuple[Word, Word]]:
+def _exhaustive_pairs(q: int, n: int, min_d: int, k: int) -> Iterator[PairItem]:
     """Task k's pairs: words k*w to (k+1)*w - 1 of the product of all
     words (w = _words_per_task), each paired x-major with every partner at
     distance >= min_d, so tasks 0, 1, ... walk the whole sweep in order."""
     w = _words_per_task(q, n, min_d)
     words = partial(product, range(q), repeat=n)
     return (
-        (xs, ys) for xs in islice(words(), k * w, (k + 1) * w) for ys in words()
+        (xs, ys, None) for xs in islice(words(), k * w, (k + 1) * w) for ys in words()
         if sum(map(ne, xs, ys)) >= min_d
     )
 
 
 def _sampled_pairs(
     rng: random.Random, q: int, n: int, count: int, min_d: int, need_shift: bool
-) -> Iterator[Tuple[Word, Word]]:
+) -> Iterator[PairItem]:
     """Seeded pair sample mixing uniform pairs with small-distance pairs
     (random substitution patterns), all meeting the minimum Hamming
     distance; ``need_shift`` additionally requires that the words share
     no length n-1 subsequence (the constant-regime hypothesis), which
     holds exactly when both sides' shifted sets meet the mismatch window
-    (:meth:`DiffProfile.shifts`)."""
+    (:meth:`DiffProfile.shifts`).  Each item is (x, y, the profile that
+    window test built, or None without it)."""
     symbols = tuple(range(q))  # indexed faster than a range by rng.choices
     while count:
         xs = tuple(rng.choices(symbols, k=n))
@@ -321,12 +329,13 @@ def _sampled_pairs(
             ys = tuple(rng.choices(symbols, k=n))
             if sum(map(ne, xs, ys)) < min_d:
                 continue
+        profile = None
         if need_shift:
-            profile = DiffProfile(Sequence._wrap(xs, q), Sequence._wrap(ys, q))
+            profile = DiffProfile._of_words(xs, ys, q)
             if not (profile.shifts("L") and profile.shifts("R")):
                 continue
         count -= 1
-        yield xs, ys
+        yield xs, ys, profile
 
 
 def cmd_verify(args) -> int:

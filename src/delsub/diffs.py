@@ -56,12 +56,21 @@ class DiffProfile:
 
     def __init__(self, x: Sequence, y: Sequence):
         _require_same_shape(x, y)
-        n = len(x)
-        if n < 2:
+        if len(x) < 2:
             raise ValueError("diff profile needs words of length at least 2")
-        xs, ys = x.symbols, y.symbols
-        self.n = n
-        self.q = x.q
+        self._fill(x.symbols, y.symbols, x.q)
+
+    @classmethod
+    def _of_words(cls, xs: Word, ys: Word, q: int) -> "DiffProfile":
+        """The profile of two symbol tuples already known to be q-ary words
+        of one length >= 2, built without wrapping or checking them."""
+        profile = object.__new__(cls)
+        profile._fill(xs, ys, q)
+        return profile
+
+    def _fill(self, xs: Word, ys: Word, q: int) -> None:
+        self.n = len(xs)
+        self.q = q
         self.s = tuple(mismatches(xs, ys, 1))
         self.tl = tuple(mismatches(xs[1:], ys, 2))
         self.tr = tuple(mismatches(xs, ys[1:], 2))

@@ -18,7 +18,8 @@ word alone (:class:`_MemberIds`).  Twin groups holding the same keys
 share one expansion, and a group's diagonal keys (deleting one index
 from both words) are expanded one slice per mismatch
 (:meth:`_MemberIds.add_diagonal`).  So the cost is O(n) plus the output
-size at every Hamming distance, near-constant words included.
+size at every Hamming distance, near-constant words included.  A report
+and a sweep's bare size count the same Omega levels (:func:`_omega_levels`).
 
 :func:`delsub.diffs.lambda_enumerate` (the scan) and :func:`claims_lambda`
 (the direct construction, from interval counts and landmark indices:
@@ -269,9 +270,9 @@ def structural_group_sets(
     the same distance and case, as the d = 2 diagonal groups always are)
     maps to the twin's set object instead of a second expansion; so does
     every side-R group when x == y, by the symmetry of B(z) & B(z').  So
-    one set can belong to two groups: :func:`intersection_size_fast`
-    reads every group's size before it grows each level's first set in
-    place, and :func:`_fact_checks` only builds new unions.
+    one set can belong to two groups: :func:`_omega_levels` reads every
+    group's size before it grows each level's first set in place, and
+    :func:`_fact_checks` only builds new unions.
     """
     if not groups:
         return {}
@@ -341,7 +342,14 @@ def _claims_keys(p: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
     The landmarks are the elements of the side's shifted set t nearest
     the mismatch window [i1, id]: k1 and k2 the largest and second
     largest at most i1, k1' and k2' the smallest and second smallest
-    above id, each None when t has too few there."""
+    above id, each None when t has too few there.
+
+    At Hamming distance >= 6 a side whose t holds more than two
+    positions in (i3, i_{d-2}] has no group and is skipped before its
+    landmarks are read: a pair j <= j' within distance 2 keeps at most
+    two mismatches before j and after j', so j <= i3 and j' >= i_{d-2},
+    and its middle count is at least t's count there.  With both sides
+    skipped, as for most uniform pairs, the family is empty."""
     if p.d < 2:
         raise ValueError("direct construction needs Hamming distance >= 2")
     s, d, n = p.s, p.d, p.n
@@ -379,6 +387,8 @@ def _claims_keys(p: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
             emit(2, case, hi, hi)
 
     for side, t in (("L", p.tl), ("R", p.tr)):
+        if d >= 6 and cnt(s[2] + 1, s[-3]) > 2:
+            continue
         k1, k2 = _below(t, i1)
         k1p, k2p = _above(t, idd)
         # t's elements in (i1, id], (i1, id-1] and (i2, id]
@@ -553,31 +563,19 @@ class IntersectionReport:
 def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     """Exact size of the (1,1)-ball intersection of two equal-length
     words, computed structurally at every Hamming distance (x == y
-    included).
+    included), with the group sizes and Omega levels behind it.
 
-    Each group's deleted-pair keys are written directly: by the direct
-    construction at Hamming distance >= 2 (which :func:`verify_claims`
-    checks against the scan) and by a walk over pairs of segments below
-    that."""
+    The stages are those of :func:`_omega_levels` (keys, member ids,
+    levels); the report only counts the levels.  A sweep that reads the
+    size alone calls :func:`_pair_size` instead."""
     _require_same_shape(x, y)
     n = len(x)
     if n < 3:
         raise ValueError("(1,1)-ball intersections need length at least 3")
     profile = DiffProfile(x, y)
     q, d = x.q, profile.d
-    xs, ys = x.symbols, y.symbols
-    groups = _claims_keys(profile) if d >= 2 else _walk_keys(profile)
-    sets = structural_group_sets(profile, xs, ys, groups)
-    group_sizes = {GROUP_LABELS[key]: len(members) for key, members in sets.items()}
-    # each level grows in place in its first group's set, which is not
-    # read again (a twin holding that same set is skipped), so no level
-    # copies a large distance-0 group
-    levels: Dict[int, Set[int]] = {}
-    for key, members in sets.items():
-        level = levels.setdefault(key[1], members)
-        if level is not members:
-            level |= members
-    omega0, omega1, omega2 = (levels.get(ell, set()) for ell in (0, 1, 2))
+    group_sizes: Dict[str, int] = {}
+    omega0, omega1, omega2 = _omega_levels(profile, group_sizes)
     fresh1, fresh2 = omega1 - omega0, omega2 - omega0
     return IntersectionReport(
         n=n, q=q, d=d, size=len(omega0) + len(fresh1) + len(fresh2 - omega1),
@@ -586,6 +584,43 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
         omega0_size=len(omega0), omega1_size=len(omega1), omega2_size=len(omega2),
         omega1_minus_omega0=len(fresh1), omega2_minus_omega0=len(fresh2),
     )
+
+
+def _pair_size(xs: Word, ys: Word, q: int, profile: Optional[DiffProfile] = None) -> int:
+    """The size :func:`intersection_size_fast` reports, for two q-ary
+    symbol tuples of one length >= 3, with no ``Sequence`` and no report;
+    ``profile`` is the pair's profile when the caller has built it."""
+    if profile is None:
+        profile = DiffProfile._of_words(xs, ys, q)
+    omega0, omega1, omega2 = _omega_levels(profile)
+    return len(omega0) + len(omega1 - omega0) + len(omega2 - omega0 - omega1)
+
+
+def _omega_levels(
+    profile: DiffProfile, group_sizes: Optional[Dict[str, int]] = None
+) -> Tuple[Set[int], Set[int], Set[int]]:
+    """The member ids of Omega_0, Omega_1 and Omega_2, the unions of the
+    distance-0, -1 and -2 groups.  Each group's deleted-pair keys are
+    written directly (by the direct construction at Hamming distance >= 2,
+    which :func:`verify_claims` checks against the scan, and by a walk
+    over pairs of segments below that) and expanded into member ids.
+    ``group_sizes``, when given, receives each group's member count by
+    label."""
+    groups = _claims_keys(profile) if profile.d >= 2 else _walk_keys(profile)
+    if not groups:
+        return set(), set(), set()
+    sets = structural_group_sets(profile, *profile._words, groups)
+    if group_sizes is not None:
+        group_sizes.update({GROUP_LABELS[key]: len(members) for key, members in sets.items()})
+    # each level grows in place in its first group's set, which is not
+    # read again (a twin holding that same set is skipped), so no level
+    # copies a large distance-0 group
+    levels: Dict[int, Set[int]] = {}
+    for key, members in sets.items():
+        level = levels.setdefault(key[1], members)
+        if level is not members:
+            level |= members
+    return levels.get(0, set()), levels.get(1, set()), levels.get(2, set())
 
 
 # ---------------------------------------------------------------------------

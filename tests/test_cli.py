@@ -253,17 +253,23 @@ class TestVerifyCommand:
         assert payload["max_size"] <= 40
         assert payload["bound"] == 40
 
-    @pytest.mark.parametrize("argv", [
-        ["--scope", "claims", "--q", "2", "--n", "4", "--exhaustive"],
-        ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "2000", "--seed", "7"],
-        ["--scope", "remark5", "--q", "2", "--n", "29", "--samples", "600", "--seed", "7"],
-        ["--scope", "lemmas", "--q", "2", "--n", "5", "--exhaustive"],
+    # the sampled sweeps' sha256 was recorded before they took sizes
+    # without a report, so the same pairs, sizes and witnesses must come out
+    @pytest.mark.parametrize("argv, digest", [
+        (["--scope", "claims", "--q", "2", "--n", "4", "--exhaustive"], None),
+        (["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "2000", "--seed", "7"],
+         "7c9a48e347945c86f22fc366897c25a3edf77059721dc7ef88ac78e80a4ff701"),
+        (["--scope", "remark5", "--q", "2", "--n", "29", "--samples", "600", "--seed", "7"],
+         "5a0c2cf023cc05d29e454b58bdd40392244d671a72bb5710218325079ecd3858"),
+        (["--scope", "lemmas", "--q", "2", "--n", "5", "--exhaustive"], None),
     ], ids=["claims-exhaustive", "theorem-sampled", "remark5-sampled", "lemmas-exhaustive"])
-    def test_jobs_do_not_change_output(self, capsys, argv):
+    def test_jobs_do_not_change_output(self, capsys, argv, digest):
         outs = [run_cli(capsys, "verify", *argv, "--format", "json", "--jobs", jobs)[1]
                 for jobs in ("1", "2", "3")]
         assert outs[0] == outs[1] == outs[2]
         assert json.loads(outs[0])["pairs_checked"] > 0
+        if digest is not None:
+            assert hashlib.sha256(outs[0].encode()).hexdigest() == digest
 
     def test_jobs_bounded_by_cores(self, capsys, monkeypatch):
         # a Pool stand-in records the worker count it is asked for and maps
@@ -461,7 +467,9 @@ class TestVerifyCommand:
             partners = len(reference) // q**n
             tasks = [list(cli_module._exhaustive_pairs(q, n, min_d, k))
                      for k in range(-(-q**n // cli_module._words_per_task(q, n, min_d)))]
-            assert [pair for task in tasks for pair in task] == reference, min_d
+            # with no profile built for them
+            assert [pair for task in tasks for pair in task] == [
+                (x, y, None) for x, y in reference], min_d
             # whole words x per task, as many as fit in CHUNK pairs
             assert all(len(task) % partners == 0 for task in tasks)
             assert all(len(task) <= max(CHUNK, partners) for task in tasks)
@@ -486,16 +494,14 @@ class TestVerifyCommand:
             str(len(reference))}
 
     def test_long_sampled_words_stream_one_pair_at_a_time(self, capsys, monkeypatch):
-        # with a stand-in for the size path, what a sampled task allocates
-        # at once is a few words of 10,000 symbols (80 kB each as tuples),
-        # not its 256 pairs (about 41 MB)
+        # with a stand-in for the sweep's size stage, what a sampled task
+        # allocates at once is a few words of 10,000 symbols (80 kB each as
+        # tuples), not its 256 pairs (about 41 MB)
         import tracemalloc
-        from types import SimpleNamespace
 
         import delsub.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "intersection_size_fast",
-                            lambda x, y: SimpleNamespace(size=0))
+        monkeypatch.setattr(cli_module, "_pair_size", lambda xs, ys, q, profile: 0)
         argv = ["verify", "--scope", "theorem", "--q", "2", "--n", "10000",
                 "--seed", "1", "--jobs", "1", "--samples"]
         run_cli(capsys, *argv, "1")

@@ -2,7 +2,9 @@ import hashlib
 import json
 import random
 import time
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
@@ -673,6 +675,107 @@ class TestSizePathKeys:
                 x, y = Sequence(xs, q), Sequence(tuple(ys), q)
                 oracle = len(ball_intersection(x, y, BallSpec(1, 1)))
                 assert intersection_size_fast(x, y).size == oracle, (x, y)
+
+
+class TestWindowExit:
+    """At Hamming distance >= 6 the direct construction skips a side whose
+    shifted set holds more than two positions in (i3, i_{d-2}]: every pair
+    j <= j' of that side within distance 2 has j <= i3 and j' >= i_{d-2},
+    so its middle count is at least that many."""
+
+    @staticmethod
+    def exits(p):
+        return {side for side in "LR" if p.t_count(side, p.s[2] + 1, p.s[-3]) > 2}
+
+    @pytest.fixture
+    def landmarks(self, monkeypatch):
+        """The shifted sets handed to ``_below`` and ``_above``, one per call."""
+        calls = []
+        for name in ("_below", "_above"):
+            def record(positions, bound, real=getattr(intersect_module, name)):
+                calls.append(positions)
+                return real(positions, bound)
+
+            monkeypatch.setattr(intersect_module, name, record)
+        return calls
+
+    def check(self, landmarks, xs, ys, q):
+        """The direct family against the scan's on one pair at d >= 6;
+        returns the family and the sides the exit skipped."""
+        p = DiffProfile._of_words(xs, ys, q)
+        sides = self.exits(p)
+        landmarks.clear()
+        direct = intersect_module._claims_keys(p)
+        assert direct == group_pairs(p, scan_candidates(p)), (xs, ys)
+        # a skipped side reads no landmark, so with both skipped no group is built
+        kept = [t for side, t in (("L", p.tl), ("R", p.tr)) if side not in sides]
+        assert landmarks == [t for t in kept for _ in range(2)], (xs, ys)
+        return direct, sides
+
+    def test_exit_equals_scan_exhaustively(self, landmarks):
+        skipped = Counter()
+        for q, top in ((2, 9), (3, 6)):
+            for n in range(6, top + 1):
+                words = list(product(range(q), repeat=n))
+                for xs in words:
+                    for ys in words:
+                        if sum(map(ne, xs, ys)) >= 6:
+                            skipped[len(self.check(landmarks, xs, ys, q)[1])] += 1
+        assert skipped[1] and skipped[2], skipped
+
+    def test_exit_equals_scan_on_long_words(self, landmarks):
+        # x against a uniform word, against 6-12 substitutions, and against
+        # a shifted window: y is x minus index i with a symbol inserted at
+        # index k, so the two share a length n-1 subsequence, the side
+        # deleting i from x and k from y collapses the window, and the exit
+        # must not skip that side
+        rng = random.Random(67)
+        skipped = Counter()
+        for q in (2, 3, 4, 5):
+            for n in (12, 29, 60, 200, 1000):
+                for _ in range(3):
+                    xs = tuple(rng.randrange(q) for _ in range(n))
+                    subs = list(xs)
+                    for i in rng.sample(range(n), rng.randint(6, 12)):
+                        subs[i] = (xs[i] + rng.randrange(1, q)) % q
+                    i = rng.randrange(n - 6)
+                    k = rng.randint(i + 6, min(n - 1, i + 60))
+                    shifted = xs[:i] + xs[i + 1 : k + 1] + (rng.randrange(q),) + xs[k + 1 :]
+                    pairs = [(xs, tuple(rng.randrange(q) for _ in range(n)), None),
+                             (xs, tuple(subs), None), (xs, shifted, "L"), (shifted, xs, "R")]
+                    for x, y, collapsed in pairs:
+                        if sum(map(ne, x, y)) < 6:
+                            continue
+                        direct, sides = self.check(landmarks, x, y, q)
+                        skipped[len(sides)] += 1
+                        if collapsed:
+                            assert collapsed not in sides, (x, y)
+                            assert (collapsed, 0, None) in direct, (x, y)
+        assert skipped[0] and skipped[2] > 50, skipped
+
+
+class TestPairSize:
+    """The sweep's size stage, which builds neither a ``Sequence`` nor a
+    report, against the report's size."""
+
+    def test_equals_report_size_at_every_distance(self):
+        rng = random.Random(71)
+        for q in (2, 3, 4, 5):
+            for n in (3, 4, 5, 6, 7, 8, 10, 13, 29, 60, 200):
+                for d in range(n + 1) if n <= 29 else (*range(9), n // 2, n):
+                    xs = tuple(rng.randrange(q) for _ in range(n))
+                    ys = list(xs)
+                    for i in rng.sample(range(n), d):
+                        ys[i] = (xs[i] + rng.randrange(1, q)) % q
+                    ys = tuple(ys)
+                    x, y = Sequence(xs, q), Sequence(ys, q)
+                    size = intersection_size_fast(x, y).size
+                    assert intersect_module._pair_size(xs, ys, q) == size, (x, y)
+                    # the profile a caller built, as the remark5 sampler hands it on
+                    p, checked = DiffProfile._of_words(xs, ys, q), DiffProfile(x, y)
+                    assert [getattr(p, a) for a in ("n", "q", "s", "tl", "tr", "d", "_words")] \
+                        == [getattr(checked, a) for a in ("n", "q", "s", "tl", "tr", "d", "_words")]
+                    assert intersect_module._pair_size(xs, ys, q, p) == size, (x, y)
 
 
 def pinned_families(n):
