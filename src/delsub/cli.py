@@ -50,6 +50,9 @@ PAIR_CAP = 4_000_000
 # pairs per sampled verify task, and at most per exhaustive one (whole words
 # x) unless one x has more partners; a worker returns one result per task
 CHUNK = 256
+# symbols of the pairs a verify task draws ahead before checking them: a
+# whole task at small n, one pair at a time for long words
+BATCH_SYMBOLS = 1 << 14
 # violation details kept in the verify report
 SAMPLE_LIMIT = 10
 SCOPES = ("claims", "theorem", "lemmas", "remark5")
@@ -241,27 +244,41 @@ def _check_task(
     drawn from the stream seeded with the string f"{seed}:{k}" (hashed with
     sha512, so independent of PYTHONHASHSEED), and checks them in order
     against ``limit`` (the size bound of ``theorem`` and ``remark5``; None
-    for the claims scopes).  A bounded scope takes each size from the
-    symbol tuples by :func:`delsub.intersect._pair_size`, reusing the
-    profile the remark5 sampler built, and wraps a pair in ``Sequence``
-    only to print it.  Returns one small result:
-    (pairs checked, the first SAMPLE_LIMIT violation details, violation
-    count, failed-check counts, max size | None, first pair reaching it)."""
+    for the claims scopes).  Pairs are drawn ahead in batches of at most
+    BATCH_SYMBOLS symbols (at least one pair), so a task at small n draws
+    all its pairs first and long words still stream one pair at a time.
+
+    A bounded scope takes each size from the symbol tuples by
+    :func:`delsub.intersect._pair_size`, reusing the profile the remark5
+    sampler built, and wraps a pair in ``Sequence`` only to print it.  Its
+    floor is the smaller of ``limit`` and the task's running maximum (-1
+    before the first size): a pair whose union bound is at most the floor
+    can neither exceed the limit nor raise the maximum, so it is skipped
+    unexpanded and the result is that of sizing every pair.  Returns one
+    small result: (pairs checked, the first SAMPLE_LIMIT violation
+    details, violation count, failed-check counts, max size | None, first
+    pair reaching it)."""
     if samples is None:
         pairs = _exhaustive_pairs(q, n, min_d, k)
     else:
         pairs = _sampled_pairs(random.Random(f"{seed}:{k}"), q, n,
                                min(CHUNK, samples - k * CHUNK), min_d, scope == "remark5")
+    per_batch = max(1, BATCH_SYMBOLS // (2 * n))
+    batches = iter(lambda: list(islice(pairs, per_batch)), [])
     checked = violations = 0
     details: List[dict] = []
     failed: Counter = Counter()
     max_size: Optional[int] = None
     witness: Optional[Tuple[Word, Word]] = None
-    for checked, (xs, ys, profile) in enumerate(pairs, 1):
+    floor = -1
+    for checked, (xs, ys, profile) in enumerate(chain.from_iterable(batches), 1):
         if limit is not None:
-            size = _pair_size(xs, ys, q, profile)
+            size = _pair_size(xs, ys, q, profile, floor)
+            if size is None:
+                continue
             if max_size is None or size > max_size:
                 max_size, witness = size, (xs, ys)
+                floor = min(size, limit)
             if size <= limit:
                 continue
             detail = {"x": str(Sequence._wrap(xs, q)), "y": str(Sequence._wrap(ys, q)),

@@ -20,6 +20,9 @@ from both words) are expanded one slice per mismatch
 (:meth:`_MemberIds.add_diagonal`).  So the cost is O(n) plus the output
 size at every Hamming distance, near-constant words included.  A report
 and a sweep's bare size count the same Omega levels (:func:`_omega_levels`).
+A sweep first bounds the size by the keys alone, each adding a known
+number of members (:func:`_union_bound`), and expands only the pairs
+whose bound can exceed what it looks for (:func:`_pair_size`).
 
 :func:`delsub.diffs.lambda_enumerate` (the scan) and :func:`claims_lambda`
 (the direct construction, from interval counts and landmark indices:
@@ -565,9 +568,10 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     words, computed structurally at every Hamming distance (x == y
     included), with the group sizes and Omega levels behind it.
 
-    The stages are those of :func:`_omega_levels` (keys, member ids,
-    levels); the report only counts the levels.  A sweep that reads the
-    size alone calls :func:`_pair_size` instead."""
+    The stages are those of a sweep's size: keys (:func:`_pair_keys`),
+    then member ids and levels (:func:`_omega_levels`); the report only
+    counts the levels.  A sweep that reads the size alone calls
+    :func:`_pair_size` instead."""
     _require_same_shape(x, y)
     n = len(x)
     if n < 3:
@@ -575,7 +579,7 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     profile = DiffProfile(x, y)
     q, d = x.q, profile.d
     group_sizes: Dict[str, int] = {}
-    omega0, omega1, omega2 = _omega_levels(profile, group_sizes)
+    omega0, omega1, omega2 = _omega_levels(profile, _pair_keys(profile), group_sizes)
     fresh1, fresh2 = omega1 - omega0, omega2 - omega0
     return IntersectionReport(
         n=n, q=q, d=d, size=len(omega0) + len(fresh1) + len(fresh2 - omega1),
@@ -586,27 +590,57 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     )
 
 
-def _pair_size(xs: Word, ys: Word, q: int, profile: Optional[DiffProfile] = None) -> int:
+def _pair_size(
+    xs: Word, ys: Word, q: int, profile: Optional[DiffProfile] = None, floor: int = -1
+) -> Optional[int]:
     """The size :func:`intersection_size_fast` reports, for two q-ary
     symbol tuples of one length >= 3, with no ``Sequence`` and no report;
-    ``profile`` is the pair's profile when the caller has built it."""
+    ``profile`` is the pair's profile when the caller has built it.
+
+    Before any member is expanded, the size is bounded by the union bound
+    of :func:`_union_bound`; when that bound is at most ``floor``, the
+    pair cannot exceed ``floor`` and None is returned instead of the size.
+    The default floor of -1 always gives the size."""
     if profile is None:
         profile = DiffProfile._of_words(xs, ys, q)
-    omega0, omega1, omega2 = _omega_levels(profile)
+    groups = _pair_keys(profile)
+    if _union_bound(groups, profile.n, q) <= floor:
+        return None
+    omega0, omega1, omega2 = _omega_levels(profile, groups)
     return len(omega0) + len(omega1 - omega0) + len(omega2 - omega0 - omega1)
 
 
+def _pair_keys(profile: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
+    """Each group's deleted-pair keys, written directly: by the direct
+    construction at Hamming distance >= 2, which :func:`verify_claims`
+    checks against the scan, and by a walk over pairs of segments below
+    that."""
+    return _claims_keys(profile) if profile.d >= 2 else _walk_keys(profile)
+
+
+def _union_bound(groups: Dict[GroupKey, Dict[PairKey, None]], n: int, q: int) -> int:
+    """An upper bound on the intersection size from the keys alone: each
+    key adds at most the members of its B(z) & B(z'), 1 + (q-1)(n-1) (the
+    whole radius-1 ball of a length n-1 word) at distance 0, q at distance
+    1 and 2 at distance 2.  A side-R group whose keys equal its twin's
+    shares the twin's member set, so it is counted once."""
+    per_key = (1 + (q - 1) * (n - 1), q, 2)
+    total = 0
+    for (side, ell, case), keys in groups.items():
+        if side == "L" or groups.get(("L", ell, case)) != keys:
+            total += len(keys) * per_key[ell]
+    return total
+
+
 def _omega_levels(
-    profile: DiffProfile, group_sizes: Optional[Dict[str, int]] = None
+    profile: DiffProfile,
+    groups: Dict[GroupKey, Dict[PairKey, None]],
+    group_sizes: Optional[Dict[str, int]] = None,
 ) -> Tuple[Set[int], Set[int], Set[int]]:
     """The member ids of Omega_0, Omega_1 and Omega_2, the unions of the
-    distance-0, -1 and -2 groups.  Each group's deleted-pair keys are
-    written directly (by the direct construction at Hamming distance >= 2,
-    which :func:`verify_claims` checks against the scan, and by a walk
-    over pairs of segments below that) and expanded into member ids.
-    ``group_sizes``, when given, receives each group's member count by
-    label."""
-    groups = _claims_keys(profile) if profile.d >= 2 else _walk_keys(profile)
+    distance-0, -1 and -2 groups, from each group's deleted-pair keys (as
+    :func:`_pair_keys` writes them).  ``group_sizes``, when given,
+    receives each group's member count by label."""
     if not groups:
         return set(), set(), set()
     sets = structural_group_sets(profile, *profile._words, groups)

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -17,7 +18,8 @@ import pytest
 import delsub
 from delsub.cli import CHUNK, PAIR_CAP, main
 from delsub.intersect import (
-    CheckResult, extremal_pair, intersection_size_fast, min_valid_length,
+    CheckResult, constant_regime_bound, coverage_bound, extremal_pair, intersection_size_fast,
+    min_valid_length,
 )
 from delsub.sequence import Sequence
 
@@ -501,7 +503,7 @@ class TestVerifyCommand:
 
         import delsub.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "_pair_size", lambda xs, ys, q, profile: 0)
+        monkeypatch.setattr(cli_module, "_pair_size", lambda xs, ys, q, profile, floor: 0)
         argv = ["verify", "--scope", "theorem", "--q", "2", "--n", "10000",
                 "--seed", "1", "--jobs", "1", "--samples"]
         run_cli(capsys, *argv, "1")
@@ -514,6 +516,40 @@ class TestVerifyCommand:
         assert code == 0
         word = 8 * 10000 + 64
         assert peak < 6 * 2 * word, peak
+
+    @pytest.mark.parametrize("scope", ["theorem", "remark5"])
+    def test_pruned_task_matches_exact_sizes(self, monkeypatch, scope):
+        # a task that expands only the pairs whose bound can matter returns
+        # what sizing every pair of the same stream returns, at the scope's
+        # own limit and at limits low enough to force violations, whatever
+        # the batch of pairs drawn ahead
+        import delsub.cli as cli_module
+        from delsub.cli import SAMPLE_LIMIT, _check_task, _sampled_pairs
+
+        min_d, samples, seed = 3 if scope == "remark5" else 2, 600, 5
+
+        def exact(q, n, limit, k):
+            pairs = _sampled_pairs(random.Random(f"{seed}:{k}"), q, n,
+                                   min(CHUNK, samples - k * CHUNK), min_d, scope == "remark5")
+            sized = [(xs, ys, intersection_size_fast(Sequence(xs, q), Sequence(ys, q)).size)
+                     for xs, ys, _ in pairs]
+            top = max(size for _, _, size in sized)
+            witness = next((xs, ys) for xs, ys, size in sized if size == top)
+            over = [{"x": str(Sequence(xs, q)), "y": str(Sequence(ys, q)), "size": size,
+                     "limit": limit} for xs, ys, size in sized if size > limit]
+            return len(sized), over[:SAMPLE_LIMIT], len(over), Counter(), top, witness
+
+        violations = 0
+        for q in (2, 3, 4, 5):
+            n = min_valid_length(q)
+            own = coverage_bound(n, q) if scope == "theorem" else constant_regime_bound(q)
+            for limit in (own, 8, 20, 40):
+                for k, batch in ((0, cli_module.BATCH_SYMBOLS), (1, 1), (2, 1 << 30)):
+                    monkeypatch.setattr(cli_module, "BATCH_SYMBOLS", batch)
+                    got = _check_task(q, n, scope, limit, min_d, samples, seed, k)
+                    assert got == exact(q, n, limit, k), (q, limit, k)
+                    violations += got[2]
+        assert violations > 40, violations
 
     @pytest.mark.parametrize("argv", [
         ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "0", "--seed", "1"],

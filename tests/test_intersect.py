@@ -777,6 +777,29 @@ class TestPairSize:
                         == [getattr(checked, a) for a in ("n", "q", "s", "tl", "tr", "d", "_words")]
                     assert intersect_module._pair_size(xs, ys, q, p) == size, (x, y)
 
+    @pytest.mark.parametrize("q, n", [(2, 3), (2, 5), (2, 7), (3, 4), (4, 3)])
+    def test_bound_never_below_size_on_every_pair(self, q, n):
+        # a floor one below the size still gives the size, so the union
+        # bound is never below it, at every distance, x == y included
+        words = list(product(range(q), repeat=n))
+        for xs in words:
+            for ys in words:
+                size = intersect_module._pair_size(xs, ys, q)
+                assert intersect_module._pair_size(xs, ys, q, floor=size - 1) == size, (xs, ys)
+
+    @pytest.mark.parametrize("n", [29, 60, 200])
+    def test_bound_never_below_size_on_pinned_families(self, n):
+        # extremal, adjacent-swap and near-constant pairs, where the
+        # intersection fills most of what the keys could add
+        for x, y in pinned_families(n):
+            xs, ys, q = x.symbols, y.symbols, x.q
+            size = intersect_module._pair_size(xs, ys, q)
+            assert intersect_module._pair_size(xs, ys, q, floor=size - 1) == size, (x, y)
+            # and a floor at the bound skips the expansion
+            keys = intersect_module._pair_keys(DiffProfile(x, y))
+            bound = intersect_module._union_bound(keys, n, q)
+            assert intersect_module._pair_size(xs, ys, q, floor=bound) is None, (x, y)
+
 
 def pinned_families(n):
     """Seeded pairs of length n, for each q in 2, 3, 4: a run-heavy word
