@@ -250,14 +250,19 @@ def _check_task(
 
     A bounded scope takes each size from the symbol tuples by
     :func:`delsub.intersect._pair_size`, reusing the profile the remark5
-    sampler built, and wraps a pair in ``Sequence`` only to print it.  Its
-    floor is the smaller of ``limit`` and the task's running maximum (-1
-    before the first size): a pair whose union bound is at most the floor
-    can neither exceed the limit nor raise the maximum, so it is skipped
-    unexpanded and the result is that of sizing every pair.  Returns one
-    small result: (pairs checked, the first SAMPLE_LIMIT violation
-    details, violation count, failed-check counts, max size | None, first
-    pair reaching it)."""
+    sampler built, and wraps a pair in ``Sequence`` only to print it.  A
+    theorem pair is first tested on packed mismatch masks: when no deleted
+    pair lies within distance 2 (for every a + b <= 2 and both sides, the
+    shifted set holds more than 2 - a - b positions in (i_{a+1}, i_{d-b}],
+    where any such pair's window lies), its size is 0 and no profile is
+    built.  The floor is the smaller of ``limit`` and the task's running
+    maximum (-1 before the first size): a pair whose size or union bound
+    (each level's distinct keys times the members one key can add) is at
+    most the floor can neither exceed the limit nor raise the maximum, so
+    it is skipped unexpanded and the result is that of sizing every pair.
+    Returns one small result: (pairs checked, the first SAMPLE_LIMIT
+    violation details, violation count, failed-check counts, max size |
+    None, first pair reaching it)."""
     if samples is None:
         pairs = _exhaustive_pairs(q, n, min_d, k)
     else:

@@ -20,9 +20,11 @@ from both words) are expanded one slice per mismatch
 (:meth:`_MemberIds.add_diagonal`).  So the cost is O(n) plus the output
 size at every Hamming distance, near-constant words included.  A report
 and a sweep's bare size count the same Omega levels (:func:`_omega_levels`).
-A sweep first bounds the size by the keys alone, each adding a known
-number of members (:func:`_union_bound`), and expands only the pairs
-whose bound can exceed what it looks for (:func:`_pair_size`).
+A sweep first finds the pairs with no deleted pair at all on packed
+mismatch masks (:func:`_family_empty`), then bounds the size by the
+keys alone, each distinct key adding a known number of members
+(:func:`_union_bound`), and expands only the pairs whose bound can
+exceed what it looks for (:func:`_pair_size`).
 
 :func:`delsub.diffs.lambda_enumerate` (the scan) and :func:`claims_lambda`
 (the direct construction, from interval counts and landmark indices:
@@ -42,12 +44,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress, repeat
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from struct import Struct, calcsize
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .diffs import (CASE_BY_TRIPLE, DiffProfile, GroupKey, PairKey, group_pairs, group_words,
                     scan_candidates)
-from .sequence import Sequence, Word, _require_same_shape, alternating, run_spread
+from .sequence import Sequence, Word, _require_same_shape, alternating, field_code, run_spread
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -597,17 +601,75 @@ def _pair_size(
     symbol tuples of one length >= 3, with no ``Sequence`` and no report;
     ``profile`` is the pair's profile when the caller has built it.
 
-    Before any member is expanded, the size is bounded by the union bound
-    of :func:`_union_bound`; when that bound is at most ``floor``, the
-    pair cannot exceed ``floor`` and None is returned instead of the size.
-    The default floor of -1 always gives the size."""
+    With no profile handed in, a pair whose deleted-pair family is empty
+    (:func:`_family_empty`, on packed words) has size 0 and builds no
+    profile.  Otherwise the size is first bounded by :func:`_union_bound`
+    from the keys alone.  When the size or that bound is at most
+    ``floor``, the pair cannot exceed ``floor`` and None is returned
+    instead of the size; the default floor of -1 always gives the size."""
     if profile is None:
+        if _family_empty(xs, ys, q):
+            return None if floor >= 0 else 0
         profile = DiffProfile._of_words(xs, ys, q)
     groups = _pair_keys(profile)
     if _union_bound(groups, profile.n, q) <= floor:
         return None
     omega0, omega1, omega2 = _omega_levels(profile, groups)
     return len(omega0) + len(omega1 - omega0) + len(omega2 - omega0 - omega1)
+
+
+@lru_cache(maxsize=32)
+def _packing(n: int, q: int) -> Tuple[Callable[..., bytes], int, int, int]:
+    """For length-n q-ary words: the packer of a word's symbols into the
+    fields of :func:`delsub.sequence.field_code`, the field width w, and
+    the masks of each field's low w-1 bits and of its top bit."""
+    code = field_code(q)
+    width = 8 * calcsize(code)
+    pack = Struct(f"<{n}{code}").pack
+    ones = int.from_bytes(pack(*[1] * n), "little")
+    return pack, width, ones * ((1 << width - 1) - 1), ones << width - 1
+
+
+def _family_empty(xs: Word, ys: Word, q: int) -> bool:
+    """Whether two q-ary words of one length have no deleted pair within
+    Hamming distance 2, decided on packed words without a profile.
+
+    S, TL and TR are the nonzero fields of x ^ y, x ^ (y << w) and
+    (x << w) ^ y (field k holding position k + 1; TL and TR drop fields
+    0 and n), each field collapsed to its top bit.  A pair j <= j' of
+    side T keeping a mismatches before j and b after j' has j <= i_{a+1}
+    and j' >= i_{d-b}, so its middle count is at least T's count in
+    (i_{a+1}, i_{d-b}], which the pair (i_{a+1}, i_{d-b}) attains (a + b
+    < d keeps those two in order).  So at d >= 3 the family is empty
+    exactly when, on both sides and for every a + b <= 2, that count
+    exceeds 2 - a - b; below d = 3 it never is (deleting i1 from both
+    words leaves at most one mismatch)."""
+    pack, width, low, high = _packing(len(xs), q)
+    x = int.from_bytes(pack(*xs), "little")
+    y = int.from_bytes(pack(*ys), "little")
+    v = x ^ y
+    s = ((v & low) + low | v) & high
+    if s.bit_count() < 3:
+        return False
+    # one past the bits of i1, i2, i3 and of id, i_{d-1}, i_{d-2}: t >> l
+    # keeps t's fields past that landmark
+    lo2 = s & s - 1
+    lo3 = lo2 & lo2 - 1
+    l1, l2, l3 = (s & -s).bit_length(), (lo2 & -lo2).bit_length(), (lo3 & -lo3).bit_length()
+    h1 = s.bit_length()
+    hi2 = s ^ 1 << h1 - 1
+    h2 = hi2.bit_length()
+    h3 = (hi2 ^ 1 << h2 - 1).bit_length()
+    inner = high ^ 1 << width - 1
+    for v in (x ^ y << width, x << width ^ y):
+        t = ((v & low) + low | v) & inner
+        c1, c2, c3 = (t >> l1).bit_count(), (t >> l2).bit_count(), (t >> l3).bit_count()
+        e1, e2, e3 = (t >> h1).bit_count(), (t >> h2).bit_count(), (t >> h3).bit_count()
+        # the count in (i_{a+1}, i_{d-b}] is c_{a+1} - e_{b+1}; its room is 2 - a - b
+        if not (c1 - e1 > 2 and c2 - e1 > 1 and c1 - e2 > 1
+                and c3 - e1 > 0 and c2 - e2 > 0 and c1 - e3 > 0):
+            return False
+    return True
 
 
 def _pair_keys(profile: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
@@ -619,17 +681,18 @@ def _pair_keys(profile: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
 
 
 def _union_bound(groups: Dict[GroupKey, Dict[PairKey, None]], n: int, q: int) -> int:
-    """An upper bound on the intersection size from the keys alone: each
-    key adds at most the members of its B(z) & B(z'), 1 + (q-1)(n-1) (the
-    whole radius-1 ball of a length n-1 word) at distance 0, q at distance
-    1 and 2 at distance 2.  A side-R group whose keys equal its twin's
-    shares the twin's member set, so it is counted once."""
-    per_key = (1 + (q - 1) * (n - 1), q, 2)
-    total = 0
-    for (side, ell, case), keys in groups.items():
-        if side == "L" or groups.get(("L", ell, case)) != keys:
-            total += len(keys) * per_key[ell]
-    return total
+    """An upper bound on the intersection size from the keys alone.  A
+    key (jx, jy) names the deleted pair (x minus jx, y minus jy) whatever
+    its group, so it adds the same members wherever it appears: at most
+    the members of its B(z) & B(z'), 1 + (q-1)(n-1) (the whole radius-1
+    ball of a length n-1 word) at distance 0, q at distance 1 and 2 at
+    distance 2.  So the bound counts each level's distinct keys once:
+    the sum over the levels of |union of the level's keys| times that
+    count."""
+    levels: Tuple[Set[PairKey], ...] = (set(), set(), set())
+    for key, keys in groups.items():
+        levels[key[1]].update(keys)
+    return sum(len(keys) * m for keys, m in zip(levels, (1 + (q - 1) * (n - 1), q, 2)))
 
 
 def _omega_levels(

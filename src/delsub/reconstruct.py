@@ -24,8 +24,8 @@ from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .balls import DEFAULT_BUDGET, _check_budget, _table_bytes
 from .intersect import coverage_bound, min_valid_length
-from .sequence import (Sequence, Word, _delete_t, _set_q, _set_symbols, mismatch_counts,
-                       mismatches)
+from .sequence import (Sequence, Word, _delete_t, _set_q, _set_symbols, field_code,
+                       mismatch_counts, mismatches)
 
 
 class Codebook:
@@ -118,16 +118,6 @@ class ReadSet:
         # one set of every symbol: faster than min/max over map(min/max, reads)
         if not set().union(*self.reads) <= set(range(q)):
             raise ValueError(f"reads hold symbols outside the alphabet 0..{q - 1}")
-
-    @classmethod
-    def from_sequences(cls, seqs: Iterable[Sequence]) -> "ReadSet":
-        seqs = list(seqs)
-        if not seqs:
-            raise ValueError("read set cannot be empty")
-        q, length = seqs[0].q, len(seqs[0])
-        if any(s.q != q for s in seqs):
-            raise ValueError("reads must share one alphabet")
-        return cls((s.symbols for s in seqs), q, length, raw_count=len(seqs))
 
     def __len__(self) -> int:
         return len(self.reads)
@@ -332,7 +322,7 @@ def _survivors(pool: Iterable[Word], reads: Iterable[Word], q: int, n: int) -> L
     padded with -1) its two highest (``bit_length``).  Some j leaves at
     most one mismatch iff b2 < j <= f1 or b1 < j <= f2.
     """
-    code = next(c for c in "BHIQ" if q <= 1 << 8 * calcsize(c))
+    code = field_code(q)
     shift = calcsize(code).bit_length() + 2  # log2 of the field's bit width
     width, m = 1 << shift, n - 1
     packed = list(map(int.from_bytes, starmap(Struct(f"<{m}{code}").pack, reads),

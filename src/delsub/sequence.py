@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import accumulate, compress, count
 from operator import itemgetter, ne
+from struct import calcsize
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence as PySequence,
                     Tuple)
 
@@ -190,6 +191,12 @@ def run_spread(xs: PySequence[int]) -> Callable[[PySequence[int]], Tuple[int, ..
     tuple of ``values[k]`` for the run k holding each position."""
     # the run index of a position counts the run boundaries before it
     return itemgetter(*accumulate(map(ne, xs, xs[1:]), initial=0))
+
+
+def field_code(q: int) -> str:
+    """The struct code of the narrowest field holding one q-ary symbol, so
+    that a word packs into an int, symbol k in field k."""
+    return next(c for c in "BHIQ" if q <= 1 << 8 * calcsize(c))
 
 
 def _delete_t(xs: Word, position: int) -> Word:

@@ -12,7 +12,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from hypothesis import strategies as st
 
-from delsub import Sequence
+from delsub import ReadSet, Sequence
 from delsub.sequence import mismatches
 
 Word = Tuple[int, ...]
@@ -56,6 +56,11 @@ def lcs_length(xs: Word, ys: Word) -> int:
             cur.append(best)
         prev = cur
     return prev[-1]
+
+
+def read_set(seqs: List[Sequence]) -> ReadSet:
+    """The read set of a non-empty list of equal-alphabet reads."""
+    return ReadSet((s.symbols for s in seqs), seqs[0].q, len(seqs[0]))
 
 
 def membership_scan(y: Word, x: Word) -> bool:
@@ -179,6 +184,20 @@ def reference_group_sets(
                 members.update(ids.edit(jx - 1, p, zp[p]) for p in diff)
         out[key] = members
     return out
+
+
+def twin_union_bound(groups: Dict[tuple, Dict[Tuple[int, int], None]], n: int, q: int) -> int:
+    """The size bound summed group by group: |keys| times the members one
+    key can add (1 + (q-1)(n-1), q or 2 at distance 0, 1 or 2), a side-R
+    group whose keys equal its side-L twin's counted once.  The reference
+    that ``_union_bound``, which counts each level's distinct keys once,
+    never exceeds."""
+    per_key = (1 + (q - 1) * (n - 1), q, 2)
+    total = 0
+    for (side, ell, case), keys in groups.items():
+        if side == "L" or groups.get(("L", ell, case)) != keys:
+            total += len(keys) * per_key[ell]
+    return total
 
 
 def inverse_ball_oracle(y: Word, q: int, residue: Optional[int] = None) -> Set[Word]:

@@ -36,7 +36,7 @@ from delsub import (
 from delsub.balls import ds11_packed
 
 from conftest import record_criterion
-from helpers import lcs_length
+from helpers import lcs_length, read_set
 
 Word = Tuple[int, ...]
 
@@ -306,7 +306,7 @@ def test_criterion_8_reconstruction_end_to_end():
         if len(ball) < reads_needed:
             failures.append((trial, "ball smaller than the read requirement"))
             continue
-        reads = ReadSet.from_sequences(rng.sample(ball, reads_needed))
+        reads = read_set(rng.sample(ball, reads_needed))
         result = reconstruct(reads, book)
         if result.outcome != "unique" or result.codeword != codeword:
             failures.append((trial, result.outcome))

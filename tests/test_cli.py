@@ -207,6 +207,22 @@ class TestIntersectCommand:
         assert "error" in err
 
 
+def exact_task(q, n, scope, limit, min_d, samples, seed, k):
+    """What ``_check_task`` returns for a bounded scope, from sizing every
+    pair of the same sampled stream by ``intersection_size_fast``."""
+    from delsub.cli import SAMPLE_LIMIT, _sampled_pairs
+
+    pairs = _sampled_pairs(random.Random(f"{seed}:{k}"), q, n,
+                           min(CHUNK, samples - k * CHUNK), min_d, scope == "remark5")
+    sized = [(xs, ys, intersection_size_fast(Sequence(xs, q), Sequence(ys, q)).size)
+             for xs, ys, _ in pairs]
+    top = max(size for _, _, size in sized)
+    witness = next((xs, ys) for xs, ys, size in sized if size == top)
+    over = [{"x": str(Sequence(xs, q)), "y": str(Sequence(ys, q)), "size": size,
+             "limit": limit} for xs, ys, size in sized if size > limit]
+    return len(sized), over[:SAMPLE_LIMIT], len(over), Counter(), top, witness
+
+
 class TestVerifyCommand:
     def test_exhaustive_claims_clean(self, capsys):
         code, out, _ = run_cli(
@@ -524,21 +540,9 @@ class TestVerifyCommand:
         # own limit and at limits low enough to force violations, whatever
         # the batch of pairs drawn ahead
         import delsub.cli as cli_module
-        from delsub.cli import SAMPLE_LIMIT, _check_task, _sampled_pairs
+        from delsub.cli import _check_task
 
         min_d, samples, seed = 3 if scope == "remark5" else 2, 600, 5
-
-        def exact(q, n, limit, k):
-            pairs = _sampled_pairs(random.Random(f"{seed}:{k}"), q, n,
-                                   min(CHUNK, samples - k * CHUNK), min_d, scope == "remark5")
-            sized = [(xs, ys, intersection_size_fast(Sequence(xs, q), Sequence(ys, q)).size)
-                     for xs, ys, _ in pairs]
-            top = max(size for _, _, size in sized)
-            witness = next((xs, ys) for xs, ys, size in sized if size == top)
-            over = [{"x": str(Sequence(xs, q)), "y": str(Sequence(ys, q)), "size": size,
-                     "limit": limit} for xs, ys, size in sized if size > limit]
-            return len(sized), over[:SAMPLE_LIMIT], len(over), Counter(), top, witness
-
         violations = 0
         for q in (2, 3, 4, 5):
             n = min_valid_length(q)
@@ -547,9 +551,27 @@ class TestVerifyCommand:
                 for k, batch in ((0, cli_module.BATCH_SYMBOLS), (1, 1), (2, 1 << 30)):
                     monkeypatch.setattr(cli_module, "BATCH_SYMBOLS", batch)
                     got = _check_task(q, n, scope, limit, min_d, samples, seed, k)
-                    assert got == exact(q, n, limit, k), (q, limit, k)
+                    assert got == exact_task(q, n, scope, limit, min_d, samples, seed, k), \
+                        (q, limit, k)
                     violations += got[2]
         assert violations > 40, violations
+
+    @pytest.mark.parametrize("q", [257, 300])
+    def test_task_past_byte_alphabets_matches_exact_sizes(self, q):
+        # symbols wider than a byte pack two bytes to a field in the
+        # empty-family test; a floor of -1 sizes every pair, the bound's
+        # floor skips the pairs that cannot matter
+        from delsub.cli import _check_task
+
+        for n in (4, 5):
+            for limit in (-1, coverage_bound(n, q)):
+                checked = 0
+                for k in (0, 1):
+                    got = _check_task(q, n, "theorem", limit, 2, 300, 9, k)
+                    assert got == exact_task(q, n, "theorem", limit, 2, 300, 9, k), (n, limit, k)
+                    assert got[4] > 0, got
+                    checked += got[0]
+                assert checked == 300
 
     @pytest.mark.parametrize("argv", [
         ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "0", "--seed", "1"],

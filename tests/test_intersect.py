@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import random
+import textwrap
 import time
 from collections import Counter
 from itertools import combinations, product
@@ -35,7 +37,8 @@ from delsub import intersect as intersect_module
 from delsub.intersect import ALL_GROUP_KEYS, group_label, structural_group_sets
 from delsub.sequence import run_ends
 
-from helpers import all_words, expand_members, lcs_length, reference_group_sets, sequence_pairs
+from helpers import (all_words, expand_members, lcs_length, reference_group_sets, sequence_pairs,
+                     twin_union_bound)
 
 
 def seq(text, q=2):
@@ -677,6 +680,24 @@ class TestSizePathKeys:
                 assert intersection_size_fast(x, y).size == oracle, (x, y)
 
 
+def window_families(rng, q, n):
+    """Seeded pairs of length n >= 12 as (x, y, collapsed side or None): x
+    against a uniform word, against 6-12 substitutions, and against a
+    shifted window both ways.  The shifted word is x minus index i with a
+    symbol inserted at index k, so the two share a length n-1
+    subsequence: the side deleting i from x and k from the other word
+    collapses the window."""
+    xs = tuple(rng.randrange(q) for _ in range(n))
+    subs = list(xs)
+    for i in rng.sample(range(n), rng.randint(6, 12)):
+        subs[i] = (xs[i] + rng.randrange(1, q)) % q
+    i = rng.randrange(n - 6)
+    k = rng.randint(i + 6, min(n - 1, i + 60))
+    shifted = xs[:i] + xs[i + 1 : k + 1] + (rng.randrange(q),) + xs[k + 1 :]
+    return [(xs, tuple(rng.randrange(q) for _ in range(n)), None),
+            (xs, tuple(subs), None), (xs, shifted, "L"), (shifted, xs, "R")]
+
+
 class TestWindowExit:
     """At Hamming distance >= 6 the direct construction skips a side whose
     shifted set holds more than two positions in (i3, i_{d-2}]: every pair
@@ -724,26 +745,13 @@ class TestWindowExit:
         assert skipped[1] and skipped[2], skipped
 
     def test_exit_equals_scan_on_long_words(self, landmarks):
-        # x against a uniform word, against 6-12 substitutions, and against
-        # a shifted window: y is x minus index i with a symbol inserted at
-        # index k, so the two share a length n-1 subsequence, the side
-        # deleting i from x and k from y collapses the window, and the exit
-        # must not skip that side
+        # the exit must not skip the side that collapses a shifted window
         rng = random.Random(67)
         skipped = Counter()
         for q in (2, 3, 4, 5):
             for n in (12, 29, 60, 200, 1000):
                 for _ in range(3):
-                    xs = tuple(rng.randrange(q) for _ in range(n))
-                    subs = list(xs)
-                    for i in rng.sample(range(n), rng.randint(6, 12)):
-                        subs[i] = (xs[i] + rng.randrange(1, q)) % q
-                    i = rng.randrange(n - 6)
-                    k = rng.randint(i + 6, min(n - 1, i + 60))
-                    shifted = xs[:i] + xs[i + 1 : k + 1] + (rng.randrange(q),) + xs[k + 1 :]
-                    pairs = [(xs, tuple(rng.randrange(q) for _ in range(n)), None),
-                             (xs, tuple(subs), None), (xs, shifted, "L"), (shifted, xs, "R")]
-                    for x, y, collapsed in pairs:
+                    for x, y, collapsed in window_families(rng, q, n):
                         if sum(map(ne, x, y)) < 6:
                             continue
                         direct, sides = self.check(landmarks, x, y, q)
@@ -752,6 +760,84 @@ class TestWindowExit:
                             assert collapsed not in sides, (x, y)
                             assert (collapsed, 0, None) in direct, (x, y)
         assert skipped[0] and skipped[2] > 50, skipped
+
+
+def relabeled_pairs(q, n):
+    """Every ordered pair of length-n q-ary words up to a relabeling of
+    the alphabet: x runs over the words whose symbols first appear in the
+    order 0, 1, 2, ..., y over all words."""
+    words = list(product(range(q), repeat=n))
+    for xs in words:
+        if list(dict.fromkeys(xs)) == list(range(max(xs) + 1)):
+            for ys in words:
+                yield xs, ys
+
+
+class TestEmptyFamilyMasks:
+    """The sweep's packed empty-family test against the direct family:
+    it says empty exactly when no deleted-pair key is written."""
+
+    # each side's six rooms as the source writes them, (a, b) in the order
+    # (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)
+    ROOMS = ("c1 - e1 > 2", "c2 - e1 > 1", "c1 - e2 > 1",
+             "c3 - e1 > 0", "c2 - e2 > 0", "c1 - e3 > 0")
+    SIDES = "for v in (x ^ y << width, x << width ^ y):"
+
+    @staticmethod
+    def empty(xs, ys, q):
+        return not intersect_module._pair_keys(DiffProfile._of_words(xs, ys, q))
+
+    def test_equals_family_exhaustively(self):
+        # both read only which symbols are equal, so the pairs up to a
+        # relabeling of the alphabet stand for every pair
+        outcomes = Counter()
+        for q, top in ((2, 9), (3, 6), (4, 5)):
+            for n in range(3, top + 1):
+                for xs, ys in relabeled_pairs(q, n):
+                    empty = self.empty(xs, ys, q)
+                    assert intersect_module._family_empty(xs, ys, q) == empty, (xs, ys, q)
+                    outcomes[q, empty] += 1
+        assert all(outcomes[q, e] for q in (2, 3, 4) for e in (True, False)), outcomes
+
+    @pytest.mark.parametrize("q", [257, (1 << 16) + 1, (1 << 32) + 1])
+    def test_equals_family_past_byte_alphabets(self, q):
+        # ternary pairs written with 0, q - 1 and q - 2, where q - 1 differs
+        # from 0 only past the narrower field: each field must hold a symbol
+        symbols = (0, q - 1, q - 2)
+        for n in range(3, 6):
+            for xs, ys in relabeled_pairs(3, n):
+                xs, ys = (tuple(symbols[a] for a in w) for w in (xs, ys))
+                empty = self.empty(xs, ys, q)
+                assert intersect_module._family_empty(xs, ys, q) == empty, (xs, ys, q)
+
+    def test_equals_family_on_long_words(self):
+        rng = random.Random(73)
+        outcomes = Counter()
+        for q in (2, 3, 4, 5):
+            for n in (29, 60, 200, 1000):
+                for _ in range(3):
+                    for xs, ys, _ in window_families(rng, q, n):
+                        empty = self.empty(xs, ys, q)
+                        assert intersect_module._family_empty(xs, ys, q) == empty, (xs, ys, q)
+                        outcomes[empty] += 1
+        assert outcomes[True] > 20 and outcomes[False] > 20, outcomes
+
+    def test_each_room_and_side_is_needed(self):
+        # a room lowered by 1, or one side left unread, calls some
+        # non-empty family empty
+        source = textwrap.dedent(inspect.getsource(intersect_module._family_empty))
+        mutants = [source.replace(room, room[:-1] + str(int(room[-1]) - 1))
+                   for room in self.ROOMS]
+        mutants += [source.replace(self.SIDES, f"for v in ({side},):")
+                    for side in ("x ^ y << width", "x << width ^ y")]
+        pairs = [(xs, ys, q) for q, n in ((2, 8), (3, 5), (4, 4)) for xs, ys in relabeled_pairs(q, n)]
+        for text in (*self.ROOMS, self.SIDES):
+            assert source.count(text) == 1, text
+        for mutant in mutants:
+            namespace = dict(vars(intersect_module))
+            exec(mutant, namespace)
+            wrong = namespace["_family_empty"]
+            assert any(wrong(*p) != self.empty(*p) for p in pairs), mutant
 
 
 class TestPairSize:
@@ -777,15 +863,26 @@ class TestPairSize:
                         == [getattr(checked, a) for a in ("n", "q", "s", "tl", "tr", "d", "_words")]
                     assert intersect_module._pair_size(xs, ys, q, p) == size, (x, y)
 
+    @staticmethod
+    def check_bound(xs, ys, q):
+        """The size, after checking that the union bound lies between it
+        and the group-by-group reference bound, and that a floor one below
+        the size still gives the size; returns the bound too."""
+        n = len(xs)
+        size = intersect_module._pair_size(xs, ys, q)
+        assert intersect_module._pair_size(xs, ys, q, floor=size - 1) == size, (xs, ys)
+        keys = intersect_module._pair_keys(DiffProfile._of_words(xs, ys, q))
+        bound = intersect_module._union_bound(keys, n, q)
+        assert size <= bound <= twin_union_bound(keys, n, q), (xs, ys)
+        return size, bound
+
     @pytest.mark.parametrize("q, n", [(2, 3), (2, 5), (2, 7), (3, 4), (4, 3)])
     def test_bound_never_below_size_on_every_pair(self, q, n):
-        # a floor one below the size still gives the size, so the union
-        # bound is never below it, at every distance, x == y included
+        # at every distance, x == y included
         words = list(product(range(q), repeat=n))
         for xs in words:
             for ys in words:
-                size = intersect_module._pair_size(xs, ys, q)
-                assert intersect_module._pair_size(xs, ys, q, floor=size - 1) == size, (xs, ys)
+                self.check_bound(xs, ys, q)
 
     @pytest.mark.parametrize("n", [29, 60, 200])
     def test_bound_never_below_size_on_pinned_families(self, n):
@@ -793,11 +890,8 @@ class TestPairSize:
         # intersection fills most of what the keys could add
         for x, y in pinned_families(n):
             xs, ys, q = x.symbols, y.symbols, x.q
-            size = intersect_module._pair_size(xs, ys, q)
-            assert intersect_module._pair_size(xs, ys, q, floor=size - 1) == size, (x, y)
+            size, bound = self.check_bound(xs, ys, q)
             # and a floor at the bound skips the expansion
-            keys = intersect_module._pair_keys(DiffProfile(x, y))
-            bound = intersect_module._union_bound(keys, n, q)
             assert intersect_module._pair_size(xs, ys, q, floor=bound) is None, (x, y)
 
 

@@ -33,7 +33,8 @@ from delsub.reconstruct import (
     inverse_pair_words,
 )
 
-from helpers import all_words, inverse_ball_oracle, membership_scan, parity_words, sequences
+from helpers import (all_words, inverse_ball_oracle, membership_scan, parity_words, read_set,
+                     sequences)
 
 
 def seq(text, q=2):
@@ -83,13 +84,13 @@ class TestCodebook:
 
 class TestReadSet:
     def test_deduplication_and_raw_count(self):
-        reads = ReadSet.from_sequences([seq("010"), seq("010"), seq("001")])
+        reads = read_set([seq("010"), seq("010"), seq("001")])
         assert len(reads) == 2
         assert reads.raw_count == 3
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
-            ReadSet.from_sequences([seq("010"), seq("0101")])
+            read_set([seq("010"), seq("0101")])
 
     def test_symbols_outside_alphabet_rejected(self):
         with pytest.raises(ValueError, match="alphabet"):
@@ -467,7 +468,7 @@ class TestLargeAlphabets:
 class TestReconstruct:
     def test_single_codeword_book(self):
         x = seq("011010")
-        reads = ReadSet.from_sequences([delete(x, 1)])
+        reads = read_set([delete(x, 1)])
         result = reconstruct(reads, Codebook.explicit([x]))
         assert result.outcome == "unique"
         assert result.codeword == x
@@ -475,13 +476,13 @@ class TestReconstruct:
     def test_infeasible_on_foreign_read(self):
         x = seq("000000")
         y = Sequence((1, 1, 1, 1, 1), 2)
-        result = reconstruct(ReadSet.from_sequences([y]), Codebook.explicit([x]))
+        result = reconstruct(read_set([y]), Codebook.explicit([x]))
         assert result.outcome == "infeasible"
         assert result.candidates == ()
 
     def test_ambiguous_single_read(self):
         book = Codebook.explicit([seq("000000"), seq("000011")])
-        result = reconstruct(ReadSet.from_sequences([seq("00000")]), book)
+        result = reconstruct(read_set([seq("00000")]), book)
         assert result.outcome == "ambiguous"
         assert len(result.candidates) == 2
 
@@ -496,7 +497,7 @@ class TestReconstruct:
                 ball = [Sequence(w, q) for w in sorted(ds_ball(x, BallSpec(1, 1)))]
                 # the first trials pin the 1-read and 2-read cases
                 k = trial + 1 if trial < 2 else rng.randint(1, min(6, len(ball)))
-                reads = ReadSet.from_sequences(rng.sample(ball, k))
+                reads = read_set(rng.sample(ball, k))
                 a = reconstruct(reads, parity)
                 b = reconstruct(reads, explicit)
                 assert a.outcome == b.outcome
@@ -511,7 +512,7 @@ class TestReconstruct:
         for _ in range(20):
             x = book.sample_word(rng)
             ball = [Sequence(w, book.q) for w in sorted(ds_ball(x, BallSpec(1, 1)))]
-            reads = ReadSet.from_sequences(rng.sample(ball, 5))
+            reads = read_set(rng.sample(ball, 5))
             result = reconstruct(reads, book)
             assert result.outcome in ("unique", "ambiguous")
             for candidate in result.candidates:
@@ -521,7 +522,7 @@ class TestReconstruct:
     def test_read_length_checked(self):
         book = Codebook.parity(6, 2)
         with pytest.raises(ValueError):
-            reconstruct(ReadSet.from_sequences([seq("0101")]), book)
+            reconstruct(read_set([seq("0101")]), book)
 
 
 class TestCoverageCriterion:
