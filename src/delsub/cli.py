@@ -37,6 +37,7 @@ from .intersect import (
     bound_applicable,
     constant_regime_bound,
     coverage_bound,
+    _packed_bound,
     _pair_size,
     intersection_size_fast,
     min_valid_length,
@@ -248,21 +249,24 @@ def _check_task(
     BATCH_SYMBOLS symbols (at least one pair), so a task at small n draws
     all its pairs first and long words still stream one pair at a time.
 
-    A bounded scope takes each size from the symbol tuples by
-    :func:`delsub.intersect._pair_size`, reusing the profile the remark5
-    sampler built, and wraps a pair in ``Sequence`` only to print it.  A
-    theorem pair is first tested on packed mismatch masks: when no deleted
-    pair lies within distance 2 (for every a + b <= 2 and both sides, the
-    shifted set holds more than 2 - a - b positions in (i_{a+1}, i_{d-b}],
-    where any such pair's window lies), its size is 0 and no profile is
-    built.  The floor is the smaller of ``limit`` and the task's running
-    maximum (-1 before the first size): a pair whose size or union bound
-    (each level's distinct keys times the members one key can add) is at
-    most the floor can neither exceed the limit nor raise the maximum, so
-    it is skipped unexpanded and the result is that of sizing every pair.
-    Returns one small result: (pairs checked, the first SAMPLE_LIMIT
-    violation details, violation count, failed-check counts, max size |
-    None, first pair reaching it)."""
+    A bounded scope bounds each pair of a batch on its packed words
+    (:func:`delsub.intersect._packed_bound`, 0 for a pair with no deleted
+    pair within distance 2) and visits the pairs by descending bound,
+    ties in stream order.  A pair matters only if its size can exceed the
+    limit, exceed the running maximum, or equal the maximum ahead of the
+    pair that first reached it; so the batch stops at the first bound
+    below the smaller of the limit and the maximum, and a pair whose
+    bound is at most its floor (that smaller value, one less for a tie
+    ahead of the witness; -1 before the first size) is skipped.  The
+    others are sized from the symbol tuples by
+    :func:`delsub.intersect._pair_size` at the same floor, which first
+    bounds them by their keys, reusing the profile the remark5 sampler
+    built.  Violations are reported in stream order and the witness is
+    the first pair in stream order reaching the maximum, so the result
+    is that of sizing every pair in order.  A pair is wrapped in
+    ``Sequence`` only to print it.  Returns one small result: (pairs
+    checked, the first SAMPLE_LIMIT violation details, violation count,
+    failed-check counts, max size | None, first pair reaching it)."""
     if samples is None:
         pairs = _exhaustive_pairs(q, n, min_d, k)
     else:
@@ -275,33 +279,47 @@ def _check_task(
     failed: Counter = Counter()
     max_size: Optional[int] = None
     witness: Optional[Tuple[Word, Word]] = None
-    floor = -1
-    for checked, (xs, ys, profile) in enumerate(chain.from_iterable(batches), 1):
-        if limit is not None:
-            size = _pair_size(xs, ys, q, profile, floor)
-            if size is None:
-                continue
-            if max_size is None or size > max_size:
-                max_size, witness = size, (xs, ys)
-                floor = min(size, limit)
-            if size <= limit:
-                continue
-            detail = {"x": str(Sequence._wrap(xs, q)), "y": str(Sequence._wrap(ys, q)),
-                      "size": size, "limit": limit}
+    for batch in batches:
+        checked += len(batch)
+        # (batch index, detail) of each violation
+        found: List[Tuple[int, dict]] = []
+        if limit is None:
+            for i, (xs, ys, _) in enumerate(batch):
+                x = Sequence._wrap(xs, q)
+                y = Sequence._wrap(ys, q)
+                # looked up by name per pair, so a patched or wrapped module
+                # global is the one called
+                checks = verify_claims(x, y) if scope == "claims" else verify_lemmas(x, y)
+                names = [c.name for c in checks if not c.passed]
+                if names:
+                    failed.update(names)
+                    found.append((i, {"x": str(x), "y": str(y), "failed": names}))
         else:
-            x = Sequence._wrap(xs, q)
-            y = Sequence._wrap(ys, q)
-            # looked up by name per pair, so a patched or wrapped module
-            # global is the one called
-            checks = verify_claims(x, y) if scope == "claims" else verify_lemmas(x, y)
-            names = [c.name for c in checks if not c.passed]
-            if not names:
-                continue
-            failed.update(names)
-            detail = {"x": str(x), "y": str(y), "failed": names}
-        violations += 1
-        if len(details) < SAMPLE_LIMIT:
-            details.append(detail)
+            bounds = [_packed_bound(xs, ys, q) for xs, ys, _ in batch]
+            # the batch index of the witness; -1 while it is from an earlier batch
+            lead = -1
+            # descending bound, ties in stream order (the sort is stable)
+            for i in sorted(range(len(batch)), key=bounds.__getitem__, reverse=True):
+                bound, floor = bounds[i], -1
+                if max_size is not None:
+                    if bound < min(limit, max_size):
+                        break
+                    floor = min(limit, max_size - (i < lead))
+                    if bound <= floor:
+                        continue
+                xs, ys, profile = batch[i]
+                size = _pair_size(xs, ys, q, profile, floor) if bound else 0
+                if size is None:
+                    continue
+                if max_size is None or size > max_size or (size == max_size and i < lead):
+                    max_size, witness, lead = size, (xs, ys), i
+                if size > limit:
+                    found.append((i, {"x": str(Sequence._wrap(xs, q)),
+                                      "y": str(Sequence._wrap(ys, q)),
+                                      "size": size, "limit": limit}))
+            found.sort()
+        violations += len(found)
+        details += [detail for _, detail in found[:SAMPLE_LIMIT - len(details)]]
     return checked, details, violations, failed, max_size, witness
 
 

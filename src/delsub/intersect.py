@@ -20,11 +20,13 @@ from both words) are expanded one slice per mismatch
 (:meth:`_MemberIds.add_diagonal`).  So the cost is O(n) plus the output
 size at every Hamming distance, near-constant words included.  A report
 and a sweep's bare size count the same Omega levels (:func:`_omega_levels`).
-A sweep first finds the pairs with no deleted pair at all on packed
-mismatch masks (:func:`_family_empty`), then bounds the size by the
-keys alone, each distinct key adding a known number of members
-(:func:`_union_bound`), and expands only the pairs whose bound can
-exceed what it looks for (:func:`_pair_size`).
+A sweep first bounds every pair's size on packed mismatch masks,
+counting the keys each branch of the direct construction can write
+(:func:`_packed_bound`, 0 exactly when the pair has no deleted pair at
+all), and visits the pairs from the largest bound down; a visited pair
+is bounded again by its keys, each distinct key adding a known number
+of members (:func:`_union_bound`), and expanded only when that bound
+can exceed what the sweep looks for (:func:`_pair_size`).
 
 :func:`delsub.diffs.lambda_enumerate` (the scan) and :func:`claims_lambda`
 (the direct construction, from interval counts and landmark indices:
@@ -601,15 +603,12 @@ def _pair_size(
     symbol tuples of one length >= 3, with no ``Sequence`` and no report;
     ``profile`` is the pair's profile when the caller has built it.
 
-    With no profile handed in, a pair whose deleted-pair family is empty
-    (:func:`_family_empty`, on packed words) has size 0 and builds no
-    profile.  Otherwise the size is first bounded by :func:`_union_bound`
-    from the keys alone.  When the size or that bound is at most
-    ``floor``, the pair cannot exceed ``floor`` and None is returned
-    instead of the size; the default floor of -1 always gives the size."""
+    The size is first bounded by :func:`_union_bound` from the keys
+    alone.  When that bound is at most ``floor``, the pair cannot exceed
+    ``floor`` and None is returned instead of the size; the default floor
+    of -1 always gives the size.  A sweep calls it only for pairs whose
+    :func:`_packed_bound`, taken before any profile, exceeds the floor."""
     if profile is None:
-        if _family_empty(xs, ys, q):
-            return None if floor >= 0 else 0
         profile = DiffProfile._of_words(xs, ys, q)
     groups = _pair_keys(profile)
     if _union_bound(groups, profile.n, q) <= floor:
@@ -630,27 +629,39 @@ def _packing(n: int, q: int) -> Tuple[Callable[..., bytes], int, int, int]:
     return pack, width, ones * ((1 << width - 1) - 1), ones << width - 1
 
 
-def _family_empty(xs: Word, ys: Word, q: int) -> bool:
-    """Whether two q-ary words of one length have no deleted pair within
-    Hamming distance 2, decided on packed words without a profile.
+def _packed_bound(xs: Word, ys: Word, q: int) -> int:
+    """An upper bound on the intersection size of two q-ary words of one
+    length, from packed words without a profile: at least
+    :func:`_union_bound` of the pair's keys, and 0 exactly when the pair
+    has no deleted pair within Hamming distance 2.
 
     S, TL and TR are the nonzero fields of x ^ y, x ^ (y << w) and
     (x << w) ^ y (field k holding position k + 1; TL and TR drop fields
-    0 and n), each field collapsed to its top bit.  A pair j <= j' of
-    side T keeping a mismatches before j and b after j' has j <= i_{a+1}
-    and j' >= i_{d-b}, so its middle count is at least T's count in
-    (i_{a+1}, i_{d-b}], which the pair (i_{a+1}, i_{d-b}) attains (a + b
-    < d keeps those two in order).  So at d >= 3 the family is empty
-    exactly when, on both sides and for every a + b <= 2, that count
-    exceeds 2 - a - b; below d = 3 it never is (deleting i1 from both
-    words leaves at most one mismatch)."""
-    pack, width, low, high = _packing(len(xs), q)
+    0 and n), each field collapsed to its top bit.  On each side the
+    branches of :func:`_claims_keys` read only T's counts in
+    (i_{a+1}, i_{d-b}] for a + b <= 2, c_{a+1} - e_{b+1} below; from them
+    the bound counts the keys each branch can write (a branch that
+    validates its landmarks is counted as if all of them passed), and
+    weighs each level's count by what one key adds, as the union bound
+    does.  A branch validates its landmarks only where a branch of lower
+    distance on its side writes a key unvalidated (distance 0 under 1.2,
+    1.2 or distance 0 under 2.2, 1.3 under 2.4, 1.1 under 2.6), so the
+    bound is 0 exactly when no key is written.  At d = 2 both sides
+    write the same keys (i1, i1) and (i2, i2) at distance 1 and the same
+    diagonal families 2.1, 2.3 and 2.5, so those are counted once: the
+    run ends j of x with j, j + 1 outside S (set fields of x ^ (x >> w)),
+    plus the run through each window's last position.  Below d = 2 the
+    bound is the n^2 run-end pairs of each level."""
+    n = len(xs)
+    pack, width, low, high = _packing(n, q)
     x = int.from_bytes(pack(*xs), "little")
     y = int.from_bytes(pack(*ys), "little")
     v = x ^ y
     s = ((v & low) + low | v) & high
-    if s.bit_count() < 3:
-        return False
+    d = s.bit_count()
+    ball = 1 + (q - 1) * (n - 1)
+    if d < 2:
+        return n * n * (ball + q + 2)
     # one past the bits of i1, i2, i3 and of id, i_{d-1}, i_{d-2}: t >> l
     # keeps t's fields past that landmark
     lo2 = s & s - 1
@@ -661,15 +672,33 @@ def _family_empty(xs: Word, ys: Word, q: int) -> bool:
     h2 = hi2.bit_length()
     h3 = (hi2 ^ 1 << h2 - 1).bit_length()
     inner = high ^ 1 << width - 1
+    # the keys each level can hold
+    keys0 = keys1 = keys2 = 0
     for v in (x ^ y << width, x << width ^ y):
         t = ((v & low) + low | v) & inner
-        c1, c2, c3 = (t >> l1).bit_count(), (t >> l2).bit_count(), (t >> l3).bit_count()
-        e1, e2, e3 = (t >> h1).bit_count(), (t >> h2).bit_count(), (t >> h3).bit_count()
-        # the count in (i_{a+1}, i_{d-b}] is c_{a+1} - e_{b+1}; its room is 2 - a - b
-        if not (c1 - e1 > 2 and c2 - e1 > 1 and c1 - e2 > 1
-                and c3 - e1 > 0 and c2 - e2 > 0 and c1 - e3 > 0):
-            return False
-    return True
+        c1, c2 = (t >> l1).bit_count(), (t >> l2).bit_count()
+        e1, e2 = (t >> h1).bit_count(), (t >> h2).bit_count()
+        # T's counts in (i1, id], (i1, i_{d-1}] and (i2, id]
+        mid_all, mid_front, mid_back = c1 - e1, c1 - e2, c2 - e1
+        # on most sides all three are too large for any of these branches
+        if mid_all < 3 or mid_front < 2 or mid_back < 2:
+            keys0 += mid_all == 0
+            keys1 += (2, 1, 0)[min(mid_all, 2)]
+            keys2 += ((3, 2, 1, 0)[min(mid_all, 3)] + (2, 1, 0)[min(mid_front, 2)]
+                      + (2, 1, 0)[min(mid_back, 2)])
+        if d > 2:
+            c3, e3 = (t >> l3).bit_count(), (t >> h3).bit_count()
+            keys1 += (mid_back == 0) + (mid_front == 0)
+            keys2 += (c3 - e1 == 0) + (c1 - e3 == 0) + (c2 - e2 == 0)
+    if d == 2:
+        u = x ^ x >> width
+        ends = ((u & low) + low | u) & high >> width
+        # run ends j in [1, i1 - 1), [i1 + 1, i2 - 1) and [i2 + 1, n), and the
+        # run through each non-empty window's last position
+        keys1 += 2
+        keys2 += (ends & ~(s | s >> width)).bit_count()
+        keys2 += (l1 > width) + (l2 - l1 > width) + (l2 < n * width)
+    return ball * keys0 + q * keys1 + 2 * keys2
 
 
 def _pair_keys(profile: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:

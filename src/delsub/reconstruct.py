@@ -115,8 +115,9 @@ class ReadSet:
         self.raw_count = raw_count if raw_count is not None else len(collected)
         if not set(map(len, self.reads)) <= {length}:
             raise ValueError("all reads must share one length")
-        # one set of every symbol: faster than min/max over map(min/max, reads)
-        if not set().union(*self.reads) <= set(range(q)):
+        # one set of the distinct symbols, never a set of the alphabet
+        symbols = set().union(*self.reads)
+        if not all(isinstance(s, int) and 0 <= s < q for s in symbols):
             raise ValueError(f"reads hold symbols outside the alphabet 0..{q - 1}")
 
     def __len__(self) -> int:
@@ -358,6 +359,7 @@ def reconstruct(reads: ReadSet, codebook: Codebook, budget: int = DEFAULT_BUDGET
     (``inverse_pair_words``) are filtered by ``_survivors``; one read's
     candidates are its restricted inverse ball, refused with
     ``BudgetExceededError`` when its bound from n and q passes ``budget``.
+    An alphabet of more than 2^64 symbols is refused with ValueError.
     """
     if len(reads) == 0:
         raise ValueError("read set cannot be empty")
@@ -366,6 +368,9 @@ def reconstruct(reads: ReadSet, codebook: Codebook, budget: int = DEFAULT_BUDGET
     if reads.q != codebook.q:
         raise ValueError("reads and codebook use different alphabets")
     n, q = codebook.n, codebook.q
+    # the packed filter has no field past 64 bits, and the pools loop over
+    # the alphabet: such a q is refused before any pool is built
+    field_code(q)
     if codebook.kind == "explicit":
         candidates = _survivors(codebook.words, reads.reads, q, n)
     elif len(reads) == 1:

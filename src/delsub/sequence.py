@@ -195,8 +195,12 @@ def run_spread(xs: PySequence[int]) -> Callable[[PySequence[int]], Tuple[int, ..
 
 def field_code(q: int) -> str:
     """The struct code of the narrowest field holding one q-ary symbol, so
-    that a word packs into an int, symbol k in field k."""
-    return next(c for c in "BHIQ" if q <= 1 << 8 * calcsize(c))
+    that a word packs into an int, symbol k in field k; ValueError past
+    the 64-bit field."""
+    for code in "BHIQ":
+        if q <= 1 << 8 * calcsize(code):
+            return code
+    raise ValueError(f"packed words hold at most 2^64 symbols per field, not q = {q}")
 
 
 def _delete_t(xs: Word, position: int) -> Word:

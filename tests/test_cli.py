@@ -573,6 +573,73 @@ class TestVerifyCommand:
                     checked += got[0]
                 assert checked == 300
 
+    @staticmethod
+    def _stream(monkeypatch, pairs, bounds=None):
+        """Make every sampled task draw ``pairs`` and, when given, bound
+        each pair by ``bounds`` (at least its size); returns the list that
+        receives the pairs a task sizes, in visit order."""
+        import delsub.cli as cli_module
+
+        def drawn(rng, q, n, count, min_d, need_shift):
+            return iter([(xs, ys, None) for xs, ys in pairs])
+
+        monkeypatch.setattr(cli_module, "_sampled_pairs", drawn)
+        if bounds is not None:
+            monkeypatch.setattr(cli_module, "_packed_bound", lambda xs, ys, q: bounds[xs, ys])
+        sized = []
+
+        def recording(xs, ys, q, profile, floor, real=cli_module._pair_size):
+            sized.append((xs, ys))
+            return real(xs, ys, q, profile, floor)
+
+        monkeypatch.setattr(cli_module, "_pair_size", recording)
+        return sized
+
+    def test_tie_ahead_of_the_witness_takes_it(self, monkeypatch):
+        # the extremal pair and its mirror (y, x) both reach the maximum;
+        # the mirror, drawn later with a larger bound, is sized first, and
+        # the earlier pair, whose bound is the maximum itself, must still be
+        # sized to take the witness, while a later pair with that bound is not
+        from delsub.cli import _check_task
+
+        q, n = 2, 29
+        limit = coverage_bound(n, q)
+        low = ((0,) * n, (1,) + (0,) * (n - 2) + (1,))
+        first = tuple(w.symbols for w in extremal_pair(q, n))
+        mirror = first[::-1]
+        late = tuple(w[::-1] for w in first)
+        pairs = [low, first, mirror, late]
+        sized = self._stream(monkeypatch, pairs, {low: 300, first: limit, mirror: 170, late: limit})
+        got = _check_task(q, n, "theorem", limit, 2, len(pairs), 1, 0)
+        assert sized == [low, mirror, first]
+        assert got == exact_task(q, n, "theorem", limit, 2, len(pairs), 1, 0)
+        assert got[4:] == (limit, first)
+
+    def test_violations_reported_in_stream_order(self, monkeypatch):
+        # a stream drawn in ascending bound is visited backwards; at a low
+        # limit every batch size reports the first violations of the
+        # stream, as sizing each pair in order does
+        import delsub.cli as cli_module
+        from delsub.cli import SAMPLE_LIMIT, _check_task, _sampled_pairs
+        from delsub.intersect import _packed_bound
+
+        q, n = 3, min_valid_length(3)
+        drawn = [(xs, ys) for xs, ys, _ in _sampled_pairs(random.Random(3), q, n, 120, 2, False)]
+        pairs = sorted(drawn, key=lambda p: _packed_bound(*p, q))
+        sized = self._stream(monkeypatch, pairs)
+        expected = exact_task(q, n, "theorem", 8, 2, len(pairs), 1, 0)
+        assert expected[2] > SAMPLE_LIMIT, expected
+        results = []
+        for batch in (1, cli_module.BATCH_SYMBOLS, 1 << 30):
+            monkeypatch.setattr(cli_module, "BATCH_SYMBOLS", batch)
+            sized.clear()
+            results.append(_check_task(q, n, "theorem", 8, 2, len(pairs), 1, 0))
+        assert results == [expected] * 3
+        # the whole stream is one batch at 2^30 symbols, visited by bound
+        visited = [_packed_bound(*p, q) for p in sized]
+        assert visited == sorted(visited, reverse=True)
+        assert sized != sorted(sized, key=pairs.index)
+
     @pytest.mark.parametrize("argv", [
         ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "0", "--seed", "1"],
         ["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "-3", "--seed", "1",
@@ -711,6 +778,23 @@ class TestSimulateCommand:
         assert err.startswith(f"error: the one-read decode at n={n}, q=4 may hold ")
         assert "bytes at once, above the budget of 10000000" in err
         assert "Traceback" not in err
+
+    def test_alphabet_past_64_bit_fields_refused_before_allocating(self):
+        # q = 2^65 has no packed field: the decode must refuse it, naming
+        # the limit, before building a pool or a set of the alphabet, with
+        # the child's address space capped at 512 MiB
+        cap = 512 << 20
+        proc = cli_process(
+            ["simulate", "--q", str(1 << 65), "--n", "6", "--parity", "--reads", "3",
+             "--trials", "1", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert out == ""
+        assert err == ("error: packed words hold at most 2^64 symbols per field, "
+                       f"not q = {1 << 65}\n")
 
     def test_budget_option_bounds_one_read_decode(self, capsys):
         argv = ["simulate", "--q", "2", "--parity", "--n", "10", "--reads", "1",

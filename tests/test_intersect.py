@@ -774,18 +774,30 @@ def relabeled_pairs(q, n):
 
 
 class TestEmptyFamilyMasks:
-    """The sweep's packed empty-family test against the direct family:
-    it says empty exactly when no deleted-pair key is written."""
+    """The sweep's packed bound against the direct family: it is 0 exactly
+    when no deleted-pair key is written, and never below the union bound
+    of the keys."""
 
-    # each side's six rooms as the source writes them, (a, b) in the order
-    # (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)
-    ROOMS = ("c1 - e1 > 2", "c2 - e1 > 1", "c1 - e2 > 1",
-             "c3 - e1 > 0", "c2 - e2 > 0", "c1 - e3 > 0")
+    # each branch count of the bound, and the run-end count, the run
+    # through each diagonal window's last position and the two shared
+    # distance-1 keys of d = 2, as the source writes them
+    TERMS = ("mid_all == 0", "(2, 1, 0)[min(mid_all, 2)]", "(3, 2, 1, 0)[min(mid_all, 3)]",
+             "(2, 1, 0)[min(mid_front, 2)]", "(2, 1, 0)[min(mid_back, 2)]",
+             "(mid_back == 0)", "(mid_front == 0)",
+             "(c3 - e1 == 0)", "(c1 - e3 == 0)", "(c2 - e2 == 0)",
+             "(ends & ~(s | s >> width)).bit_count()",
+             "(l1 > width)", "(l2 - l1 > width)", "(l2 < n * width)", "keys1 += 2")
     SIDES = "for v in (x ^ y << width, x << width ^ y):"
 
     @staticmethod
-    def empty(xs, ys, q):
-        return not intersect_module._pair_keys(DiffProfile._of_words(xs, ys, q))
+    def check(xs, ys, q):
+        """Whether the pair's family is empty, after checking the bound
+        against it and against the union bound of its keys."""
+        keys = intersect_module._pair_keys(DiffProfile._of_words(xs, ys, q))
+        bound = intersect_module._packed_bound(xs, ys, q)
+        assert (bound == 0) == (not keys), (xs, ys, q)
+        assert bound >= intersect_module._union_bound(keys, len(xs), q), (xs, ys, q)
+        return not keys
 
     def test_equals_family_exhaustively(self):
         # both read only which symbols are equal, so the pairs up to a
@@ -794,9 +806,7 @@ class TestEmptyFamilyMasks:
         for q, top in ((2, 9), (3, 6), (4, 5)):
             for n in range(3, top + 1):
                 for xs, ys in relabeled_pairs(q, n):
-                    empty = self.empty(xs, ys, q)
-                    assert intersect_module._family_empty(xs, ys, q) == empty, (xs, ys, q)
-                    outcomes[q, empty] += 1
+                    outcomes[q, self.check(xs, ys, q)] += 1
         assert all(outcomes[q, e] for q in (2, 3, 4) for e in (True, False)), outcomes
 
     @pytest.mark.parametrize("q", [257, (1 << 16) + 1, (1 << 32) + 1])
@@ -806,9 +816,7 @@ class TestEmptyFamilyMasks:
         symbols = (0, q - 1, q - 2)
         for n in range(3, 6):
             for xs, ys in relabeled_pairs(3, n):
-                xs, ys = (tuple(symbols[a] for a in w) for w in (xs, ys))
-                empty = self.empty(xs, ys, q)
-                assert intersect_module._family_empty(xs, ys, q) == empty, (xs, ys, q)
+                self.check(*(tuple(symbols[a] for a in w) for w in (xs, ys)), q)
 
     def test_equals_family_on_long_words(self):
         rng = random.Random(73)
@@ -817,27 +825,44 @@ class TestEmptyFamilyMasks:
             for n in (29, 60, 200, 1000):
                 for _ in range(3):
                     for xs, ys, _ in window_families(rng, q, n):
-                        empty = self.empty(xs, ys, q)
-                        assert intersect_module._family_empty(xs, ys, q) == empty, (xs, ys, q)
-                        outcomes[empty] += 1
+                        outcomes[self.check(xs, ys, q)] += 1
         assert outcomes[True] > 20 and outcomes[False] > 20, outcomes
 
-    def test_each_room_and_side_is_needed(self):
-        # a room lowered by 1, or one side left unread, calls some
-        # non-empty family empty
-        source = textwrap.dedent(inspect.getsource(intersect_module._family_empty))
-        mutants = [source.replace(room, room[:-1] + str(int(room[-1]) - 1))
-                   for room in self.ROOMS]
+    def test_bound_on_low_distances_and_wide_alphabets(self):
+        # d = 2 to 5, where few branches are cut off by the counts, up to
+        # two-byte fields
+        rng = random.Random(79)
+        for q in (2, 3, 5, 257, (1 << 16) + 1):
+            for n in (12, 29, 60, 200, 1000):
+                for _ in range(20):
+                    xs = tuple(rng.randrange(q) for _ in range(n))
+                    ys = list(xs)
+                    for i in rng.sample(range(n), rng.randint(2, 5)):
+                        ys[i] = (xs[i] + rng.randrange(1, q)) % q
+                    self.check(xs, tuple(ys), q)
+
+    def test_each_term_and_side_is_needed(self):
+        # any branch count lowered by one where it is positive, or one side
+        # left unread, undercuts the union bound somewhere
+        source = textwrap.dedent(inspect.getsource(intersect_module._packed_bound))
+        for text in (*self.TERMS, self.SIDES):
+            assert source.count(text) == 1, text
+        mutants = [source.replace(term, "keys1 += 1" if term == "keys1 += 2"
+                                  else f"max(({term}) - 1, 0)") for term in self.TERMS]
         mutants += [source.replace(self.SIDES, f"for v in ({side},):")
                     for side in ("x ^ y << width", "x << width ^ y")]
         pairs = [(xs, ys, q) for q, n in ((2, 8), (3, 5), (4, 4)) for xs, ys in relabeled_pairs(q, n)]
-        for text in (*self.ROOMS, self.SIDES):
-            assert source.count(text) == 1, text
+        # lowering the d = 2 run-end count needs a pair at d = 2 whose x
+        # has a run end away from both mismatches and whose bound meets the
+        # union bound: no binary pair up to n = 12 is one, this ternary one is
+        pairs.append(((0, 0, 1, 0, 1, 0, 1), (0, 0, 2, 0, 2, 0, 1), 3))
+        union = [intersect_module._union_bound(
+            intersect_module._pair_keys(DiffProfile._of_words(*p)), len(p[0]), p[2]) for p in pairs]
         for mutant in mutants:
             namespace = dict(vars(intersect_module))
             exec(mutant, namespace)
-            wrong = namespace["_family_empty"]
-            assert any(wrong(*p) != self.empty(*p) for p in pairs), mutant
+            wrong = namespace["_packed_bound"]
+            assert any(wrong(*p) < u for p, u in zip(pairs, union)), mutant
 
 
 class TestPairSize:

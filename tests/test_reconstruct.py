@@ -99,6 +99,16 @@ class TestReadSet:
             ReadSet([(0, 1, 1, 0), (0, -1, 1, 0)], 2, 4)
         assert len(ReadSet([(0, 1, 1, 0)], 2, 4)) == 1
 
+    @pytest.mark.parametrize("q", [3, 256, 257, 1 << 65])
+    def test_alphabet_edges(self, q):
+        # the largest symbol passes; the next one, -1, a string and a
+        # non-integer inside the range do not, and no set of the alphabet
+        # is built at q = 2^65
+        assert len(ReadSet([(0, q - 1), (q - 1, 0)], q, 2)) == 2
+        for bad in (q, -1, "0", 1.5, q - 1.5):
+            with pytest.raises(ValueError, match=f"outside the alphabet 0..{q - 1}$"):
+                ReadSet([(0, 0), (bad, 0)], q, 2)
+
 
 class TestChannel:
     def test_no_substitution_is_pure_deletion(self):
