@@ -38,7 +38,7 @@ from .intersect import (
     constant_regime_bound,
     coverage_bound,
     _packed_bound,
-    _pair_size,
+    _pair_report,
     intersection_size_fast,
     min_valid_length,
     verify_claims,
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="channel uses allowed per trial while collecting distinct reads",
     )
     p_sim.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="bytes a one-read parity decode may take")
+                       help="bytes a parity decode's candidate pool may take")
     _add_format(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
@@ -258,12 +258,13 @@ def _check_task(
     below the smaller of the limit and the maximum, and a pair whose
     bound is at most its floor (that smaller value, one less for a tie
     ahead of the witness; -1 before the first size) is skipped.  The
-    others are sized from the symbol tuples by
-    :func:`delsub.intersect._pair_size` at the same floor, which first
+    others go from the symbol tuples to
+    :func:`delsub.intersect._pair_report` at the same floor, which first
     bounds them by their keys, reusing the profile the remark5 sampler
-    built.  Violations are reported in stream order and the witness is
-    the first pair in stream order reaching the maximum, so the result
-    is that of sizing every pair in order.  A pair is wrapped in
+    built, and reports only a pair that passes both bounds; the task
+    reads the report's size.  Violations are reported in stream order and
+    the witness is the first pair in stream order reaching the maximum,
+    so the result is that of sizing every pair in order.  A pair is wrapped in
     ``Sequence`` only to print it.  Returns one small result: (pairs
     checked, the first SAMPLE_LIMIT violation details, violation count,
     failed-check counts, max size | None, first pair reaching it)."""
@@ -308,9 +309,10 @@ def _check_task(
                     if bound <= floor:
                         continue
                 xs, ys, profile = batch[i]
-                size = _pair_size(xs, ys, q, profile, floor) if bound else 0
-                if size is None:
+                report = _pair_report(xs, ys, q, profile, floor)
+                if report is None:
                     continue
+                size = report.size
                 if max_size is None or size > max_size or (size == max_size and i < lead):
                     max_size, witness, lead = size, (xs, ys), i
                 if size > limit:

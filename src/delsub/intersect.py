@@ -18,15 +18,15 @@ word alone (:class:`_MemberIds`).  Twin groups holding the same keys
 share one expansion, and a group's diagonal keys (deleting one index
 from both words) are expanded one slice per mismatch
 (:meth:`_MemberIds.add_diagonal`).  So the cost is O(n) plus the output
-size at every Hamming distance, near-constant words included.  A report
-and a sweep's bare size count the same Omega levels (:func:`_omega_levels`).
-A sweep first bounds every pair's size on packed mismatch masks,
-counting the keys each branch of the direct construction can write
-(:func:`_packed_bound`, 0 exactly when the pair has no deleted pair at
-all), and visits the pairs from the largest bound down; a visited pair
-is bounded again by its keys, each distinct key adding a known number
-of members (:func:`_union_bound`), and expanded only when that bound
-can exceed what the sweep looks for (:func:`_pair_size`).
+size at every Hamming distance, near-constant words included.  One
+pipeline, keys then member ids then Omega levels (:func:`_pair_report`),
+gives every report.  A sweep first bounds every pair's size on packed
+mismatch masks, counting the keys each branch of the direct
+construction can write (:func:`_packed_bound`, 0 exactly when the pair
+has no deleted pair at all), and visits the pairs from the largest
+bound down; a visited pair is bounded again by its keys, each distinct
+key adding a known number of members (:func:`_union_bound`), and
+reported only when that bound can exceed what the sweep looks for.
 
 :func:`delsub.diffs.lambda_enumerate` (the scan) and :func:`claims_lambda`
 (the direct construction, from interval counts and landmark indices:
@@ -46,14 +46,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import compress, repeat
-from struct import Struct, calcsize
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .diffs import (CASE_BY_TRIPLE, DiffProfile, GroupKey, PairKey, group_pairs, group_words,
                     scan_candidates)
-from .sequence import Sequence, Word, _require_same_shape, alternating, field_code, run_spread
+from .sequence import Sequence, Word, _packing, _require_same_shape, alternating, run_spread
 
 TRIPLE_BY_CASE: Dict[Tuple[int, int], Tuple[int, int, int]] = {
     (sum(t), c): t for t, c in CASE_BY_TRIPLE.items()
@@ -233,7 +231,8 @@ class _MemberIds:
         the id is always (j-1) n q + (m-2) q + y_m.  For j > m it
         is (j-1) n q + (m-1) q + y_m once a2 (so a1 too) lies past
         m - 1; a2 never falls as j grows, so only the first few keys above
-        m go through :meth:`edit`, and each m adds the rest in one slice.
+        m go through :meth:`_MemberIds.edit`, and each m adds the rest in
+        one slice.
         """
         q, nq, start = self.q, self.nq, self.run_start
         # index j - 1 is the last of its run
@@ -279,7 +278,7 @@ def structural_group_sets(
     the same distance and case, as the d = 2 diagonal groups always are)
     maps to the twin's set object instead of a second expansion; so does
     every side-R group when x == y, by the symmetry of B(z) & B(z').  So
-    one set can belong to two groups: :func:`_omega_levels` reads every
+    one set can belong to two groups: :func:`_pair_report` reads every
     group's size before it grows each level's first set in place, and
     :func:`_fact_checks` only builds new unions.
     """
@@ -351,14 +350,7 @@ def _claims_keys(p: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
     The landmarks are the elements of the side's shifted set t nearest
     the mismatch window [i1, id]: k1 and k2 the largest and second
     largest at most i1, k1' and k2' the smallest and second smallest
-    above id, each None when t has too few there.
-
-    At Hamming distance >= 6 a side whose t holds more than two
-    positions in (i3, i_{d-2}] has no group and is skipped before its
-    landmarks are read: a pair j <= j' within distance 2 keeps at most
-    two mismatches before j and after j', so j <= i3 and j' >= i_{d-2},
-    and its middle count is at least t's count there.  With both sides
-    skipped, as for most uniform pairs, the family is empty."""
+    above id, each None when t has too few there."""
     if p.d < 2:
         raise ValueError("direct construction needs Hamming distance >= 2")
     s, d, n = p.s, p.d, p.n
@@ -396,8 +388,6 @@ def _claims_keys(p: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:
             emit(2, case, hi, hi)
 
     for side, t in (("L", p.tl), ("R", p.tr)):
-        if d >= 6 and cnt(s[2] + 1, s[-3]) > 2:
-            continue
         k1, k2 = _below(t, i1)
         k1p, k2p = _above(t, idd)
         # t's elements in (i1, id], (i1, id-1] and (i2, id]
@@ -572,20 +562,46 @@ class IntersectionReport:
 def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
     """Exact size of the (1,1)-ball intersection of two equal-length
     words, computed structurally at every Hamming distance (x == y
-    included), with the group sizes and Omega levels behind it.
-
-    The stages are those of a sweep's size: keys (:func:`_pair_keys`),
-    then member ids and levels (:func:`_omega_levels`); the report only
-    counts the levels.  A sweep that reads the size alone calls
-    :func:`_pair_size` instead."""
+    included), with the group sizes and Omega levels behind it, by the
+    stages a sweep sizes its pairs with (:func:`_pair_report`)."""
     _require_same_shape(x, y)
-    n = len(x)
-    if n < 3:
+    if len(x) < 3:
         raise ValueError("(1,1)-ball intersections need length at least 3")
-    profile = DiffProfile(x, y)
-    q, d = x.q, profile.d
-    group_sizes: Dict[str, int] = {}
-    omega0, omega1, omega2 = _omega_levels(profile, _pair_keys(profile), group_sizes)
+    return _pair_report(x.symbols, y.symbols, x.q, DiffProfile(x, y))
+
+
+def _pair_report(
+    xs: Word, ys: Word, q: int, profile: Optional[DiffProfile] = None, floor: int = -1
+) -> Optional[IntersectionReport]:
+    """The report of :func:`intersection_size_fast`, for two q-ary symbol
+    tuples of one length >= 3; ``profile`` is the pair's profile when the
+    caller has built it.
+
+    The keys (:func:`_pair_keys`) first bound the size by
+    :func:`_union_bound`.  When that bound is at most ``floor``, the pair
+    cannot exceed ``floor`` and None is returned instead of a report; the
+    default floor of -1 always gives the report.  A sweep calls it only
+    for pairs whose :func:`_packed_bound`, taken before any profile,
+    exceeds the floor.  Otherwise the keys are expanded into member ids,
+    and the report counts Omega_0, Omega_1 and Omega_2, the unions of the
+    distance-0, -1 and -2 groups."""
+    if profile is None:
+        profile = DiffProfile._of_words(xs, ys, q)
+    n, d = profile.n, profile.d
+    groups = _pair_keys(profile)
+    if _union_bound(groups, n, q) <= floor:
+        return None
+    sets = structural_group_sets(profile, xs, ys, groups)
+    group_sizes = {GROUP_LABELS[key]: len(members) for key, members in sets.items()}
+    # each level grows in place in its first group's set, which is not
+    # read again (a twin holding that same set is skipped), so no level
+    # copies a large distance-0 group
+    levels: Dict[int, Set[int]] = {}
+    for key, members in sets.items():
+        level = levels.setdefault(key[1], members)
+        if level is not members:
+            level |= members
+    omega0, omega1, omega2 = (levels.get(ell, set()) for ell in range(3))
     fresh1, fresh2 = omega1 - omega0, omega2 - omega0
     return IntersectionReport(
         n=n, q=q, d=d, size=len(omega0) + len(fresh1) + len(fresh2 - omega1),
@@ -594,39 +610,6 @@ def intersection_size_fast(x: Sequence, y: Sequence) -> IntersectionReport:
         omega0_size=len(omega0), omega1_size=len(omega1), omega2_size=len(omega2),
         omega1_minus_omega0=len(fresh1), omega2_minus_omega0=len(fresh2),
     )
-
-
-def _pair_size(
-    xs: Word, ys: Word, q: int, profile: Optional[DiffProfile] = None, floor: int = -1
-) -> Optional[int]:
-    """The size :func:`intersection_size_fast` reports, for two q-ary
-    symbol tuples of one length >= 3, with no ``Sequence`` and no report;
-    ``profile`` is the pair's profile when the caller has built it.
-
-    The size is first bounded by :func:`_union_bound` from the keys
-    alone.  When that bound is at most ``floor``, the pair cannot exceed
-    ``floor`` and None is returned instead of the size; the default floor
-    of -1 always gives the size.  A sweep calls it only for pairs whose
-    :func:`_packed_bound`, taken before any profile, exceeds the floor."""
-    if profile is None:
-        profile = DiffProfile._of_words(xs, ys, q)
-    groups = _pair_keys(profile)
-    if _union_bound(groups, profile.n, q) <= floor:
-        return None
-    omega0, omega1, omega2 = _omega_levels(profile, groups)
-    return len(omega0) + len(omega1 - omega0) + len(omega2 - omega0 - omega1)
-
-
-@lru_cache(maxsize=32)
-def _packing(n: int, q: int) -> Tuple[Callable[..., bytes], int, int, int]:
-    """For length-n q-ary words: the packer of a word's symbols into the
-    fields of :func:`delsub.sequence.field_code`, the field width w, and
-    the masks of each field's low w-1 bits and of its top bit."""
-    code = field_code(q)
-    width = 8 * calcsize(code)
-    pack = Struct(f"<{n}{code}").pack
-    ones = int.from_bytes(pack(*[1] * n), "little")
-    return pack, width, ones * ((1 << width - 1) - 1), ones << width - 1
 
 
 def _packed_bound(xs: Word, ys: Word, q: int) -> int:
@@ -722,31 +705,6 @@ def _union_bound(groups: Dict[GroupKey, Dict[PairKey, None]], n: int, q: int) ->
     for key, keys in groups.items():
         levels[key[1]].update(keys)
     return sum(len(keys) * m for keys, m in zip(levels, (1 + (q - 1) * (n - 1), q, 2)))
-
-
-def _omega_levels(
-    profile: DiffProfile,
-    groups: Dict[GroupKey, Dict[PairKey, None]],
-    group_sizes: Optional[Dict[str, int]] = None,
-) -> Tuple[Set[int], Set[int], Set[int]]:
-    """The member ids of Omega_0, Omega_1 and Omega_2, the unions of the
-    distance-0, -1 and -2 groups, from each group's deleted-pair keys (as
-    :func:`_pair_keys` writes them).  ``group_sizes``, when given,
-    receives each group's member count by label."""
-    if not groups:
-        return set(), set(), set()
-    sets = structural_group_sets(profile, *profile._words, groups)
-    if group_sizes is not None:
-        group_sizes.update({GROUP_LABELS[key]: len(members) for key, members in sets.items()})
-    # each level grows in place in its first group's set, which is not
-    # read again (a twin holding that same set is skipped), so no level
-    # copies a large distance-0 group
-    levels: Dict[int, Set[int]] = {}
-    for key, members in sets.items():
-        level = levels.setdefault(key[1], members)
-        if level is not members:
-            level |= members
-    return levels.get(0, set()), levels.get(1, set()), levels.get(2, set())
 
 
 # ---------------------------------------------------------------------------

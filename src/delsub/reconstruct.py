@@ -19,12 +19,12 @@ import random
 from dataclasses import dataclass
 from itertools import repeat, starmap
 from pathlib import Path
-from struct import Struct, calcsize
+from struct import Struct
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .balls import DEFAULT_BUDGET, _check_budget, _table_bytes
 from .intersect import coverage_bound, min_valid_length
-from .sequence import (Sequence, Word, _delete_t, _set_q, _set_symbols, field_code,
+from .sequence import (Sequence, Word, _delete_t, _packing, _set_q, _set_symbols,
                        mismatch_counts, mismatches)
 
 
@@ -222,7 +222,9 @@ def _one_read_peak_bytes(n: int, q: int) -> int:
             + table + table // 2 + 96 * q + 1024)
 
 
-def inverse_pair_words(r1: Word, r2: Word, q: int, *, residue: int) -> Set[Word]:
+def inverse_pair_words(
+    r1: Word, r2: Word, q: int, *, residue: int, budget: int = DEFAULT_BUDGET
+) -> Set[Word]:
     """The words of symbol sum ``residue`` mod q in the inverse (1,1)-balls
     of both reads, built without either ball.
 
@@ -232,6 +234,10 @@ def inverse_pair_words(r1: Word, r2: Word, q: int, *, residue: int) -> Set[Word]
     one inserted symbol; k1 < k2 and k1 > k2 are the cells visited by
     ``_pair_cells``, each of which holds O(1) words or, with no conflict,
     O(n) words.  The two reads must differ.
+
+    Before each loop over the alphabet, the words held and those the loop
+    adds are checked against ``budget`` (:func:`_check_pool`), so a huge
+    alphabet is refused with ``BudgetExceededError`` before it is walked.
     """
     if r1 == r2:
         raise ValueError("the two reads must differ; one read's pool is inverse_ball_words")
@@ -239,6 +245,8 @@ def inverse_pair_words(r1: Word, r2: Word, q: int, *, residue: int) -> Set[Word]
     d0, p0 = list(mismatches(r1, r2)), mismatch_counts(r1, r2)
     if len(d0) == 1:
         p = d0[0]
+        # q middles, and the len(r1) + 1 insertions into each
+        _check_pool(0, q * (len(r1) + 2), len(r1) + 1, q, budget)
         middles = [r1[:p] + (a,) + r1[p + 1 :] for a in range(q)]
     elif len(d0) == 2:
         middles = [r1[:p] + (r2[p],) + r1[p + 1 :] for p in d0]
@@ -247,13 +255,24 @@ def inverse_pair_words(r1: Word, r2: Word, q: int, *, residue: int) -> Set[Word]
     for z in middles:
         a = (residue - sum(z)) % q
         out.update(z[:k] + (a,) + z[k:] for k in range(len(z) + 1))
-    _pair_cells(r1, r2, d0, p0, q, residue, out)
-    _pair_cells(r2, r1, d0, p0, q, residue, out)
+    _pair_cells(r1, r2, d0, p0, q, residue, out, budget)
+    _pair_cells(r2, r1, d0, p0, q, residue, out, budget)
     return out
 
 
+def _check_pool(held: int, more: int, n: int, q: int, budget: int) -> None:
+    """Refuse a two-read pool that holds ``held`` words of length n and
+    is about to add ``more``, when those words, as tuples in a set with
+    its hash table (as :func:`_one_read_peak_bytes` counts them), would
+    pass ``budget``."""
+    words = held + more
+    _check_budget(f"the two-read pool at n={n}, q={q}",
+                  words * (40 + 8 * n) + _table_bytes(words), budget)
+
+
 def _pair_cells(
-    a: Word, b: Word, d0: List[int], p0: List[int], q: int, residue: int, out: Set[Word]
+    a: Word, b: Word, d0: List[int], p0: List[int], q: int, residue: int, out: Set[Word],
+    budget: int,
 ) -> None:
     """Add the words of the cells k1 < k2, where deleting k1 from x comes
     within distance 1 of ``a`` and deleting k2 within distance 1 of ``b``.
@@ -304,6 +323,7 @@ def _pair_cells(
                     out.add(w[:p] + (third,) + w[p + 1 :])
             else:
                 # both holes free, or one position rewritten against both reads
+                _check_pool(len(out), q, m + 1, q, budget)
                 for h in range(q):
                     tail = ((w[k2] + delta - h + w[k1]) % q,) + w[k2 + 1 :]
                     out.add(w[:k1] + (h,) + w[k1 + 1 : k2] + tail)
@@ -323,12 +343,11 @@ def _survivors(pool: Iterable[Word], reads: Iterable[Word], q: int, n: int) -> L
     padded with -1) its two highest (``bit_length``).  Some j leaves at
     most one mismatch iff b2 < j <= f1 or b1 < j <= f2.
     """
-    code = field_code(q)
-    shift = calcsize(code).bit_length() + 2  # log2 of the field's bit width
-    width, m = 1 << shift, n - 1
-    packed = list(map(int.from_bytes, starmap(Struct(f"<{m}{code}").pack, reads),
-                      repeat("little")))
-    pack, sentinel, out = Struct(f"<{n}{code}").pack, 1 << width * m, []
+    m = n - 1
+    pack, width = _packing(n, q)[:2]
+    shift = width.bit_length() - 1  # log2 of the field's bit width
+    packed = list(map(int.from_bytes, starmap(_packing(m, q)[0], reads), repeat("little")))
+    sentinel, out = 1 << width * m, []
     for w in pool:
         full = int.from_bytes(pack(*w), "little")
         ahead, behind = full & (sentinel - 1) | sentinel, full >> width
@@ -358,8 +377,10 @@ def reconstruct(reads: ReadSet, codebook: Codebook, budget: int = DEFAULT_BUDGET
     Explicit codebooks and the parity pool of the two smallest reads
     (``inverse_pair_words``) are filtered by ``_survivors``; one read's
     candidates are its restricted inverse ball, refused with
-    ``BudgetExceededError`` when its bound from n and q passes ``budget``.
-    An alphabet of more than 2^64 symbols is refused with ValueError.
+    ``BudgetExceededError`` when its bound from n and q passes ``budget``;
+    the two-read pool is refused the same way before a loop over the
+    alphabet would pass it.  An alphabet of more than 2^64 symbols is
+    refused with ValueError.
     """
     if len(reads) == 0:
         raise ValueError("read set cannot be empty")
@@ -370,7 +391,7 @@ def reconstruct(reads: ReadSet, codebook: Codebook, budget: int = DEFAULT_BUDGET
     n, q = codebook.n, codebook.q
     # the packed filter has no field past 64 bits, and the pools loop over
     # the alphabet: such a q is refused before any pool is built
-    field_code(q)
+    _packing(n, q)
     if codebook.kind == "explicit":
         candidates = _survivors(codebook.words, reads.reads, q, n)
     elif len(reads) == 1:
@@ -381,7 +402,7 @@ def reconstruct(reads: ReadSet, codebook: Codebook, budget: int = DEFAULT_BUDGET
         # the two smallest reads fix the pool; the rest filter it in any order
         r1 = min(reads.reads)
         r2 = min(reads.reads - {r1})
-        pool = inverse_pair_words(r1, r2, q, residue=0)
+        pool = inverse_pair_words(r1, r2, q, residue=0, budget=budget)
         candidates = _survivors(pool, reads.reads - {r1, r2}, q, n)
     # Sequence._wrap over every candidate, in C-level passes
     seqs = tuple(map(object.__new__, repeat(Sequence, len(candidates))))

@@ -1,5 +1,6 @@
 """q-ary sequence primitives: words over {0,...,q-1}, Hamming distance,
-run ends, deletion, and the mismatch primitive the other modules share.
+run ends, deletion, and the mismatch primitive and packed word format
+(:func:`field_code`, :func:`_packing`) the other modules share.
 
 Positions handed to the operations in this module are 1-based, matching
 the interval conventions used throughout the package ([l, r] closed
@@ -9,9 +10,10 @@ intervals, first symbol at position 1).  Python-level indexing on a
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, compress, count
 from operator import itemgetter, ne
-from struct import calcsize
+from struct import Struct, calcsize
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence as PySequence,
                     Tuple)
 
@@ -201,6 +203,18 @@ def field_code(q: int) -> str:
         if q <= 1 << 8 * calcsize(code):
             return code
     raise ValueError(f"packed words hold at most 2^64 symbols per field, not q = {q}")
+
+
+@lru_cache(maxsize=32)
+def _packing(n: int, q: int) -> Tuple[Callable[..., bytes], int, int, int]:
+    """For length-n q-ary words: the packer of a word's symbols into the
+    fields of :func:`field_code`, the field width w, and the masks of
+    each field's low w-1 bits and of its top bit."""
+    code = field_code(q)
+    width = 8 * calcsize(code)
+    pack = Struct(f"<{n}{code}").pack
+    ones = int.from_bytes(pack(*[1] * n), "little")
+    return pack, width, ones * ((1 << width - 1) - 1), ones << width - 1
 
 
 def _delete_t(xs: Word, position: int) -> Word:

@@ -11,6 +11,7 @@ from collections import Counter
 from importlib import resources
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -519,7 +520,8 @@ class TestVerifyCommand:
 
         import delsub.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "_pair_size", lambda xs, ys, q, profile, floor: 0)
+        monkeypatch.setattr(cli_module, "_pair_report",
+                            lambda xs, ys, q, profile, floor: SimpleNamespace(size=0))
         argv = ["verify", "--scope", "theorem", "--q", "2", "--n", "10000",
                 "--seed", "1", "--jobs", "1", "--samples"]
         run_cli(capsys, *argv, "1")
@@ -588,11 +590,11 @@ class TestVerifyCommand:
             monkeypatch.setattr(cli_module, "_packed_bound", lambda xs, ys, q: bounds[xs, ys])
         sized = []
 
-        def recording(xs, ys, q, profile, floor, real=cli_module._pair_size):
+        def recording(xs, ys, q, profile, floor, real=cli_module._pair_report):
             sized.append((xs, ys))
             return real(xs, ys, q, profile, floor)
 
-        monkeypatch.setattr(cli_module, "_pair_size", recording)
+        monkeypatch.setattr(cli_module, "_pair_report", recording)
         return sized
 
     def test_tie_ahead_of_the_witness_takes_it(self, monkeypatch):
@@ -795,6 +797,22 @@ class TestSimulateCommand:
         assert out == ""
         assert err == ("error: packed words hold at most 2^64 symbols per field, "
                        f"not q = {1 << 65}\n")
+
+    def test_huge_alphabet_two_read_pool_refused_before_allocating(self):
+        # q = 2^40 fits a packed field, but the two-read pool loops over the
+        # alphabet: the budget must refuse it before that loop allocates,
+        # with the child's address space capped at 512 MiB
+        cap = 512 << 20
+        proc = cli_process(
+            ["simulate", "--q", str(1 << 40), "--n", "6", "--parity", "--reads", "3",
+             "--trials", "3", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2, err
+        assert out == ""
+        assert err.startswith("error: the two-read pool at n=6"), err
 
     def test_budget_option_bounds_one_read_decode(self, capsys):
         argv = ["simulate", "--q", "2", "--parity", "--n", "10", "--reads", "1",

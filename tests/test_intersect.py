@@ -699,41 +699,27 @@ def window_families(rng, q, n):
 
 
 class TestWindowExit:
-    """At Hamming distance >= 6 the direct construction skips a side whose
-    shifted set holds more than two positions in (i3, i_{d-2}]: every pair
-    j <= j' of that side within distance 2 has j <= i3 and j' >= i_{d-2},
-    so its middle count is at least that many."""
+    """At Hamming distance >= 6 a side whose shifted set holds more than
+    two positions in (i3, i_{d-2}] has no group: every pair j <= j' of
+    that side within distance 2 has j <= i3 and j' >= i_{d-2}, so its
+    middle count is at least that many.  The direct construction reads
+    such a side like any other and must write it no key."""
 
     @staticmethod
     def exits(p):
         return {side for side in "LR" if p.t_count(side, p.s[2] + 1, p.s[-3]) > 2}
 
-    @pytest.fixture
-    def landmarks(self, monkeypatch):
-        """The shifted sets handed to ``_below`` and ``_above``, one per call."""
-        calls = []
-        for name in ("_below", "_above"):
-            def record(positions, bound, real=getattr(intersect_module, name)):
-                calls.append(positions)
-                return real(positions, bound)
-
-            monkeypatch.setattr(intersect_module, name, record)
-        return calls
-
-    def check(self, landmarks, xs, ys, q):
+    def check(self, xs, ys, q):
         """The direct family against the scan's on one pair at d >= 6;
-        returns the family and the sides the exit skipped."""
+        returns the family and the sides the count leaves without a group."""
         p = DiffProfile._of_words(xs, ys, q)
         sides = self.exits(p)
-        landmarks.clear()
         direct = intersect_module._claims_keys(p)
         assert direct == group_pairs(p, scan_candidates(p)), (xs, ys)
-        # a skipped side reads no landmark, so with both skipped no group is built
-        kept = [t for side, t in (("L", p.tl), ("R", p.tr)) if side not in sides]
-        assert landmarks == [t for t in kept for _ in range(2)], (xs, ys)
+        assert not [key for key in direct if key[0] in sides], (xs, ys)
         return direct, sides
 
-    def test_exit_equals_scan_exhaustively(self, landmarks):
+    def test_exit_equals_scan_exhaustively(self):
         skipped = Counter()
         for q, top in ((2, 9), (3, 6)):
             for n in range(6, top + 1):
@@ -741,10 +727,10 @@ class TestWindowExit:
                 for xs in words:
                     for ys in words:
                         if sum(map(ne, xs, ys)) >= 6:
-                            skipped[len(self.check(landmarks, xs, ys, q)[1])] += 1
+                            skipped[len(self.check(xs, ys, q)[1])] += 1
         assert skipped[1] and skipped[2], skipped
 
-    def test_exit_equals_scan_on_long_words(self, landmarks):
+    def test_exit_equals_scan_on_long_words(self):
         # the exit must not skip the side that collapses a shifted window
         rng = random.Random(67)
         skipped = Counter()
@@ -754,7 +740,7 @@ class TestWindowExit:
                     for x, y, collapsed in window_families(rng, q, n):
                         if sum(map(ne, x, y)) < 6:
                             continue
-                        direct, sides = self.check(landmarks, x, y, q)
+                        direct, sides = self.check(x, y, q)
                         skipped[len(sides)] += 1
                         if collapsed:
                             assert collapsed not in sides, (x, y)
@@ -866,8 +852,8 @@ class TestEmptyFamilyMasks:
 
 
 class TestPairSize:
-    """The sweep's size stage, which builds neither a ``Sequence`` nor a
-    report, against the report's size."""
+    """The sweep's size stage, :func:`_pair_report`, against the report of
+    :func:`intersection_size_fast`."""
 
     def test_equals_report_size_at_every_distance(self):
         rng = random.Random(71)
@@ -880,22 +866,23 @@ class TestPairSize:
                         ys[i] = (xs[i] + rng.randrange(1, q)) % q
                     ys = tuple(ys)
                     x, y = Sequence(xs, q), Sequence(ys, q)
-                    size = intersection_size_fast(x, y).size
-                    assert intersect_module._pair_size(xs, ys, q) == size, (x, y)
+                    report = intersection_size_fast(x, y).to_dict()
+                    assert intersect_module._pair_report(xs, ys, q).to_dict() == report, (x, y)
                     # the profile a caller built, as the remark5 sampler hands it on
                     p, checked = DiffProfile._of_words(xs, ys, q), DiffProfile(x, y)
                     assert [getattr(p, a) for a in ("n", "q", "s", "tl", "tr", "d", "_words")] \
                         == [getattr(checked, a) for a in ("n", "q", "s", "tl", "tr", "d", "_words")]
-                    assert intersect_module._pair_size(xs, ys, q, p) == size, (x, y)
+                    assert intersect_module._pair_report(xs, ys, q, p).to_dict() == report, (x, y)
 
     @staticmethod
     def check_bound(xs, ys, q):
         """The size, after checking that the union bound lies between it
         and the group-by-group reference bound, and that a floor one below
-        the size still gives the size; returns the bound too."""
+        the size still gives the full report; returns the bound too."""
         n = len(xs)
-        size = intersect_module._pair_size(xs, ys, q)
-        assert intersect_module._pair_size(xs, ys, q, floor=size - 1) == size, (xs, ys)
+        report = intersect_module._pair_report(xs, ys, q)
+        size = report.size
+        assert intersect_module._pair_report(xs, ys, q, floor=size - 1) == report, (xs, ys)
         keys = intersect_module._pair_keys(DiffProfile._of_words(xs, ys, q))
         bound = intersect_module._union_bound(keys, n, q)
         assert size <= bound <= twin_union_bound(keys, n, q), (xs, ys)
@@ -917,7 +904,7 @@ class TestPairSize:
             xs, ys, q = x.symbols, y.symbols, x.q
             size, bound = self.check_bound(xs, ys, q)
             # and a floor at the bound skips the expansion
-            assert intersect_module._pair_size(xs, ys, q, floor=bound) is None, (x, y)
+            assert intersect_module._pair_report(xs, ys, q, floor=bound) is None, (x, y)
 
 
 def pinned_families(n):

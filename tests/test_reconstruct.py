@@ -321,9 +321,11 @@ class TestOneReadBudget:
         reads = ReadSet([(0,) * 39], 4, 39)
         with pytest.raises(BudgetExceededError, match="one-read decode at n=40, q=4"):
             reconstruct(reads, Codebook.parity(40, 4), _one_read_peak_bytes(40, 4) - 1)
-        # only the one-read pool is bounded
+        # the two-read pool is bounded too, before it loops over the alphabet
         two = ReadSet([(0,) * 39, (1,) + (0,) * 38], 4, 39)
-        assert reconstruct(two, Codebook.parity(40, 4), 0).outcome == "ambiguous"
+        with pytest.raises(BudgetExceededError, match="two-read pool at n=40, q=4"):
+            reconstruct(two, Codebook.parity(40, 4), 0)
+        assert reconstruct(two, Codebook.parity(40, 4)).outcome == "ambiguous"
 
 
 def two_ball_pool(r1, r2, q, residue):
