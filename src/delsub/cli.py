@@ -25,19 +25,20 @@ from itertools import chain, islice, product
 from math import log10
 from multiprocessing import Pool
 from operator import ne
+from struct import calcsize
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .balls import (
-    BallSpec, BudgetExceededError, DEFAULT_BUDGET, ball_intersection, ds_ball,
+    BallSpec, BudgetExceededError, DEFAULT_BUDGET, _check_budget, ball_intersection, ds_ball,
     substitution_ball_size,
 )
-from .diffs import DiffProfile
 from .intersect import (
     IntersectionReport,
     bound_applicable,
     constant_regime_bound,
     coverage_bound,
     _packed_bound,
+    _packed_shifts,
     _pair_report,
     intersection_size_fast,
     min_valid_length,
@@ -45,7 +46,7 @@ from .intersect import (
     verify_lemmas,
 )
 from .reconstruct import Codebook, ReadSet, channel_transmit, reconstruct
-from .sequence import Sequence, Word, hamming
+from .sequence import Sequence, Word, field_code, hamming
 
 PAIR_CAP = 4_000_000
 # pairs per sampled verify task, and at most per exhaustive one (whole words
@@ -57,8 +58,8 @@ BATCH_SYMBOLS = 1 << 14
 # violation details kept in the verify report
 SAMPLE_LIMIT = 10
 SCOPES = ("claims", "theorem", "lemmas", "remark5")
-# a pair of a verify task: the two words and their profile, when already built
-PairItem = Tuple[Word, Word, Optional[DiffProfile]]
+# a pair of a verify task: its two words
+PairItem = Tuple[Word, Word]
 
 
 @lru_cache(maxsize=None)
@@ -258,16 +259,15 @@ def _check_task(
     below the smaller of the limit and the maximum, and a pair whose
     bound is at most its floor (that smaller value, one less for a tie
     ahead of the witness; -1 before the first size) is skipped.  The
-    others go from the symbol tuples to
-    :func:`delsub.intersect._pair_report` at the same floor, which first
-    bounds them by their keys, reusing the profile the remark5 sampler
-    built, and reports only a pair that passes both bounds; the task
-    reads the report's size.  Violations are reported in stream order and
-    the witness is the first pair in stream order reaching the maximum,
-    so the result is that of sizing every pair in order.  A pair is wrapped in
-    ``Sequence`` only to print it.  Returns one small result: (pairs
-    checked, the first SAMPLE_LIMIT violation details, violation count,
-    failed-check counts, max size | None, first pair reaching it)."""
+    others go from the symbol tuples to :func:`delsub.intersect._pair_report`
+    at the same floor, which first bounds them by their keys and reports
+    only a pair that passes both bounds; the task reads the report's size.
+    Violations are reported in stream order and the witness is the first
+    pair in stream order reaching the maximum, so the result is that of
+    sizing every pair in order.  A pair is wrapped in ``Sequence`` only to
+    print it.  Returns one small result: (pairs checked, the first
+    SAMPLE_LIMIT violation details, violation count, failed-check counts,
+    max size | None, first pair reaching it)."""
     if samples is None:
         pairs = _exhaustive_pairs(q, n, min_d, k)
     else:
@@ -285,7 +285,7 @@ def _check_task(
         # (batch index, detail) of each violation
         found: List[Tuple[int, dict]] = []
         if limit is None:
-            for i, (xs, ys, _) in enumerate(batch):
+            for i, (xs, ys) in enumerate(batch):
                 x = Sequence._wrap(xs, q)
                 y = Sequence._wrap(ys, q)
                 # looked up by name per pair, so a patched or wrapped module
@@ -296,7 +296,7 @@ def _check_task(
                     failed.update(names)
                     found.append((i, {"x": str(x), "y": str(y), "failed": names}))
         else:
-            bounds = [_packed_bound(xs, ys, q) for xs, ys, _ in batch]
+            bounds = [_packed_bound(xs, ys, q) for xs, ys in batch]
             # the batch index of the witness; -1 while it is from an earlier batch
             lead = -1
             # descending bound, ties in stream order (the sort is stable)
@@ -308,8 +308,8 @@ def _check_task(
                     floor = min(limit, max_size - (i < lead))
                     if bound <= floor:
                         continue
-                xs, ys, profile = batch[i]
-                report = _pair_report(xs, ys, q, profile, floor)
+                xs, ys = batch[i]
+                report = _pair_report(xs, ys, q, None, floor)
                 if report is None:
                     continue
                 size = report.size
@@ -342,42 +342,60 @@ def _exhaustive_pairs(q: int, n: int, min_d: int, k: int) -> Iterator[PairItem]:
     w = _words_per_task(q, n, min_d)
     words = partial(product, range(q), repeat=n)
     return (
-        (xs, ys, None) for xs in islice(words(), k * w, (k + 1) * w) for ys in words()
+        (xs, ys) for xs in islice(words(), k * w, (k + 1) * w) for ys in words()
         if sum(map(ne, xs, ys)) >= min_d
     )
+
+
+@lru_cache(maxsize=None)
+def _byte_map(m: int) -> Tuple[bytes, bytes]:
+    """For 1 <= m <= 256: the table of b mod m, and the bytes _draw rejects."""
+    return bytes(b % m for b in range(256)), bytes(range(256 - 256 % m, 256))
+
+
+def _draw(rng: random.Random, m: int, count: int) -> bytes | List[int]:
+    """``count`` independent values uniform on range(m), m >= 1: up to m =
+    256, the bytes b of ``rng.randbytes`` below 256 - 256 mod m, as b mod m
+    (more bytes are drawn only when too few are left); past it, by
+    ``rng.randrange``, which rejects wider random bits the same way."""
+    if m > 256:
+        return [rng.randrange(m) for _ in range(count)]
+    table, rejected = _byte_map(m)
+    out = rng.randbytes(count).translate(table, rejected)
+    while len(out) < count:
+        out += rng.randbytes(count - len(out)).translate(table, rejected)
+    return out
 
 
 def _sampled_pairs(
     rng: random.Random, q: int, n: int, count: int, min_d: int, need_shift: bool
 ) -> Iterator[PairItem]:
-    """Seeded pair sample mixing uniform pairs with small-distance pairs
-    (random substitution patterns), all meeting the minimum Hamming
-    distance; ``need_shift`` additionally requires that the words share
-    no length n-1 subsequence (the constant-regime hypothesis), which
-    holds exactly when both sides' shifted sets meet the mismatch window
-    (:meth:`DiffProfile.shifts`).  Each item is (x, y, the profile that
-    window test built, or None without it)."""
-    symbols = tuple(range(q))  # indexed faster than a range by rng.choices
+    """Seeded pairs, every random value drawn by :func:`_draw`: a uniform
+    x, then by a fair coin either y = x with k substitutions (k uniform on
+    [min_d, min(n, min_d + 4)], at the first k distinct values of a uniform
+    stream below n, offsets uniform on 1..q-1) or a uniform y, the pair
+    drawn again when closer than min_d.  ``need_shift`` also requires that
+    the words share no length n-1 subsequence (the constant-regime
+    hypothesis): both sides shift (:func:`delsub.intersect._packed_shifts`)."""
     while count:
-        xs = tuple(rng.choices(symbols, k=n))
-        if rng.random() < 0.5:
-            k = rng.randint(min_d, min(n, min_d + 4))
-            positions = rng.sample(range(n), k)
+        xs = tuple(_draw(rng, q, n))
+        if _draw(rng, 2, 1)[0]:
+            k = min_d + _draw(rng, min(n, min_d + 4) - min_d + 1, 1)[0]
+            positions: dict = {}
+            while len(positions) < k:
+                positions.update(dict.fromkeys(_draw(rng, n, k - len(positions))))
             ys_list = list(xs)
-            for p in positions:
-                ys_list[p] = (xs[p] + 1 + rng.randrange(q - 1)) % q
+            for p, offset in zip(positions, _draw(rng, q - 1, k)):
+                ys_list[p] = (xs[p] + 1 + offset) % q
             ys = tuple(ys_list)
         else:
-            ys = tuple(rng.choices(symbols, k=n))
+            ys = tuple(_draw(rng, q, n))
             if sum(map(ne, xs, ys)) < min_d:
                 continue
-        profile = None
-        if need_shift:
-            profile = DiffProfile._of_words(xs, ys, q)
-            if not (profile.shifts("L") and profile.shifts("R")):
-                continue
+        if need_shift and not _packed_shifts(xs, ys, q):
+            continue
         count -= 1
-        yield xs, ys, profile
+        yield xs, ys
 
 
 def cmd_verify(args) -> int:
@@ -414,6 +432,12 @@ def cmd_verify(args) -> int:
         count = q**n * (q**n - 1) if 2 * n * log10(q) <= 4000 else f"{q}^{n} ({q}^{n} - 1)"
         raise ValueError(f"{count} ordered pairs exceed the exhaustive cap of {PAIR_CAP}; "
                          "use --samples with --seed")
+    # one pair's draw: two words as tuples, as drawn bytes (past a byte, a
+    # list of ints) and, in a bounded scope, packed into ints
+    drawn = 33 + n if q <= 256 else 56 + 36 * n
+    packed = 0 if limit is None else 28 + n * calcsize(field_code(q))
+    _check_budget(f"one pair of the sweep at n={n}, q={q}",
+                  2 * (40 + 8 * n + drawn + packed), DEFAULT_BUDGET)
     # a sweep is a run of tasks 0, 1, ..., which the workers build, check
     # and reduce: CHUNK sampled pairs each, or all pairs of whole words x;
     # the parent holds no pair and merges one result per task, in task

@@ -636,11 +636,7 @@ def _packed_bound(xs: Word, ys: Word, q: int) -> int:
     plus the run through each window's last position.  Below d = 2 the
     bound is the n^2 run-end pairs of each level."""
     n = len(xs)
-    pack, width, low, high = _packing(n, q)
-    x = int.from_bytes(pack(*xs), "little")
-    y = int.from_bytes(pack(*ys), "little")
-    v = x ^ y
-    s = ((v & low) + low | v) & high
+    x, y, width, low, inner, s = _packed_masks(xs, ys, q)
     d = s.bit_count()
     ball = 1 + (q - 1) * (n - 1)
     if d < 2:
@@ -654,7 +650,6 @@ def _packed_bound(xs: Word, ys: Word, q: int) -> int:
     hi2 = s ^ 1 << h1 - 1
     h2 = hi2.bit_length()
     h3 = (hi2 ^ 1 << h2 - 1).bit_length()
-    inner = high ^ 1 << width - 1
     # the keys each level can hold
     keys0 = keys1 = keys2 = 0
     for v in (x ^ y << width, x << width ^ y):
@@ -675,13 +670,34 @@ def _packed_bound(xs: Word, ys: Word, q: int) -> int:
             keys2 += (c3 - e1 == 0) + (c1 - e3 == 0) + (c2 - e2 == 0)
     if d == 2:
         u = x ^ x >> width
-        ends = ((u & low) + low | u) & high >> width
+        ends = ((u & low) + low | u) & inner >> width
         # run ends j in [1, i1 - 1), [i1 + 1, i2 - 1) and [i2 + 1, n), and the
         # run through each non-empty window's last position
         keys1 += 2
         keys2 += (ends & ~(s | s >> width)).bit_count()
         keys2 += (l1 > width) + (l2 - l1 > width) + (l2 < n * width)
     return ball * keys0 + q * keys1 + 2 * keys2
+
+
+def _packed_masks(xs: Word, ys: Word, q: int) -> Tuple[int, int, int, int, int, int]:
+    """Two words packed by :func:`delsub.sequence._packing` into x and y,
+    its field width w and low-bit mask, the top bits of fields 1 to n-1,
+    and S: the nonzero fields of x ^ y, each collapsed to its top bit."""
+    pack, width, low, high = _packing(len(xs), q)
+    x = int.from_bytes(pack(*xs), "little")
+    y = int.from_bytes(pack(*ys), "little")
+    v = x ^ y
+    return x, y, width, low, high ^ 1 << width - 1, ((v & low) + low | v) & high
+
+
+def _packed_shifts(xs: Word, ys: Word, q: int) -> bool:
+    """:meth:`DiffProfile.shifts` on both sides, for words at distance >= 1,
+    from the masks of :func:`_packed_bound`: a side shifts exactly when
+    T's count in (i1, id], its ``mid_all``, is nonzero."""
+    x, y, width, low, inner, s = _packed_masks(xs, ys, q)
+    lo, hi = (s & -s).bit_length(), s.bit_length()
+    sides = (((v & low) + low | v) & inner for v in (x ^ y << width, x << width ^ y))
+    return all((t >> lo).bit_count() > (t >> hi).bit_count() for t in sides)
 
 
 def _pair_keys(profile: DiffProfile) -> Dict[GroupKey, Dict[PairKey, None]]:

@@ -216,7 +216,7 @@ def exact_task(q, n, scope, limit, min_d, samples, seed, k):
     pairs = _sampled_pairs(random.Random(f"{seed}:{k}"), q, n,
                            min(CHUNK, samples - k * CHUNK), min_d, scope == "remark5")
     sized = [(xs, ys, intersection_size_fast(Sequence(xs, q), Sequence(ys, q)).size)
-             for xs, ys, _ in pairs]
+             for xs, ys in pairs]
     top = max(size for _, _, size in sized)
     witness = next((xs, ys) for xs, ys, size in sized if size == top)
     over = [{"x": str(Sequence(xs, q)), "y": str(Sequence(ys, q)), "size": size,
@@ -272,14 +272,16 @@ class TestVerifyCommand:
         assert payload["max_size"] <= 40
         assert payload["bound"] == 40
 
-    # the sampled sweeps' sha256 was recorded before they took sizes
-    # without a report, so the same pairs, sizes and witnesses must come out
+    # the sampled sweeps' sha256 was recorded again when the sampler began
+    # to draw every value from random bytes by exact rejection: the pairs a
+    # seed samples changed, each pair kind keeping its distribution, and
+    # the new witnesses' sizes (88 and 10) match ball_intersection
     @pytest.mark.parametrize("argv, digest", [
         (["--scope", "claims", "--q", "2", "--n", "4", "--exhaustive"], None),
         (["--scope", "theorem", "--q", "2", "--n", "29", "--samples", "2000", "--seed", "7"],
-         "7c9a48e347945c86f22fc366897c25a3edf77059721dc7ef88ac78e80a4ff701"),
+         "1d2b7bace76cacb11c037bb7e065e43b2767ec7927fa9071e806f4630a393f7f"),
         (["--scope", "remark5", "--q", "2", "--n", "29", "--samples", "600", "--seed", "7"],
-         "5a0c2cf023cc05d29e454b58bdd40392244d671a72bb5710218325079ecd3858"),
+         "6600aa61fff2988909f13f96f1edb7b906649c380047eb45d404bcb9cf1465ef"),
         (["--scope", "lemmas", "--q", "2", "--n", "5", "--exhaustive"], None),
     ], ids=["claims-exhaustive", "theorem-sampled", "remark5-sampled", "lemmas-exhaustive"])
     def test_jobs_do_not_change_output(self, capsys, argv, digest):
@@ -486,9 +488,8 @@ class TestVerifyCommand:
             partners = len(reference) // q**n
             tasks = [list(cli_module._exhaustive_pairs(q, n, min_d, k))
                      for k in range(-(-q**n // cli_module._words_per_task(q, n, min_d)))]
-            # with no profile built for them
             assert [pair for task in tasks for pair in task] == [
-                (x, y, None) for x, y in reference], min_d
+                (x, y) for x, y in reference], min_d
             # whole words x per task, as many as fit in CHUNK pairs
             assert all(len(task) % partners == 0 for task in tasks)
             assert all(len(task) <= max(CHUNK, partners) for task in tasks)
@@ -583,7 +584,7 @@ class TestVerifyCommand:
         import delsub.cli as cli_module
 
         def drawn(rng, q, n, count, min_d, need_shift):
-            return iter([(xs, ys, None) for xs, ys in pairs])
+            return iter([(xs, ys) for xs, ys in pairs])
 
         monkeypatch.setattr(cli_module, "_sampled_pairs", drawn)
         if bounds is not None:
@@ -626,7 +627,7 @@ class TestVerifyCommand:
         from delsub.intersect import _packed_bound
 
         q, n = 3, min_valid_length(3)
-        drawn = [(xs, ys) for xs, ys, _ in _sampled_pairs(random.Random(3), q, n, 120, 2, False)]
+        drawn = [(xs, ys) for xs, ys in _sampled_pairs(random.Random(3), q, n, 120, 2, False)]
         pairs = sorted(drawn, key=lambda p: _packed_bound(*p, q))
         sized = self._stream(monkeypatch, pairs)
         expected = exact_task(q, n, "theorem", 8, 2, len(pairs), 1, 0)
@@ -669,6 +670,43 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    OVERSIZED = [
+        ["--scope", "claims", "--q", "2", "--n", "1000000000", "--samples", "1", "--seed", "1"],
+        ["--scope", "theorem", "--q", "2", "--n", "100000000", "--samples", "1", "--seed", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", OVERSIZED, ids=["claims", "theorem"])
+    def test_oversized_sampled_words_rejected_before_any_pair(self, capsys, monkeypatch, argv):
+        # one pair of 10^8 or 10^9 symbols is past the default budget: the
+        # sweep must refuse before a task draws it or a worker starts
+        import delsub.cli as cli_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pairs built or workers started")
+
+        for name in ("_exhaustive_pairs", "_sampled_pairs", "Pool"):
+            monkeypatch.setattr(cli_module, name, forbidden)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: one pair of the sweep at n={argv[5]}, q=2 may hold ")
+        assert err.endswith("bytes at once, above the budget of 10000000\n")
+
+    @pytest.mark.parametrize("argv", OVERSIZED, ids=["claims", "theorem"])
+    def test_oversized_sampled_words_refused_before_allocating(self, argv):
+        # with its address space capped at 512 MiB, the child must refuse
+        # with a budget error, not die drawing the words
+        cap = 512 << 20
+        proc = cli_process(
+            ["verify", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2, err
+        assert out == ""
+        assert err.startswith(f"error: one pair of the sweep at n={argv[5]}, q=2 may hold "), err
+        assert "Traceback" not in err
+
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--scope", "claims", "--q", "2", "--n", "4",
@@ -678,6 +716,104 @@ class TestVerifyCommand:
         header, row = out.splitlines()
         assert header.startswith("scope,q,n,mode")
         assert row.startswith("claims,2,4,exhaustive")
+
+
+class ByteStream:
+    """A stand-in for ``random.Random`` whose ``randbytes`` serves the
+    bytes of ``stream`` in order, and fails past their end."""
+
+    def __init__(self, stream):
+        self.rest = bytes(stream)
+
+    def randbytes(self, k):
+        assert k <= len(self.rest), "drew past the stream"
+        out, self.rest = self.rest[:k], self.rest[k:]
+        return out
+
+
+class TestSampler:
+    """The sampled sweeps' draw (``_draw``) and pair stream (``_sampled_pairs``)."""
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 255, 256])
+    def test_byte_draw_keeps_each_accepted_byte_once(self, m):
+        # every byte value once, the rejected ones first: the draw must
+        # replace them from the rest of the stream, use it all, and map
+        # exactly the bytes below 256 - 256 mod m, each to b mod m
+        from delsub.cli import _draw
+
+        cut = 256 - 256 % m
+        stream = sorted(random.Random(m).sample(range(256), 256), key=lambda b: b < cut)
+        rng = ByteStream(stream)
+        out = _draw(rng, m, cut)
+        assert rng.rest == b""
+        assert list(out) == [b % m for b in stream if b < cut]
+        assert Counter(out) == {value: 256 // m for value in range(m)}
+
+    def test_wide_draw_is_randrange(self):
+        # past a byte (symbols at q > 256, positions at n > 256) each value
+        # is one exact rng.randrange draw
+        from delsub.cli import _draw
+
+        rng = random.Random(4)
+        assert _draw(random.Random(4), 300, 50) == [rng.randrange(300) for _ in range(50)]
+
+    @pytest.mark.parametrize("q, n, min_d", [
+        (2, 29, 2), (5, 17, 3), (300, 40, 2), (3, 300, 2), (4, 4, 3),
+    ])
+    def test_pairs_follow_their_draws(self, monkeypatch, q, n, min_d):
+        # each pair's last attempt starts with its word x and the coin; a
+        # substituted y differs from x at exactly the k drawn positions, k
+        # in [min_d, min(n, min_d + 4)], by the drawn offsets, and a uniform
+        # y is the drawn word, at distance >= min_d
+        import delsub.cli as cli_module
+
+        calls = []
+
+        def recording(rng, m, count, real=cli_module._draw):
+            out = real(rng, m, count)
+            calls.append((m, count, list(out)))
+            return out
+
+        monkeypatch.setattr(cli_module, "_draw", recording)
+        top = min(n, min_d + 4)
+        ks = Counter()
+        seen = 0
+        for xs, ys in cli_module._sampled_pairs(random.Random(q), q, n, 400, min_d, False):
+            start = max(i for i in range(seen, len(calls) - 1)
+                        if calls[i][:2] == (q, n) and calls[i + 1][:2] == (2, 1))
+            drawn, seen = calls[start:], len(calls)
+            assert list(xs) == drawn[0][2]
+            d = sum(a != b for a, b in zip(xs, ys))
+            if drawn[1][2] == [1]:
+                assert drawn[2][:2] == (top - min_d + 1, 1)
+                k = min_d + drawn[2][2][0]
+                stream = [p for m, _, values in drawn[3:-1] if m == n for p in values]
+                positions = list(dict.fromkeys(stream))
+                assert len(positions) == k == d and min_d <= k <= top
+                assert drawn[-1][:2] == (q - 1, k)
+                assert [(ys[p] - xs[p]) % q for p in positions] == [
+                    1 + offset for offset in drawn[-1][2]]
+                ks[k] += 1
+            else:
+                assert drawn[2:] == [(q, n, list(ys))]
+                assert d >= min_d
+                ks["uniform"] += 1
+        assert set(ks) == {*range(min_d, top + 1), "uniform"}, ks
+
+    def test_byte_sized_sweeps_draw_no_choice_or_sample(self):
+        # at q <= 256 and n <= 256 every value comes from randbytes (which
+        # reads getrandbits)
+        class BytesOnly(random.Random):
+            def forbidden(self, *args, **kwargs):
+                raise AssertionError("drew past randbytes")
+
+            choices = sample = random = randint = randrange = forbidden
+
+        from delsub.cli import _sampled_pairs
+
+        for q, n, min_d, need_shift in ((2, 29, 2, False), (256, 256, 3, True), (3, 17, 3, True)):
+            pairs = list(_sampled_pairs(BytesOnly(q), q, n, 300, min_d, need_shift))
+            assert len(pairs) == 300
 
 
 class TestSimulateCommand:

@@ -851,6 +851,46 @@ class TestEmptyFamilyMasks:
             assert any(wrong(*p) < u for p, u in zip(pairs, union)), mutant
 
 
+class TestPackedShifts:
+    """The remark5 sampler's window test on packed masks against
+    :meth:`DiffProfile.shifts` on both sides."""
+
+    @staticmethod
+    def check(xs, ys, q):
+        p = DiffProfile._of_words(xs, ys, q)
+        shifts = p.shifts("L") and p.shifts("R")
+        assert intersect_module._packed_shifts(xs, ys, q) == shifts, (xs, ys, q)
+        return shifts
+
+    def test_equals_profile_exhaustively(self):
+        # every ordered pair of distinct words, binary up to n = 8 and
+        # ternary up to n = 4
+        outcomes = Counter()
+        for q, top in ((2, 8), (3, 4)):
+            for n in range(2, top + 1):
+                words = list(product(range(q), repeat=n))
+                for xs in words:
+                    for ys in words:
+                        if xs != ys:
+                            outcomes[q, self.check(xs, ys, q)] += 1
+        assert all(outcomes[q, s] for q in (2, 3) for s in (True, False)), outcomes
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 257, 300])
+    def test_equals_profile_on_near_pairs(self, q):
+        # up to six substitutions, where the window is short, at one- and
+        # two-byte fields
+        rng = random.Random(q)
+        outcomes = Counter()
+        for _ in range(1000):
+            n = rng.randint(3, 60)
+            xs = tuple(rng.randrange(q) for _ in range(n))
+            ys = list(xs)
+            for i in rng.sample(range(n), rng.randint(1, min(n, 6))):
+                ys[i] = (xs[i] + rng.randrange(1, q)) % q
+            outcomes[self.check(xs, tuple(ys), q)] += 1
+        assert outcomes[True] and outcomes[False], outcomes
+
+
 class TestPairSize:
     """The sweep's size stage, :func:`_pair_report`, against the report of
     :func:`intersection_size_fast`."""
@@ -868,7 +908,7 @@ class TestPairSize:
                     x, y = Sequence(xs, q), Sequence(ys, q)
                     report = intersection_size_fast(x, y).to_dict()
                     assert intersect_module._pair_report(xs, ys, q).to_dict() == report, (x, y)
-                    # the profile a caller built, as the remark5 sampler hands it on
+                    # the profile a caller built, as intersection_size_fast hands it on
                     p, checked = DiffProfile._of_words(xs, ys, q), DiffProfile(x, y)
                     assert [getattr(p, a) for a in ("n", "q", "s", "tl", "tr", "d", "_words")] \
                         == [getattr(checked, a) for a in ("n", "q", "s", "tl", "tr", "d", "_words")]
